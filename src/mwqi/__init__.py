@@ -46,7 +46,6 @@ from .converter import (
 )
 from .correlations import (
     CorrelationReport,
-    DiscordConvergenceError,
     coherent_information,
     correlation_report,
     gaussian_discord,

@@ -32,9 +32,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as _c_light, hbar as _hbar, k as _k_b
 
 from .states import TwoModeGaussianState, standard_form
+
+# exact SI values (2019 redefinition)
+_c_light = 299792458.0
+_hbar = 6.62607015e-34 / (2 * math.pi)
+_k_b = 1.380649e-23
 
 __all__ = [
     "InstabilityError",
