@@ -1,9 +1,10 @@
 """Validate the closed-form receiver statistics against Monte-Carlo sampling.
 
 The difference-photocount mean and variance have closed forms from Gaussian
-moment factorization.  This script draws phase-space samples of the
-return-idler pair and the receiver's internal noise modes, pushes them
-through the receiver map sample by sample, and compares.
+moment factorization.  This script draws one block of standard normals,
+in a fixed order that is part of the seed contract (the return-idler pair
+quadratures, then the receiver's internal noise modes), pushes it through
+the real receiver map, and compares.
 
 Run:  python demos/receiver_oracle_check.py
 """

@@ -62,6 +62,9 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = parse_config(fh.read())
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"seed must be an integer >= 0, got {args.seed}",
+                                  field_name="--seed")
             config = dataclasses.replace(config, seed=args.seed)
         if args.mc:
             config = dataclasses.replace(config, mc_validation=True)

@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from .converter import BathOccupations, EomCoefficients, SourceMoments, planck_occupation
-from .states import TwoModeGaussianState, _gaussian_samples, standard_form
+from .states import TwoModeGaussianState, _gaussian_factor, standard_form
 
 __all__ = [
     "Hypothesis",
@@ -320,11 +320,24 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
                            seed: int = 0) -> McReceiverStatistics:
     """Monte-Carlo oracle for the difference-photocount statistics.
 
-    Draws phase-space samples of the return-idler pair and of the receiver's
-    internal baths, pushes them through the receiver map sample by sample,
-    and estimates the mean and variance of the difference count.  Kept
-    independent of the closed forms in :func:`receiver_statistics`: only the
-    input states and the linear receiver map are shared.
+    Draws one block of 10 * samples standard normals and pushes it through
+    the real receiver map, then estimates the mean and variance of the
+    difference count.  Kept independent of the closed forms in
+    :func:`receiver_statistics`: only the input states and the linear
+    receiver map are shared.
+
+    The draw order is part of the seed contract.  The first 4 * samples
+    normals, read as rows of 4, are the return-idler quadratures
+    (x_R, p_R, x_I, p_I); then come blocks of ``samples`` normals for the
+    real and imaginary parts of the optical bath, the mechanical bath and
+    the idler-loss vacuum port, in that order.  Each sample maps linearly to
+    (Re d_1, Im d_1, Re d_2, Im d_2), with complex amplitudes
+    alpha = (x + i p) / 2 and
+
+        d_1 = b alpha_R* + a_o alpha_o - c_o alpha_b*
+        d_2 = sqrt(kappa_I) alpha_I + sqrt(1 - kappa_I) alpha_vac
+
+    and the count is N = 2 Re(d_1* d_2).
 
     Phase-space moments are symmetric ordered, while the photocount
     observable is normal ordered in each mode; for N = d_1* d_2 + d_2* d_1
@@ -334,34 +347,44 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     if samples < 2:
         raise ValueError("need at least 2 samples")
     coef, k_i = rx.coef, rx.idler_transmissivity
-    rng = np.random.default_rng(seed)
+    z = np.random.default_rng(seed).standard_normal(10 * samples)
+    z_pair = z[:4 * samples].reshape(samples, 4)
+    z_bath = z[4 * samples:].reshape(6, samples)
 
     pair = return_state(source, ch, hypothesis)
-    q = _gaussian_samples(pair.cm, samples, rng)
-    alpha_r = (q[:, 0] + 1j * q[:, 1]) / 2.0
-    alpha_i = (q[:, 2] + 1j * q[:, 3]) / 2.0
+    t_i = math.sqrt(k_i) / 2.0
+    pair_map = _gaussian_factor(pair.cm) @ np.diag([coef.b / 2.0, -coef.b / 2.0, t_i, t_i])
 
-    def thermal_amplitudes(n):
-        # complex amplitude of a thermal mode: Re/Im variance (2n+1)/4 each
-        sd = math.sqrt((2.0 * n + 1.0) / 4.0)
-        return rng.normal(0.0, sd, samples) + 1j * rng.normal(0.0, sd, samples)
+    def thermal_sd(n):
+        # Re/Im of a thermal mode's complex amplitude: variance (2n+1)/4 each
+        return math.sqrt((2.0 * n + 1.0) / 4.0)
 
-    alpha_o_in = thermal_amplitudes(baths.n_o)
-    alpha_b_in = thermal_amplitudes(baths.n_b)
-    alpha_vac = thermal_amplitudes(0.0)
+    opt = coef.a_o * thermal_sd(baths.n_o)
+    mech = coef.c_o * thermal_sd(baths.n_b)
+    vac = math.sqrt(1.0 - k_i) * thermal_sd(0.0)
+    bath_map = np.array([[opt, 0.0, 0.0, 0.0],
+                         [0.0, opt, 0.0, 0.0],
+                         [-mech, 0.0, 0.0, 0.0],
+                         [0.0, mech, 0.0, 0.0],
+                         [0.0, 0.0, vac, 0.0],
+                         [0.0, 0.0, 0.0, vac]])
 
-    d1 = coef.b * np.conj(alpha_r) + coef.a_o * alpha_o_in - coef.c_o * np.conj(alpha_b_in)
-    d2 = math.sqrt(k_i) * alpha_i + math.sqrt(1.0 - k_i) * alpha_vac
-    counts = 2.0 * np.real(np.conj(d1) * d2)
+    # columns of x: Re d_1, Im d_1, Re d_2, Im d_2
+    x = z_pair @ pair_map
+    x += z_bath.T @ bath_map
+    counts = x[:, 0] * x[:, 2]
+    counts += x[:, 1] * x[:, 3]
+    counts *= 2.0
 
     mu = float(counts.mean())
-    var_sym = float(counts.var(ddof=1))
     centered = counts - mu
-    m4 = float(np.mean(centered ** 4))
+    sq = centered * centered
+    var_sym = float(sq.sum()) / (samples - 1)
+    m4 = float(sq @ sq) / samples
     return McReceiverStatistics(
         mu=mu,
         var=var_sym - 0.5,
-        se_mu=float(counts.std(ddof=1)) / math.sqrt(samples),
+        se_mu=math.sqrt(var_sym / samples),
         se_var=math.sqrt(max(m4 - var_sym ** 2, 0.0) / samples),
         samples=samples,
     )

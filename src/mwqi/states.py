@@ -305,12 +305,13 @@ def entropy(nu: float, tol: float = 1e-9) -> float:
     return float(xp * np.log2(xp) - xm * np.log2(xm))
 
 
-def _gaussian_samples(cm, count, rng):
-    """Zero-mean normal samples with covariance cm via an eigendecomposition."""
-    cm64 = np.asarray(cm, dtype=float)
-    w, u = np.linalg.eigh(cm64)
-    w = np.clip(w, 0.0, None)
-    return rng.standard_normal((count, cm64.shape[0])) @ (u * np.sqrt(w)).T
+def _gaussian_factor(cm) -> np.ndarray:
+    """Factor F with F.T @ F = cm, via an eigendecomposition.
+
+    Rows z of standard normals map to z @ F, zero-mean with covariance cm.
+    """
+    w, u = np.linalg.eigh(np.asarray(cm, dtype=float))
+    return (u * np.sqrt(np.clip(w, 0.0, None))).T
 
 
 def sample_quadratures(state: TwoModeGaussianState, count: int, seed: int) -> np.ndarray:
@@ -322,4 +323,4 @@ def sample_quadratures(state: TwoModeGaussianState, count: int, seed: int) -> np
     if count < 1:
         raise ValueError("sample count must be >= 1")
     rng = np.random.default_rng(seed)
-    return _gaussian_samples(state.cm, count, rng)
+    return rng.standard_normal((count, 4)) @ _gaussian_factor(state.cm)

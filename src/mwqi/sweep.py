@@ -174,6 +174,14 @@ def _parse_quantity(raw: str, kind: str, line: int, key: str) -> float:
     return scaled
 
 
+def _parse_count(raw: str, line: int, key: str, low: int) -> int:
+    """An integer >= low; integral floats such as 1e6 are accepted."""
+    value = _parse_quantity(raw, "plain", line, key)
+    if not value.is_integer() or value < low:
+        raise ConfigError(f"{key} must be an integer >= {low}, got {raw!r}", line, key)
+    return int(value)
+
+
 def _parse_output_token(token: str, line: int) -> str:
     if token in _PLAIN_OUTPUTS:
         return token
@@ -199,7 +207,7 @@ def parse_config(text: str) -> SweepConfig:
     axes: list[GridAxis] = []
     outputs: list[str] = []
     fig3: dict[str, float] = {}
-    mc: dict[str, float | bool] = {}
+    mc: dict[str, int | bool] = {}
 
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.split("#", 1)[0].strip()
@@ -272,14 +280,17 @@ def parse_config(text: str) -> SweepConfig:
         elif section == "fig3":
             if key not in ("m_min", "m_max", "m_points"):
                 raise ConfigError(f"unknown fig3 parameter {key!r}", lineno, key)
-            fig3[key] = _parse_quantity(raw, "plain", lineno, key)
+            if key == "m_points":
+                fig3[key] = _parse_count(raw, lineno, key, 1)
+            else:
+                fig3[key] = _parse_quantity(raw, "plain", lineno, key)
         elif section == "mc":
             if key == "validation":
                 if raw.lower() not in ("on", "off"):
                     raise ConfigError("validation must be 'on' or 'off'", lineno, key)
                 mc["validation"] = raw.lower() == "on"
             elif key in ("seed", "samples"):
-                mc[key] = _parse_quantity(raw, "plain", lineno, key)
+                mc[key] = _parse_count(raw, lineno, key, 2 if key == "samples" else 0)
             else:
                 raise ConfigError(f"unknown mc parameter {key!r}", lineno, key)
 
@@ -291,9 +302,7 @@ def parse_config(text: str) -> SweepConfig:
     if len(set(axis_names)) != len(axis_names):
         raise ConfigError("duplicate axis names")
 
-    m_points = int(fig3.get("m_points", 41))
-    if m_points < 1:
-        raise ConfigError("m_points must be >= 1", field_name="m_points")
+    m_points = fig3.get("m_points", 41)
     m_min = float(fig3.get("m_min", 1e4))
     m_max = float(fig3.get("m_max", 1e8))
     if m_min < 1 or m_max < m_min:
@@ -313,9 +322,9 @@ def parse_config(text: str) -> SweepConfig:
         m_min=m_min,
         m_max=m_max,
         m_points=m_points,
-        seed=int(mc.get("seed", 0)),
-        mc_validation=bool(mc.get("validation", False)),
-        mc_samples=int(mc.get("samples", 10 ** 6)),
+        seed=mc.get("seed", 0),
+        mc_validation=mc.get("validation", False),
+        mc_samples=mc.get("samples", 10 ** 6),
         sha256=config_sha256(text),
     )
 
@@ -499,6 +508,11 @@ def run_figure3(config: SweepConfig) -> str:
     return "\n".join(_meta_lines(config) + ["m,p_qi,p_coh,fom"] + rows) + "\n"
 
 
+def _se_delta(sampled: float, exact: float, se: float) -> float:
+    """|sampled - exact| in standard errors; a zero standard error can validate nothing."""
+    return abs(sampled - exact) / se if se > 0 else math.inf
+
+
 def report_point(config: SweepConfig, mc: bool | None = None) -> tuple[str, bool]:
     """Human-readable report of one operating point.
 
@@ -603,8 +617,8 @@ def report_point(config: SweepConfig, mc: bool | None = None) -> tuple[str, bool
                     samples=config.mc_samples, seed=config.seed + (hyp is Hypothesis.H1))
                 mu_cf = stats.mu1 if hyp is Hypothesis.H1 else stats.mu0
                 var_cf = stats.var1 if hyp is Hypothesis.H1 else stats.var0
-                dmu = abs(mc_stats.mu - mu_cf) / mc_stats.se_mu
-                dvar = abs(mc_stats.var - var_cf) / mc_stats.se_var
+                dmu = _se_delta(mc_stats.mu, mu_cf, mc_stats.se_mu)
+                dvar = _se_delta(mc_stats.var, var_cf, mc_stats.se_var)
                 lines.append(f"{hyp.value}: mean delta {dmu:.2f} se, variance delta {dvar:.2f} se")
                 check(f"mc {hyp.value} mean within 3 se", dmu <= 3.0)
                 check(f"mc {hyp.value} variance within 3 se", dvar <= 3.0)

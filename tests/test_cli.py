@@ -86,3 +86,33 @@ def test_unstable_point_exits_2(tmp_path, capsys):
 def test_failed_validation_exits_3(cfg_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "report_point", lambda cfg: ("forced failure\n", False))
     assert cli.main(["report", cfg_path]) == 3
+
+
+@pytest.mark.parametrize("entry", ["samples = 1", "samples = 0", "samples = 2.5",
+                                   "samples = inf", "seed = -3", "seed = 0.5"])
+def test_bad_mc_entry_exits_1(tmp_path, capsys, entry):
+    path = tmp_path / "mc.cfg"
+    path.write_text(POINT_CFG + f"\n[mc]\n{entry}\n")
+    assert cli.main(["report", str(path), "--mc"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exits_1(cfg_path, capsys):
+    assert cli.main(["report", cfg_path, "--seed", "-3"]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_integral_float_mc_entries_accepted():
+    config = cli.parse_config(POINT_CFG + "\n[mc]\nsamples = 1e6\nseed = 7.0\n")
+    assert (config.mc_samples, config.seed) == (10 ** 6, 7)
+    assert isinstance(config.mc_samples, int) and isinstance(config.seed, int)
+
+
+def test_zero_standard_error_fails_validation(tmp_path, capsys):
+    # two samples give a clamped variance standard error of exactly 0
+    path = tmp_path / "mc.cfg"
+    path.write_text(POINT_CFG + "\n[mc]\nsamples = 2\n")
+    assert cli.main(["report", str(path), "--mc"]) == 3
+    out = capsys.readouterr().out
+    assert "variance delta inf se" in out
+    assert "CHECKS FAILED" in out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,3 +280,59 @@ def test_mc_oracle_deterministic(ref_moments, ref_channel, ref_receiver, baths):
     b = mc_receiver_statistics(ref_moments, ref_channel, ref_receiver, baths,
                                Hypothesis.H1, samples=10000, seed=5)
     assert a == b
+
+
+def _reference_mc(source, ch, rx, baths, hypothesis, samples, seed):
+    """Per-mode complex-amplitude sampler that pins the oracle's draw order.
+
+    Draws the return-idler quadratures as rows of 4, then Re/Im of the
+    optical bath, the mechanical bath and the vacuum port, and applies the
+    receiver map to complex amplitudes mode by mode.
+    """
+    coef, k_i = rx.coef, rx.idler_transmissivity
+    rng = np.random.default_rng(seed)
+    w, u = np.linalg.eigh(np.asarray(return_state(source, ch, hypothesis).cm, float))
+    q = rng.standard_normal((samples, 4)) @ (u * np.sqrt(np.clip(w, 0.0, None))).T
+    alpha_r = (q[:, 0] + 1j * q[:, 1]) / 2.0
+    alpha_i = (q[:, 2] + 1j * q[:, 3]) / 2.0
+
+    def thermal_amplitudes(n):
+        sd = math.sqrt((2.0 * n + 1.0) / 4.0)
+        return rng.normal(0.0, sd, samples) + 1j * rng.normal(0.0, sd, samples)
+
+    alpha_o_in = thermal_amplitudes(baths.n_o)
+    alpha_b_in = thermal_amplitudes(baths.n_b)
+    alpha_vac = thermal_amplitudes(0.0)
+    d1 = coef.b * np.conj(alpha_r) + coef.a_o * alpha_o_in - coef.c_o * np.conj(alpha_b_in)
+    d2 = math.sqrt(k_i) * alpha_i + math.sqrt(1.0 - k_i) * alpha_vac
+    counts = 2.0 * np.real(np.conj(d1) * d2)
+    var_sym = float(counts.var(ddof=1))
+    m4 = float(np.mean((counts - counts.mean()) ** 4))
+    return (float(counts.mean()), var_sym - 0.5,
+            float(counts.std(ddof=1)) / math.sqrt(samples),
+            math.sqrt(max(m4 - var_sym ** 2, 0.0) / samples))
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+@pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+def test_mc_oracle_pins_draw_order(ref_moments, ref_coefficients, baths, hypothesis, seed):
+    # lossy idler (vacuum port in use), a thermal optical bath and the exact
+    # H1 background, so every entry of the receiver map is exercised
+    ch = TargetChannelParams(eta=REF_ETA, n_b=600.0, exact_h1_background=True)
+    rx = ReceiverParams(ref_coefficients, idler_transmissivity=0.6)
+    warm = mwqi.BathOccupations(n_w=baths.n_w, n_o=0.4, n_b=baths.n_b)
+    mc = mc_receiver_statistics(ref_moments, ch, rx, warm, hypothesis,
+                                samples=50000, seed=seed)
+    ref = _reference_mc(ref_moments, ch, rx, warm, hypothesis, 50000, seed)
+    assert (mc.mu, mc.var, mc.se_mu, mc.se_var) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_mc_oracle_peak_memory(ref_moments, ref_channel, ref_receiver, baths):
+    tracemalloc.start()
+    try:
+        mc_receiver_statistics(ref_moments, ref_channel, ref_receiver, baths,
+                               Hypothesis.H1, samples=10 ** 6, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6

@@ -72,6 +72,13 @@ def test_parse_error_diagnostics():
         parse_config("[outputs]\nselect = nonsense\n")
 
 
+@pytest.mark.parametrize("raw", ["0", "2.5", "inf", "nan"])
+def test_fig3_point_count_must_be_a_positive_integer(raw):
+    with pytest.raises(ConfigError) as err:
+        parse_config(POINT_CFG + f"\n[fig3]\nm_points = {raw}\n")
+    assert "m_points" in str(err.value)
+
+
 def test_empty_output_selection_rejected():
     cfg = parse_config("[drive]\ngamma_w = 10\ngamma_o = 1\n")
     with pytest.raises(ConfigError):
