@@ -41,10 +41,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to the config file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (sweep)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--mc", action="store_true",
-                       help="enable Monte-Carlo validation (report)")
+        if name == "report":
+            p.add_argument("--mc", action="store_true", help="enable Monte-Carlo validation")
     return parser
 
 
@@ -66,15 +65,15 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"seed must be an integer >= 0, got {args.seed}",
                                   field_name="--seed")
             config = dataclasses.replace(config, seed=args.seed)
-        if args.mc:
-            config = dataclasses.replace(config, mc_validation=True)
 
         if args.command == "sweep":
-            _emit(run_sweep(config, threads=max(1, args.threads)), args.out)
+            _emit(run_sweep(config), args.out)
             return EXIT_OK
         if args.command == "fig3":
             _emit(run_figure3(config), args.out)
             return EXIT_OK
+        if args.mc:
+            config = dataclasses.replace(config, mc_validation=True)
         text, ok = report_point(config)
         _emit(text, args.out)
         return EXIT_OK if ok else EXIT_VALIDATION

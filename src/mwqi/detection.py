@@ -164,11 +164,17 @@ def return_state(source: SourceMoments, ch: TargetChannelParams,
     idler marginal is unchanged.  cross_R does not depend on the background
     brightness.
     """
-    if hypothesis is Hypothesis.H0:
-        return standard_form(ch.n_b, source.n_o, 0.0)
-    n_r = ch.eta * source.n_w + (1.0 - ch.eta) * ch.h1_background()
-    cross_r = math.sqrt(ch.eta) * source.cross
+    n_r, cross_r = _return_moments(source, ch, hypothesis)
     return standard_form(n_r, source.n_o, cross_r)
+
+
+def _return_moments(source: SourceMoments, ch: TargetChannelParams,
+                    hypothesis: Hypothesis) -> tuple[float, float]:
+    """(n_R, cross_R): occupation of the returned mode and its correlation with the idler."""
+    if hypothesis is Hypothesis.H0:
+        return ch.n_b, 0.0
+    return (ch.eta * source.n_w + (1.0 - ch.eta) * ch.h1_background(),
+            math.sqrt(ch.eta) * source.cross)
 
 
 def entanglement_threshold(source: SourceMoments, eta: float) -> float:
@@ -189,11 +195,7 @@ def _pair_occupations(source: SourceMoments, ch: TargetChannelParams,
                       hypothesis: Hypothesis) -> tuple[float, float, float]:
     """(N_1, N_2, S) for the conjugated-return / lossy-idler pair."""
     coef, k_i = rx.coef, rx.idler_transmissivity
-    if hypothesis is Hypothesis.H0:
-        n_r, cross_r = ch.n_b, 0.0
-    else:
-        n_r = ch.eta * source.n_w + (1.0 - ch.eta) * ch.h1_background()
-        cross_r = math.sqrt(ch.eta) * source.cross
+    n_r, cross_r = _return_moments(source, ch, hypothesis)
     n_1 = (coef.b ** 2 * (n_r + 1.0)
            + coef.a_o ** 2 * baths.n_o
            + coef.c_o ** 2 * (baths.n_b + 1.0))

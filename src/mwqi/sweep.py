@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +48,7 @@ from .converter import (
     Cooperativities,
     EomParams,
     InstabilityError,
+    StabilityReport,
     bath_occupations,
     coefficients,
     entanglement_metric,
@@ -86,12 +87,37 @@ _FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _TEMP_UNITS = {"mk": 1e-3, "k": 1.0}
 _LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "m": 1.0}
 
-# key -> (section, kind); kind governs unit handling
-_EOM_KEYS = {
-    "omega_m": "freq", "kappa_w": "freq", "kappa_o": "freq", "omega_w": "freq",
-    "g_w": "freq", "g_o": "freq", "q_factor": "plain", "lambda_o": "length",
-    "t_eom": "temp",
+# allowed range -> test; the text doubles as the error message
+_RANGES = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
 }
+# (section, key) -> (kind, allowed range).  A kind is a unit family of
+# _parse_quantity, "switch" for on/off, or an int: the least allowed count.
+_KEYS = {
+    **{("eom", key): ("freq", "> 0")
+       for key in ("omega_m", "kappa_w", "kappa_o", "omega_w", "g_w", "g_o")},
+    ("eom", "q_factor"): ("plain", "> 0"),
+    ("eom", "lambda_o"): ("length", "> 0"),
+    ("eom", "t_eom"): ("temp", ">= 0"),
+    ("drive", "gamma_w"): ("plain", ">= 0"),
+    ("drive", "gamma_o"): ("plain", ">= 0"),
+    ("channel", "eta"): ("plain", "in [0, 1]"),
+    ("channel", "t_b"): ("temp", ">= 0"),
+    ("channel", "n_b"): ("plain", ">= 0"),
+    ("channel", "kappa_i"): ("plain", "in (0, 1]"),
+    ("channel", "exact_h1"): ("switch", None),
+    ("fig3", "m_min"): ("plain", ">= 1"),
+    ("fig3", "m_max"): ("plain", ">= 1"),
+    ("fig3", "m_points"): (1, None),
+    ("mc", "validation"): ("switch", None),
+    ("mc", "seed"): (0, None),
+    ("mc", "samples"): (2, None),
+}
+_SECTIONS = {section for section, _ in _KEYS} | {"grid", "outputs"}
 _AXIS_NAMES = ("gamma_w", "gamma_o", "eta", "t_b", "t_eom", "kappa_i")
 _PLAIN_OUTPUTS = ("n_w", "n_o", "e_metric", "log_neg_per_photon",
                   "coh_info_per_photon", "discord_per_photon", "fom")
@@ -151,23 +177,25 @@ def config_sha256(text: str) -> str:
 
 
 def _parse_quantity(raw: str, kind: str, line: int, key: str) -> float:
+    """A finite number; values with a unit come back in SI (frequencies angular)."""
     parts = raw.split()
     if kind == "plain":
         if len(parts) != 1:
             raise ConfigError(f"dimensionless value must not carry a unit: {raw!r}",
                               line, key)
-        try:
-            return float(parts[0])
-        except ValueError:
-            raise ConfigError(f"not a number: {raw!r}", line, key) from None
-    units = {"freq": _FREQ_UNITS, "temp": _TEMP_UNITS, "length": _LENGTH_UNITS}[kind]
-    if len(parts) != 2 or parts[1].lower() not in units:
-        raise ConfigError(
-            f"expected '<number> <{'|'.join(units)}>', got {raw!r}", line, key)
+    else:
+        units = {"freq": _FREQ_UNITS, "temp": _TEMP_UNITS, "length": _LENGTH_UNITS}[kind]
+        if len(parts) != 2 or parts[1].lower() not in units:
+            raise ConfigError(
+                f"expected '<number> <{'|'.join(units)}>', got {raw!r}", line, key)
     try:
         value = float(parts[0])
     except ValueError:
         raise ConfigError(f"not a number: {parts[0]!r}", line, key) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"not a finite number: {parts[0]!r}", line, key)
+    if kind == "plain":
+        return value
     scaled = value * units[parts[1].lower()]
     if kind == "freq":
         scaled *= 2.0 * math.pi  # stored angular
@@ -182,16 +210,42 @@ def _parse_count(raw: str, line: int, key: str, low: int) -> int:
     return int(value)
 
 
+def _parse_value(raw: str, kind: str | int, allowed: str | None, line: int, key: str):
+    if kind == "switch":
+        if raw.lower() not in ("on", "off"):
+            raise ConfigError(f"{key} must be 'on' or 'off'", line, key)
+        return raw.lower() == "on"
+    if isinstance(kind, int):
+        return _parse_count(raw, line, key, kind)
+    value = _parse_quantity(raw, kind, line, key)
+    if not _RANGES[allowed](value):
+        raise ConfigError(f"{key} must be {allowed}, got {raw!r}", line, key)
+    return value
+
+
+def _parse_axis(raw: str, line: int) -> GridAxis:
+    parts = raw.split()
+    if len(parts) != 5:
+        raise ConfigError(
+            f"axis needs '<name> <lin|log> <min> <max> <count>', got {raw!r}", line, "axis")
+    name, spacing = parts[0].lower(), parts[1].lower()
+    if name not in _AXIS_NAMES:
+        raise ConfigError(f"unknown axis {name!r} (known: {', '.join(_AXIS_NAMES)})",
+                          line, "axis")
+    if spacing not in ("lin", "log"):
+        raise ConfigError(f"spacing must be lin or log, got {spacing!r}", line, "axis")
+    lo, hi = (_parse_quantity(bound, "plain", line, "axis") for bound in parts[2:4])
+    if lo <= 0 or lo >= hi:
+        raise ConfigError("axis bounds must be positive and ordered", line, "axis")
+    return GridAxis(name, spacing, lo, hi, _parse_count(parts[4], line, "axis", 2))
+
+
 def _parse_output_token(token: str, line: int) -> str:
     if token in _PLAIN_OUTPUTS:
         return token
     for prefix in ("p_qi@", "p_coh@"):
         if token.startswith(prefix):
-            try:
-                m = float(token[len(prefix):])
-            except ValueError:
-                raise ConfigError(f"bad mode count in output {token!r}", line, "select") from None
-            if m < 1:
+            if _parse_quantity(token[len(prefix):], "plain", line, "select") < 1:
                 raise ConfigError(f"mode count must be >= 1 in {token!r}", line, "select")
             return token
     raise ConfigError(f"unknown output {token!r} (known: {', '.join(_PLAIN_OUTPUTS)}, "
@@ -201,13 +255,9 @@ def _parse_output_token(token: str, line: int) -> str:
 def parse_config(text: str) -> SweepConfig:
     """Parse a sweep config; raises :class:`ConfigError` with diagnostics."""
     section = None
-    eom_overrides: dict[str, float] = {}
-    drive: dict[str, float] = {}
-    channel: dict[str, float | bool] = {}
+    values: dict[tuple[str, str], float | int | bool] = {}
     axes: list[GridAxis] = []
     outputs: list[str] = []
-    fig3: dict[str, float] = {}
-    mc: dict[str, int | bool] = {}
 
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.split("#", 1)[0].strip()
@@ -215,7 +265,7 @@ def parse_config(text: str) -> SweepConfig:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip().lower()
-            if section not in ("eom", "drive", "channel", "grid", "outputs", "fig3", "mc"):
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown section [{section}]", lineno)
             continue
         if "=" not in stripped:
@@ -225,106 +275,51 @@ def parse_config(text: str) -> SweepConfig:
         key, _, raw = stripped.partition("=")
         key, raw = key.strip().lower(), raw.strip()
 
-        if section == "eom":
-            if key not in _EOM_KEYS:
-                raise ConfigError(f"unknown converter parameter {key!r}", lineno, key)
-            eom_overrides[key] = _parse_quantity(raw, _EOM_KEYS[key], lineno, key)
-        elif section == "drive":
-            if key not in ("gamma_w", "gamma_o"):
-                raise ConfigError(f"unknown drive parameter {key!r}", lineno, key)
-            drive[key] = _parse_quantity(raw, "plain", lineno, key)
-        elif section == "channel":
-            if key == "eta":
-                channel["eta"] = _parse_quantity(raw, "plain", lineno, key)
-            elif key == "t_b":
-                channel["t_b"] = _parse_quantity(raw, "temp", lineno, key)
-            elif key == "n_b":
-                channel["n_b"] = _parse_quantity(raw, "plain", lineno, key)
-            elif key == "kappa_i":
-                channel["kappa_i"] = _parse_quantity(raw, "plain", lineno, key)
-            elif key == "exact_h1":
-                if raw.lower() not in ("on", "off"):
-                    raise ConfigError("exact_h1 must be 'on' or 'off'", lineno, key)
-                channel["exact_h1"] = raw.lower() == "on"
-            else:
-                raise ConfigError(f"unknown channel parameter {key!r}", lineno, key)
-        elif section == "grid":
+        if section == "grid":
             if key != "axis":
                 raise ConfigError("grid section accepts only 'axis' entries", lineno, key)
-            parts = raw.split()
-            if len(parts) != 5:
-                raise ConfigError(
-                    f"axis needs '<name> <lin|log> <min> <max> <count>', got {raw!r}",
-                    lineno, key)
-            name, spacing = parts[0].lower(), parts[1].lower()
-            if name not in _AXIS_NAMES:
-                raise ConfigError(f"unknown axis {name!r} (known: {', '.join(_AXIS_NAMES)})",
-                                  lineno, key)
-            if spacing not in ("lin", "log"):
-                raise ConfigError(f"spacing must be lin or log, got {spacing!r}", lineno, key)
-            try:
-                lo, hi, count = float(parts[2]), float(parts[3]), int(parts[4])
-            except ValueError:
-                raise ConfigError(f"bad axis numbers in {raw!r}", lineno, key) from None
-            if lo <= 0 or hi <= 0 or lo >= hi:
-                raise ConfigError("axis bounds must be positive and ordered", lineno, key)
-            if count < 2:
-                raise ConfigError("axis point count must be >= 2", lineno, key)
-            axes.append(GridAxis(name, spacing, lo, hi, count))
+            axes.append(_parse_axis(raw, lineno))
         elif section == "outputs":
             if key != "select":
                 raise ConfigError("outputs section accepts only 'select'", lineno, key)
-            for token in (t.strip() for t in raw.split(",")):
-                if token:
-                    outputs.append(_parse_output_token(token, lineno))
-        elif section == "fig3":
-            if key not in ("m_min", "m_max", "m_points"):
-                raise ConfigError(f"unknown fig3 parameter {key!r}", lineno, key)
-            if key == "m_points":
-                fig3[key] = _parse_count(raw, lineno, key, 1)
-            else:
-                fig3[key] = _parse_quantity(raw, "plain", lineno, key)
-        elif section == "mc":
-            if key == "validation":
-                if raw.lower() not in ("on", "off"):
-                    raise ConfigError("validation must be 'on' or 'off'", lineno, key)
-                mc["validation"] = raw.lower() == "on"
-            elif key in ("seed", "samples"):
-                mc[key] = _parse_count(raw, lineno, key, 2 if key == "samples" else 0)
-            else:
-                raise ConfigError(f"unknown mc parameter {key!r}", lineno, key)
+            outputs += [_parse_output_token(token, lineno)
+                        for token in (t.strip() for t in raw.split(",")) if token]
+        elif (section, key) in _KEYS:
+            values[section, key] = _parse_value(raw, *_KEYS[section, key], lineno, key)
+        else:
+            raise ConfigError(f"unknown {section} parameter {key!r}", lineno, key)
 
-    base = nominal_params()
-    params = dataclasses.replace(base, **eom_overrides) if eom_overrides else base
-    if "t_b" in channel and "n_b" in channel:
+    def get(section, key, default=None):
+        return values.get((section, key), default)
+
+    eom = {key: value for (sec, key), value in values.items() if sec == "eom"}
+    params = dataclasses.replace(nominal_params(), **eom)
+    if ("channel", "t_b") in values and ("channel", "n_b") in values:
         raise ConfigError("give either t_b or n_b, not both", field_name="t_b")
     axis_names = [a.name for a in axes]
     if len(set(axis_names)) != len(axis_names):
         raise ConfigError("duplicate axis names")
-
-    m_points = fig3.get("m_points", 41)
-    m_min = float(fig3.get("m_min", 1e4))
-    m_max = float(fig3.get("m_max", 1e8))
-    if m_min < 1 or m_max < m_min:
-        raise ConfigError("need 1 <= m_min <= m_max", field_name="m_min")
+    m_min, m_max = get("fig3", "m_min", 1e4), get("fig3", "m_max", 1e8)
+    if m_max < m_min:
+        raise ConfigError("need m_min <= m_max", field_name="m_min")
 
     return SweepConfig(
         params=params,
-        gamma_w=drive.get("gamma_w"),
-        gamma_o=drive.get("gamma_o"),
-        eta=channel.get("eta"),
-        t_b=channel.get("t_b"),
-        n_b=channel.get("n_b"),
-        kappa_i=float(channel.get("kappa_i", 1.0)),
-        exact_h1=bool(channel.get("exact_h1", False)),
+        gamma_w=get("drive", "gamma_w"),
+        gamma_o=get("drive", "gamma_o"),
+        eta=get("channel", "eta"),
+        t_b=get("channel", "t_b"),
+        n_b=get("channel", "n_b"),
+        kappa_i=get("channel", "kappa_i", 1.0),
+        exact_h1=get("channel", "exact_h1", False),
         axes=tuple(axes),
         outputs=tuple(outputs),
         m_min=m_min,
         m_max=m_max,
-        m_points=m_points,
-        seed=mc.get("seed", 0),
-        mc_validation=mc.get("validation", False),
-        mc_samples=mc.get("samples", 10 ** 6),
+        m_points=get("fig3", "m_points", 41),
+        seed=get("mc", "seed", 0),
+        mc_validation=get("mc", "validation", False),
+        mc_samples=get("mc", "samples", 10 ** 6),
         sha256=config_sha256(text),
     )
 
@@ -379,14 +374,28 @@ def _resolve_point(config: SweepConfig, overrides: dict[str, float]) -> _Point:
                   eta=eta, n_b=n_b, kappa_i=kappa_i, exact_h1=config.exact_h1)
 
 
-def _evaluate_outputs(point: _Point, outputs: tuple[str, ...]) -> dict[str, float]:
-    """Metric values for one stable grid point; may raise physics errors."""
+def _base_point(config: SweepConfig) -> tuple[_Point, StabilityReport]:
+    """The point at the base values; raises :class:`InstabilityError` if unstable."""
+    point = _resolve_point(config, {})
+    stability = is_stable(point.coop, point.params)
+    if not stability.stable:
+        raise InstabilityError(
+            f"operating point unstable, margin {stability.margin!r} rad/s")
+    return point, stability
+
+
+def _source(point: _Point):
+    """(coefficients, bath occupations, source moments) of a stable point."""
     coef = coefficients(point.coop)
     baths = bath_occupations(point.params)
-    m = source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
+    return coef, baths, source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
+
+
+def _evaluate_outputs(point: _Point, outputs: tuple[str, ...]) -> dict[str, float]:
+    """Metric values for one stable grid point; may raise physics errors."""
+    coef, baths, m = _source(point)
     values: dict[str, float] = {}
-    report = None
-    stats = None
+    report = stats = ch = None
     for token in outputs:
         if token == "n_w":
             values[token] = m.n_w
@@ -399,21 +408,17 @@ def _evaluate_outputs(point: _Point, outputs: tuple[str, ...]) -> dict[str, floa
                 report = correlation_report(m)
             values[token] = getattr(report, token)
         else:
-            ch = point.channel()
+            if ch is None:
+                # built on first use: a bad axis eta fails only the outputs that need it
+                ch, rx = point.channel(), ReceiverParams(coef, point.kappa_i)
             if token == "fom":
-                values[token] = figure_of_merit(
-                    m, ch, ReceiverParams(coef, point.kappa_i), baths)
+                values[token] = figure_of_merit(m, ch, rx, baths)
             else:
                 if stats is None:
-                    stats = receiver_statistics(
-                        m, ch, ReceiverParams(coef, point.kappa_i), baths)
-                kind, _, m_str = token.partition("@")
-                modes = float(m_str)
-                if kind == "p_qi":
-                    values[token] = error_probability(stats.snr_per_m, modes)
-                else:
-                    values[token] = error_probability(
-                        coherent_snr_per_mode(m.n_w, ch), modes)
+                    stats = receiver_statistics(m, ch, rx, baths)
+                kind, _, modes = token.partition("@")
+                snr = stats.snr_per_m if kind == "p_qi" else coherent_snr_per_mode(m.n_w, ch)
+                values[token] = error_probability(snr, float(modes))
     return values
 
 
@@ -425,7 +430,7 @@ def _meta_lines(config: SweepConfig) -> list[str]:
     ]
 
 
-def run_sweep(config: SweepConfig, threads: int = 1) -> str:
+def run_sweep(config: SweepConfig) -> str:
     """Evaluate the grid and return the CSV text.
 
     One row per grid point in row-major order (first axis slowest).  Unstable
@@ -436,22 +441,16 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> str:
     """
     if not config.outputs:
         raise ConfigError("no outputs selected", field_name="select")
-    axis_values = [axis.values() for axis in config.axes]
-    shape = tuple(len(v) for v in axis_values)
-    total = int(np.prod(shape)) if shape else 1
-
-    def eval_index(flat: int) -> str:
-        idx = np.unravel_index(flat, shape) if shape else ()
-        overrides = {axis.name: float(vals[i])
-                     for axis, vals, i in zip(config.axes, axis_values, idx)}
-        cells = [_fmt(overrides[axis.name]) for axis in config.axes]
+    rows = []
+    for combo in itertools.product(*(axis.values() for axis in config.axes)):
+        overrides = {axis.name: float(value) for axis, value in zip(config.axes, combo)}
+        cells = [_fmt(value) for value in overrides.values()]
         error = ""
         metric_cells = [""] * len(config.outputs)
         try:
             point = _resolve_point(config, overrides)
             stability = is_stable(point.coop, point.params)
-            cells.append("1" if stability.stable else "0")
-            cells.append(_fmt(stability.margin))
+            cells += ["1" if stability.stable else "0", _fmt(stability.margin)]
             if stability.stable:
                 values = _evaluate_outputs(point, config.outputs)
                 metric_cells = [_fmt(values[t]) for t in config.outputs]
@@ -461,13 +460,7 @@ def run_sweep(config: SweepConfig, threads: int = 1) -> str:
             error = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
             if len(cells) == len(config.axes):
                 cells += ["", ""]
-        return ",".join(cells + metric_cells + [error])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(eval_index, range(total)))
-    else:
-        rows = [eval_index(i) for i in range(total)]
+        rows.append(",".join(cells + metric_cells + [error]))
 
     header = [a.name for a in config.axes] + ["stable", "margin"] + list(config.outputs) + ["error"]
     return "\n".join(_meta_lines(config) + [",".join(header)] + rows) + "\n"
@@ -479,32 +472,21 @@ def run_figure3(config: SweepConfig) -> str:
     Columns: m, p_qi, p_coh, fom.  Requires a stable base operating point and
     a channel; probabilities are evaluated in the log domain.
     """
-    point = _resolve_point(config, {})
-    stability = is_stable(point.coop, point.params)
-    if not stability.stable:
-        raise InstabilityError(
-            f"base operating point is unstable (margin {stability.margin!r})")
-    coef = coefficients(point.coop)
-    baths = bath_occupations(point.params)
-    m = source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
+    point, _ = _base_point(config)
+    coef, baths, m = _source(point)
     ch = point.channel()
     rx = ReceiverParams(coef, point.kappa_i)
-    stats = receiver_statistics(m, ch, rx, baths)
+    snr_qi = receiver_statistics(m, ch, rx, baths).snr_per_m
     snr_coh = coherent_snr_per_mode(m.n_w, ch)
-    fom = stats.snr_per_m / snr_coh if snr_coh > 0 else 0.0
+    fom = _fmt(figure_of_merit(m, ch, rx, baths))
 
     if config.m_points == 1:
         m_grid = np.array([config.m_min])
     else:
         m_grid = np.geomspace(config.m_min, config.m_max, config.m_points)
-    rows = []
-    for modes in m_grid:
-        rows.append(",".join([
-            _fmt(float(modes)),
-            _fmt(error_probability(stats.snr_per_m, float(modes))),
-            _fmt(error_probability(snr_coh, float(modes))),
-            _fmt(fom),
-        ]))
+    rows = [",".join([_fmt(float(modes)), _fmt(error_probability(snr_qi, float(modes))),
+                      _fmt(error_probability(snr_coh, float(modes))), fom])
+            for modes in m_grid]
     return "\n".join(_meta_lines(config) + ["m,p_qi,p_coh,fom"] + rows) + "\n"
 
 
@@ -513,7 +495,7 @@ def _se_delta(sampled: float, exact: float, se: float) -> float:
     return abs(sampled - exact) / se if se > 0 else math.inf
 
 
-def report_point(config: SweepConfig, mc: bool | None = None) -> tuple[str, bool]:
+def report_point(config: SweepConfig) -> tuple[str, bool]:
     """Human-readable report of one operating point.
 
     Returns (text, ok).  ``ok`` is True when every internal invariant holds
@@ -521,22 +503,13 @@ def report_point(config: SweepConfig, mc: bool | None = None) -> tuple[str, bool
     its closed form within 3 standard errors).  Raises
     :class:`InstabilityError` for an unstable point.
     """
-    point = _resolve_point(config, {})
-    stability = is_stable(point.coop, point.params)
-    if not stability.stable:
-        raise InstabilityError(
-            f"operating point unstable, margin {stability.margin!r} rad/s")
-    run_mc = config.mc_validation if mc is None else mc
-
+    point, stability = _base_point(config)
+    coef, baths, m = _source(point)
     lines: list[str] = []
     checks: list[tuple[str, bool]] = []
 
     def check(name: str, ok: bool):
         checks.append((name, ok))
-
-    coef = coefficients(point.coop)
-    baths = bath_occupations(point.params)
-    m = source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
 
     lines.append("== operating point ==")
     lines.append(f"gamma_w = {point.coop.gamma_w:.6g}   gamma_o = {point.coop.gamma_o:.6g}")
@@ -566,7 +539,6 @@ def report_point(config: SweepConfig, mc: bool | None = None) -> tuple[str, bool
     except PhysicalityError as exc:
         lines.append(f"source state NOT physical: {exc}")
         check("source state physical", False)
-        state = None
 
     report = correlation_report(m)
     lines.append("")
@@ -589,7 +561,7 @@ def report_point(config: SweepConfig, mc: bool | None = None) -> tuple[str, bool
         stats = receiver_statistics(m, ch, rx, baths)
         thresh = entanglement_threshold(m, ch.eta)
         snr_coh = coherent_snr_per_mode(m.n_w, ch)
-        fom = stats.snr_per_m / snr_coh if snr_coh > 0 else 0.0
+        fom = figure_of_merit(m, ch, rx, baths)
         lines.append("")
         lines.append("== target channel ==")
         lines.append(f"eta = {ch.eta:.6g}   n_B = {ch.n_b:.6g}   kappa_I = {point.kappa_i:.6g}")
@@ -602,13 +574,13 @@ def report_point(config: SweepConfig, mc: bool | None = None) -> tuple[str, bool
         lines.append(f"figure of merit F = {fom:.9g}")
         for modes in (1e4, 1e5, 1e6, 1e7, 1e8):
             p_qi = error_probability(stats.snr_per_m, modes)
-            p_coh = error_probability(coherent_snr_per_mode(m.n_w, ch), modes)
+            p_coh = error_probability(snr_coh, modes)
             lines.append(f"M = {modes:.0e}:  P_QI = {p_qi:.6e}   P_coh = {p_coh:.6e}")
         blind = stats.mu0 == stats.mu1 == 0.0 and stats.snr_per_m == 0.0
         check("variances positive", (stats.var0 > 0 and stats.var1 > 0) or blind)
         check("mu1 >= mu0", stats.mu1 >= stats.mu0)
 
-        if run_mc:
+        if config.mc_validation:
             lines.append("")
             lines.append(f"== Monte-Carlo validation ({config.mc_samples} samples) ==")
             for hyp in (Hypothesis.H0, Hypothesis.H1):

@@ -32,7 +32,7 @@ def test_sweep_to_stdout(cfg_path, capsys):
 
 def test_sweep_to_file(cfg_path, tmp_path):
     out = tmp_path / "grid.csv"
-    assert cli.main(["sweep", cfg_path, "--out", str(out), "--threads", "2"]) == 0
+    assert cli.main(["sweep", cfg_path, "--out", str(out)]) == 0
     assert out.read_text().startswith("# mwqi")
 
 
@@ -116,3 +116,17 @@ def test_zero_standard_error_fails_validation(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "variance delta inf se" in out
     assert "CHECKS FAILED" in out
+
+
+@pytest.mark.parametrize("command", ["sweep", "fig3", "report"])
+@pytest.mark.parametrize("entry", [
+    "[channel]\neta = 2", "[channel]\nkappa_i = 0", "[channel]\nkappa_i = 2",
+    "[channel]\nt_b = -1 k", "[drive]\ngamma_w = -1",
+    "[eom]\nt_eom = -1 mk", "[eom]\nomega_m = 0 mhz",
+])
+def test_out_of_range_base_value_exits_1(tmp_path, capsys, command, entry):
+    path = tmp_path / "range.cfg"
+    path.write_text(POINT_CFG + f"\n{entry}\n")
+    assert cli.main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "must be" in err

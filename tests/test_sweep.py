@@ -72,6 +72,31 @@ def test_parse_error_diagnostics():
         parse_config("[outputs]\nselect = nonsense\n")
 
 
+@pytest.mark.parametrize("entry", [
+    "[fig3]\nm_min = nan",
+    "[fig3]\nm_max = nan",
+    "[grid]\naxis = gamma_w log nan 1e4 3",
+    "[grid]\naxis = gamma_w log 1e2 inf 3",
+    "[outputs]\nselect = p_qi@nan",
+    "[outputs]\nselect = p_coh@inf",
+    "[drive]\ngamma_w = nan",
+    "[channel]\nt_b = inf k",
+    "[eom]\nomega_m = nan mhz",
+])
+def test_non_finite_numbers_rejected(entry):
+    with pytest.raises(ConfigError) as err:
+        parse_config(POINT_CFG + f"\n{entry}\n")
+    assert "not a finite number" in str(err.value)
+
+
+def test_axis_count_reads_like_other_counts():
+    axis, = parse_config("[grid]\naxis = gamma_w log 1 10 1e1\n").axes
+    assert axis.count == 10 and isinstance(axis.count, int)
+    with pytest.raises(ConfigError) as err:
+        parse_config("[grid]\naxis = gamma_w log 1 10 2.5\n")
+    assert "integer >= 2" in str(err.value)
+
+
 @pytest.mark.parametrize("raw", ["0", "2.5", "inf", "nan"])
 def test_fig3_point_count_must_be_a_positive_integer(raw):
     with pytest.raises(ConfigError) as err:
@@ -102,12 +127,36 @@ def test_single_point_sweep_row():
     assert record["error"] == ""
 
 
-def test_sweep_deterministic_and_thread_invariant():
+def test_sweep_deterministic_and_paths_agree():
     cfg = parse_config(GRID_CFG)
-    a = run_sweep(cfg)
-    b = run_sweep(cfg)
-    c = run_sweep(cfg, threads=4)
-    assert a == b == c
+    assert run_sweep(cfg) == run_sweep(cfg)
+    # sweep, fig3 and report evaluate the same point to the same numbers
+    cfg = parse_config(POINT_CFG.replace("select = n_w, n_o, e_metric, fom",
+                                         "select = fom, p_qi@1e6, p_coh@1e6")
+                       + "\n[fig3]\nm_min = 1e6\nm_max = 1e6\nm_points = 1\n")
+    header, row = _parse_csv(run_sweep(cfg))
+    swept = dict(zip(header, row))
+    assert swept["stable"] == "1" and swept["error"] == ""
+    (_, p_qi, p_coh, fom), = _parse_csv(run_figure3(cfg))[1:]
+    assert [swept["fom"], swept["p_qi@1e6"], swept["p_coh@1e6"]] == [fom, p_qi, p_coh]
+    lines = report_point(cfg)[0].splitlines()
+    assert f"figure of merit F = {float(fom):.9g}" in lines
+    assert f"M = 1e+06:  P_QI = {float(p_qi):.6e}   P_coh = {float(p_coh):.6e}" in lines
+
+
+def test_out_of_range_axis_value_lands_in_error_column():
+    # the base eta must lie in [0, 1]; an axis value above 1 fails only the
+    # channel outputs of its own point, which keeps its stability cells
+    rows = _parse_csv(run_sweep(parse_config(POINT_CFG + """
+[grid]
+axis = eta lin 0.5 1.5 3
+""")))
+    data = [dict(zip(rows[0], r)) for r in rows[1:]]
+    assert [r["error"] == "" for r in data] == [True, True, False]
+    bad = data[2]
+    assert "eta must lie in [0; 1]" in bad["error"]
+    assert bad["stable"] == "1" and float(bad["margin"]) > 0
+    assert bad["fom"] == "" and bad["n_w"] == ""
 
 
 def test_sweep_row_major_order_and_masking():
