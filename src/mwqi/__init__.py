@@ -18,7 +18,6 @@ from .states import (
     TwoModeGaussianState,
     entropy,
     from_blocks,
-    rotate_local,
     sample_quadratures,
     standard_form,
     symplectic_spectrum,

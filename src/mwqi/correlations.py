@@ -55,14 +55,11 @@ def log_negativity(state: TwoModeGaussianState) -> float:
 def coherent_information(state: TwoModeGaussianState) -> float:
     """Coherent information I(2>1) = S(rho_1) - S(rho_12) in qubits.
 
-    S(rho_1) is the entropy of the reduced first mode, g(sqrt(det A)); the
-    joint entropy is g(nu_plus) + g(nu_minus).  May be negative.
+    S(rho_1) is the entropy of the reduced first mode, g(a); the joint
+    entropy is g(nu_plus) + g(nu_minus).  May be negative.
     """
     data = symplectic_spectrum(state)
-    cm = state.cm
-    det_a = float(cm[0, 0] * cm[1, 1] - cm[0, 1] * cm[1, 0])
-    local = math.sqrt(max(det_a, 1.0))
-    return entropy(local) - entropy(data.nu_plus) - entropy(data.nu_minus)
+    return entropy(max(state.a, 1.0)) - entropy(data.nu_plus) - entropy(data.nu_minus)
 
 
 def gaussian_discord(state: TwoModeGaussianState, measured_mode: int = 1) -> float:
@@ -90,22 +87,25 @@ def gaussian_discord(state: TwoModeGaussianState, measured_mode: int = 1) -> flo
     if measured_mode not in (0, 1):
         raise ValueError("measured_mode must be 0 or 1")
     data = symplectic_spectrum(state)
-    cm = state.cm
-    kept, measured = (cm[:2, :2], cm[2:, 2:]) if measured_mode == 1 else (cm[2:, 2:], cm[:2, :2])
-    a = float(kept[0, 0] * kept[1, 1] - kept[0, 1] * kept[1, 0])
-    b = float(measured[0, 0] * measured[1, 1] - measured[0, 1] * measured[1, 0])
-    c = float(cm[0, 2] * cm[1, 3] - cm[0, 3] * cm[1, 2])
+    # a: kept mode, b: measured mode; A = a^2, B = b^2, C = c_x c_p
+    a, b = (state.a, state.b) if measured_mode == 1 else (state.b, state.a)
+    c_x, c_p = state.c_x, state.c_p
+    a2, b2, c = a * a, b * b, c_x * c_p
     d = (data.nu_plus * data.nu_minus) ** 2
-    if (d - a * b) ** 2 <= (1 + b) * c * c * (a + d):
+    if (d - a2 * b2) ** 2 <= (1 + b2) * c * c * (a2 + d):
         if c == 0.0:
             # C = 0 on this branch means no coupling at all (and B = 1 gives 0/0)
-            nu_min = math.sqrt(a)
+            nu_min = a
         else:
-            nu_min = (abs(c) + math.sqrt(max(c * c + (b - 1) * (d - a), 0.0))) / (b - 1)
+            b2_m1 = (b - 1) * (b + 1)
+            # C^2 + (B - 1)(D - A) in factored form: it vanishes on pure
+            # states, where the sum of the two terms cancels
+            het = (a * b2_m1 - b * c_x * c_x) * (a * b2_m1 - b * c_p * c_p)
+            nu_min = (abs(c) + math.sqrt(max(het, 0.0))) / b2_m1
     else:
-        s = a * b + d - c * c
-        nu_min = math.sqrt(2 * a * d / (s + math.sqrt(max(s * s - 4 * a * b * d, 0.0))))
-    value = (entropy(math.sqrt(max(b, 1.0))) - entropy(data.nu_plus)
+        s = a2 * b2 + d - c * c
+        nu_min = math.sqrt(2 * a2 * d / (s + math.sqrt(max(s * s - 4 * a2 * b2 * d, 0.0))))
+    value = (entropy(max(b, 1.0)) - entropy(data.nu_plus)
              - entropy(data.nu_minus) + entropy(max(nu_min, 1.0)))
     # discord is nonnegative for every physical state; lift rounding noise only
     return 0.0 if -1e-8 < value < 0.0 else value

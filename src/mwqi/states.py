@@ -1,25 +1,26 @@
-"""Two-mode zero-mean Gaussian states as 4x4 covariance matrices.
+"""Two-mode zero-mean Gaussian states in standard form.
 
 Quadrature convention: x = a + a*, p = -i(a - a*), so the vacuum variance of
 every quadrature is 1 and a thermal state with mean photon number n has
 variance 2n + 1.  Quadrature ordering is (x1, p1, x2, p2).
 
-Covariance matrices are stored in extended precision (``np.longdouble``).
-States produced by the converter model can sit exactly on the physical
-boundary (smallest symplectic eigenvalue equal to 1), and for strongly
-amplified operating points plain double arithmetic cannot resolve the
-boundary to the tolerances this package guarantees.  All spectral
-computations below therefore run in longdouble and use cancellation-free
-factorizations of the symplectic invariants.
+Every state this package builds has the standard-form covariance matrix
+[[a I, diag(c_x, c_p)], [diag(c_x, c_p), b I]], so a state is held as the
+four float64 numbers a, b, c_x, c_p.  States produced by the converter model
+can sit exactly on the physical boundary (smallest symplectic eigenvalue
+equal to 1), where the textbook root (Delta - sqrt(disc)) / 2 loses every
+significant digit.  The spectrum is therefore computed once, at
+construction, from factored margins that are products of moment-scale
+quantities.  The precision comes from the algebra, not from an extended
+float type.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_L = np.longdouble
 
 __all__ = [
     "PhysicalityError",
@@ -30,7 +31,6 @@ __all__ = [
     "standard_form",
     "two_mode_squeezed_vacuum",
     "thermal_product",
-    "rotate_local",
     "symplectic_spectrum",
     "entropy",
     "sample_quadratures",
@@ -62,34 +62,44 @@ class SymplecticData:
 
 @dataclass(frozen=True, eq=False)
 class TwoModeGaussianState:
-    """Zero-mean two-mode Gaussian state.
+    """Zero-mean two-mode Gaussian state in standard form.
 
     Parameters
     ----------
-    cm : ndarray
-        4x4 real symmetric covariance matrix in (x1, p1, x2, p2) ordering.
+    a, b : float
+        Quadrature variances of the first and the second mode.
+    c_x, c_p : float
+        Cross covariances <x1 x2> and <p1 p2>.
     tol : float
         Absolute physicality tolerance on the symplectic eigenvalues.
+    spectrum : SymplecticData, optional
+        Computed from the four numbers when omitted.  A constructor passes
+        it when the rounded numbers do not carry it, as for a pure state
+        whose margins are below their rounding error.
+
+    Raises
+    ------
+    PhysicalityError
+        If a variance is below the vacuum level or the state violates the
+        uncertainty principle; the message lists the symplectic eigenvalues.
     """
 
-    cm: np.ndarray
-    tol: float = field(default=1e-9)
+    a: float
+    b: float
+    c_x: float
+    c_p: float
+    tol: float = 1e-9
+    spectrum: SymplecticData | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        cm = np.asarray(self.cm, dtype=_L)
-        if cm.shape != (4, 4):
-            raise ValueError(f"covariance matrix must be 4x4, got {cm.shape}")
-        scale = float(np.max(np.abs(cm))) + 1.0
-        if float(np.max(np.abs(cm - cm.T))) > 1e-10 * scale:
-            raise ValueError("covariance matrix is not symmetric")
-        cm = (cm + cm.T) / 2
-        cm.flags.writeable = False
-        object.__setattr__(self, "cm", cm)
-        if float(np.min(np.diagonal(cm))) < 1.0 - self.tol:
+        for name in ("a", "b", "c_x", "c_p"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if min(self.a, self.b) < 1.0 - self.tol:
             raise PhysicalityError(
-                f"diagonal variance below vacuum level: min={float(np.min(np.diagonal(cm)))!r}"
-            )
-        data = _spectrum_from_cm(cm)
+                f"diagonal variance below vacuum level: min={min(self.a, self.b)!r}")
+        if self.spectrum is None:
+            object.__setattr__(self, "spectrum", _spectrum(self.a, self.b, self.c_x, self.c_p))
+        data = self.spectrum
         if data.nu_minus < 1.0 - self.tol:
             raise PhysicalityError(
                 "state violates the uncertainty principle: "
@@ -98,12 +108,13 @@ class TwoModeGaussianState:
             )
 
     @property
-    def mode_photon_numbers(self) -> tuple[float, float]:
-        """Mean photon number of each reduced mode, (tr(block)/2 - 1)/2."""
-        c = self.cm
-        n1 = (float(c[0, 0] + c[1, 1]) / 2 - 1.0) / 2
-        n2 = (float(c[2, 2] + c[3, 3]) / 2 - 1.0) / 2
-        return n1, n2
+    def cm(self) -> np.ndarray:
+        """4x4 float64 covariance matrix in (x1, p1, x2, p2) ordering."""
+        a, b, c_x, c_p = self.a, self.b, self.c_x, self.c_p
+        return np.array([[a, 0.0, c_x, 0.0],
+                         [0.0, a, 0.0, c_p],
+                         [c_x, 0.0, b, 0.0],
+                         [0.0, c_p, 0.0, b]])
 
 
 def from_blocks(a: float, b: float, c_x: float, c_p: float,
@@ -113,13 +124,7 @@ def from_blocks(a: float, b: float, c_x: float, c_p: float,
     Covers the two correlation families this package produces: phase-sensitive
     correlations (c_p = -c_x) and phase-insensitive ones (c_p = c_x).
     """
-    a, b, c_x, c_p = _L(a), _L(b), _L(c_x), _L(c_p)
-    cm = np.zeros((4, 4), dtype=_L)
-    cm[0, 0] = cm[1, 1] = a
-    cm[2, 2] = cm[3, 3] = b
-    cm[0, 2] = cm[2, 0] = c_x
-    cm[1, 3] = cm[3, 1] = c_p
-    return TwoModeGaussianState(cm, tol=tol)
+    return TwoModeGaussianState(a, b, c_x, c_p, tol=tol)
 
 
 def standard_form(n_1: float, n_2: float, cross: complex,
@@ -146,20 +151,22 @@ def standard_form(n_1: float, n_2: float, cross: complex,
     """
     if n_1 < 0 or n_2 < 0:
         raise ValueError(f"mean photon numbers must be >= 0, got {n_1}, {n_2}")
-    c = 2 * _L(abs(cross))
-    a = 2 * _L(n_1) + 1
-    b = 2 * _L(n_2) + 1
-    return from_blocks(a, b, c, -c, tol=tol)
+    c = 2.0 * abs(cross)
+    return TwoModeGaussianState(2.0 * n_1 + 1.0, 2.0 * n_2 + 1.0, c, -c, tol=tol)
 
 
 def two_mode_squeezed_vacuum(r: float, tol: float = 1e-9) -> TwoModeGaussianState:
-    """Pure two-mode squeezed vacuum with squeezing parameter r >= 0."""
+    """Pure two-mode squeezed vacuum with squeezing parameter r >= 0.
+
+    The state carries its exact spectrum, nu_plus = nu_minus = 1 and
+    nu_ppt_minus = e^{-2r}: the purity margin a^2 - c^2 - 1 is zero, while
+    that of the rounded cosh(2r), sinh(2r) is of order 1e-16 a^2.
+    """
     if r < 0:
         raise ValueError("squeezing parameter must be >= 0")
-    rl = _L(r)
-    a = np.cosh(2 * rl)
-    c = np.sinh(2 * rl)
-    return from_blocks(a, a, c, -c, tol=tol)
+    a, c = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    return TwoModeGaussianState(a, a, c, -c, tol=tol,
+                                spectrum=SymplecticData(1.0, 1.0, math.exp(-2.0 * r)))
 
 
 def thermal_product(n_1: float, n_2: float, tol: float = 1e-9) -> TwoModeGaussianState:
@@ -167,123 +174,63 @@ def thermal_product(n_1: float, n_2: float, tol: float = 1e-9) -> TwoModeGaussia
     return standard_form(n_1, n_2, 0.0, tol=tol)
 
 
-def rotate_local(state: TwoModeGaussianState, phi_1: float, phi_2: float) -> TwoModeGaussianState:
-    """Apply independent phase-space rotations to the two modes."""
-    def rot(phi):
-        c, s = np.cos(_L(phi)), np.sin(_L(phi))
-        return np.array([[c, s], [-s, c]], dtype=_L)
-
-    r = np.zeros((4, 4), dtype=_L)
-    r[:2, :2] = rot(phi_1)
-    r[2:, 2:] = rot(phi_2)
-    return TwoModeGaussianState(r @ state.cm @ r.T, tol=state.tol)
-
-
 # ---------------------------------------------------------------------------
 # symplectic spectrum
 # ---------------------------------------------------------------------------
 
-def _pair_nus(a, b, c, sign, disc_tol=1e-9):
-    """Symplectic pair for invariants Delta = a^2 + b^2 + 2*sign*c^2, det V = (ab - c^2)^2.
+def _pair(a: float, b: float, c_x: float, c_p: float,
+          disc_tol: float = 1e-9) -> tuple[float, float]:
+    """(nu_plus, nu_minus) of the standard form a, b, c_x, c_p.
 
-    Returns (nu_plus, nu_minus) computed through the factored margin form
+    The squared eigenvalues are the roots of x^2 - Delta*x + det V with
+    Delta = a^2 + b^2 + 2 c_x c_p and det V = (ab - c_x^2)(ab - c_p^2).  The
+    small root is taken through
 
-        nu_minus^2 - 1 = 2*F1*F2 / (Delta - 2 + sqrt(disc))
+        nu_minus^2 - 1 = 2 M / (Delta - 2 + sqrt(disc)),
+        M = det V - Delta + 1 = (nu_plus^2 - 1)(nu_minus^2 - 1),
 
-    which contains no catastrophic cancellation: for states near the physical
-    boundary the direct form (Delta - sqrt(disc))/2 loses all significant
-    digits, while F1 and F2 are plain products of moment-scale quantities.
+    with M in a factored form whose correction term vanishes on the
+    correlation family at hand (c_p = -c_x or c_p = c_x), and
+    disc = Delta^2 - 4 det V as a sum of products.  Near the physical
+    boundary the direct root (Delta - sqrt(disc)) / 2 loses all significant
+    digits; these forms contain no such cancellation.
     """
-    if sign < 0:
-        # phase-sensitive family, C = diag(c, -c)
-        delta = (a - c) * (a + c) + (b - c) * (b + c)
-        disc = (a - b) * (a - b) * (a + b - 2 * c) * (a + b + 2 * c)
-        f1 = (a - 1) * (b + 1) - c * c
-        f2 = (a + 1) * (b - 1) - c * c
+    a_m1, b_m1 = a - 1.0, b - 1.0  # no rounding for float64 a, b in [0.5, 2**53]
+    cc = c_x * c_p
+    if cc <= 0:
+        m = (a_m1 * (b + 1) + cc) * ((a + 1) * b_m1 + cc) - a * b * (c_x + c_p) ** 2
     else:
-        # phase-insensitive family, C = diag(c, c)
-        delta = a * a + b * b + 2 * c * c
-        disc = (a + b) * (a + b) * ((a - b) * (a - b) + 4 * c * c)
-        f1 = (a - 1) * (b - 1) - c * c
-        f2 = (a + 1) * (b + 1) - c * c
+        m = (a_m1 * b_m1 - cc) * ((a + 1) * (b + 1) - cc) - a * b * (c_x - c_p) ** 2
+    delta_m2 = a_m1 * (a + 1) + b_m1 * (b + 1) + 2 * cc  # Delta - 2
+    disc = ((a - b) ** 2 * (a + b - c_x + c_p) * (a + b + c_x - c_p)
+            + (a + b) ** 2 * (c_x + c_p) ** 2)
     if disc < 0:
-        if disc < -_L(disc_tol) * (delta * delta + 1):
-            raise DegenerateSpectrumError(f"negative symplectic discriminant: {float(disc)!r}")
-        disc = _L(0)
-    s = np.sqrt(disc)
-    nu_plus = np.sqrt(max((delta + s) / 2, _L(0)))
-    denom = delta - 2 + s
+        if disc < -disc_tol * ((delta_m2 + 2) ** 2 + 1):
+            raise DegenerateSpectrumError(f"negative symplectic discriminant: {disc!r}")
+        disc = 0.0
+    s = math.sqrt(disc)
+    denom = delta_m2 + s  # 2 (nu_plus^2 - 1)
+    nu_plus = math.sqrt(max(1 + denom / 2, 0.0))
     if denom <= 0:
-        # vacuum-like corner: both eigenvalues coincide at sqrt(delta/2)
-        nu_minus = np.sqrt(max(delta / 2, _L(0)))
-    else:
-        nm2 = 1 + 2 * f1 * f2 / denom
-        nu_minus = np.sqrt(max(nm2, _L(0)))
-    return nu_plus, nu_minus
+        # pure or vacuum-like corner: the direct root has nothing to cancel
+        return nu_plus, math.sqrt(max(1 + (delta_m2 - s) / 2, 0.0))
+    return nu_plus, math.sqrt(max(1 + 2 * m / denom, 0.0))
 
 
-def _det2(m):
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
-def _spectrum_generic(cm, disc_tol=1e-9):
-    """Fallback for covariance matrices without the diagonal block pattern."""
-    A = cm[:2, :2]
-    B = cm[2:, 2:]
-    C = cm[:2, 2:]
-    det_a = _det2(A)
-    det_b = _det2(B)
-    det_c = _det2(C)
-    # det V through the Schur complement of A (A is 2x2 positive definite)
-    inv_a = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]], dtype=_L) / det_a
-    det_v = det_a * _det2(B - C.T @ inv_a @ C)
-
-    def pair(delta):
-        disc = delta * delta - 4 * det_v
-        if disc < 0:
-            if disc < -_L(disc_tol) * (delta * delta + 1):
-                raise DegenerateSpectrumError(
-                    f"negative symplectic discriminant: {float(disc)!r}"
-                )
-            disc = _L(0)
-        s = np.sqrt(disc)
-        nu_plus = np.sqrt((delta + s) / 2)
-        # stable small root: nu-^2 = 2 det V / (Delta + sqrt(disc))
-        nu_minus = np.sqrt(max(2 * det_v / (delta + s), _L(0)))
-        return nu_plus, nu_minus
-
-    nu_plus, nu_minus = pair(det_a + det_b + 2 * det_c)
-    _, nu_ppt_minus = pair(det_a + det_b - 2 * det_c)
-    return SymplecticData(float(nu_plus), float(nu_minus), float(nu_ppt_minus))
-
-
-def _spectrum_from_cm(cm, disc_tol=1e-9):
-    a, b = cm[0, 0], cm[2, 2]
-    block = (
-        cm[0, 0] == cm[1, 1]
-        and cm[2, 2] == cm[3, 3]
-        and cm[0, 1] == 0 and cm[0, 3] == 0 and cm[1, 2] == 0
-        and abs(cm[0, 2]) == abs(cm[1, 3])
-    )
-    if not block:
-        return _spectrum_generic(cm, disc_tol)
-    c = abs(cm[0, 2])
-    sign = 1 if cm[0, 2] * cm[1, 3] > 0 else -1
-    nu_plus, nu_minus = _pair_nus(a, b, c, sign, disc_tol)
-    _, nu_ppt_minus = _pair_nus(a, b, c, -sign, disc_tol)
-    return SymplecticData(float(nu_plus), float(nu_minus), float(nu_ppt_minus))
+def _spectrum(a: float, b: float, c_x: float, c_p: float) -> SymplecticData:
+    """Spectrum of the state and of its partial transpose (c_p -> -c_p)."""
+    nu_plus, nu_minus = _pair(a, b, c_x, c_p)
+    _, nu_ppt_minus = _pair(a, b, c_x, -c_p)
+    return SymplecticData(nu_plus, nu_minus, nu_ppt_minus)
 
 
 def symplectic_spectrum(state: TwoModeGaussianState) -> SymplecticData:
     """Symplectic eigenvalues of the state and of its partial transpose.
 
-    For a two-mode covariance matrix V = [[A, C], [C^T, B]] the squared
-    eigenvalues are the roots of x^2 - Delta*x + det V with
-    Delta = det A + det B + 2 det C; the partial transpose flips the sign of
-    det C.  Both roots are evaluated through subtraction-free expressions so
-    that near-pure states keep full precision.
+    The spectrum is computed once, when the state is built; the partial
+    transpose flips the sign of c_p.
     """
-    return _spectrum_from_cm(state.cm)
+    return state.spectrum
 
 
 # ---------------------------------------------------------------------------

@@ -294,9 +294,10 @@ def parse_config(text: str) -> SweepConfig:
 
     eom = {key: value for (sec, key), value in values.items() if sec == "eom"}
     params = dataclasses.replace(nominal_params(), **eom)
-    if ("channel", "t_b") in values and ("channel", "n_b") in values:
-        raise ConfigError("give either t_b or n_b, not both", field_name="t_b")
     axis_names = [a.name for a in axes]
+    if ("channel", "n_b") in values and (("channel", "t_b") in values or "t_b" in axis_names):
+        raise ConfigError("give either t_b (a value or a grid axis) or n_b, not both",
+                          field_name="t_b")
     if len(set(axis_names)) != len(axis_names):
         raise ConfigError("duplicate axis names")
     m_min, m_max = get("fig3", "m_min", 1e4), get("fig3", "m_max", 1e8)

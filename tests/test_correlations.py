@@ -1,6 +1,8 @@
 import math
 import subprocess
 import sys
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,10 +141,10 @@ def test_discord_pure_state_identity(r):
     # for pure states discord equals the entanglement entropy
     state = two_mode_squeezed_vacuum(r)
     expected = entropy(math.cosh(2 * r))
-    assert gaussian_discord(state) == pytest.approx(expected, abs=1e-5)
+    assert gaussian_discord(state) == pytest.approx(expected, abs=1e-10)
     # and matches the coherent information on the same state
     assert gaussian_discord(state) == pytest.approx(
-        coherent_information(state), abs=1e-5)
+        coherent_information(state), abs=1e-10)
 
 
 def test_discord_reference_state(ref_moments):
@@ -270,6 +272,76 @@ def test_metric_negativity_equivalence(params):
             assert en == 0.0, m
     assert checked >= 50
     assert entangled > 0 and separable > 0
+
+
+# ---------------------------------------------------------------------------
+# exact oracle for the correlation columns
+# ---------------------------------------------------------------------------
+
+SOURCE_SURFACES = Path(__file__).resolve().parents[1] / "demos" / "configs" / "source_surfaces.cfg"
+
+
+def _exact_per_photon(m):
+    """(log_neg, coh_info, discord) per photon at 50 digits, textbook forms.
+
+    The float64 moments are taken as exact.  At 50 digits the direct roots
+    and the unfactored discord terms keep more than 20 significant digits,
+    so no cancellation-free rewriting is needed here.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ln2 = Decimal(2).ln()
+
+        def sqrt(x):
+            return max(x, Decimal(0)).sqrt()
+
+        def g(nu):
+            if nu <= 1:
+                return Decimal(0)
+            xp, xm = (nu + 1) / 2, (nu - 1) / 2
+            return (xp * xp.ln() - xm * xm.ln()) / ln2
+
+        n_1 = Decimal(m.n_w)
+        a, b, c = 2 * n_1 + 1, 2 * Decimal(m.n_o) + 1, 2 * Decimal(m.cross)
+        det_v = (a * b - c * c) ** 2
+
+        def roots(delta):
+            s = sqrt(delta * delta - 4 * det_v)
+            return sqrt((delta + s) / 2), sqrt((delta - s) / 2)
+
+        nu_plus, nu_minus = roots(a * a + b * b - 2 * c * c)
+        _, nu_ppt = roots(a * a + b * b + 2 * c * c)
+        log_neg = max(Decimal(0), -nu_ppt.ln() / ln2)
+        coh_info = g(a) - g(nu_plus) - g(nu_minus)
+        big_a, big_b, big_c, big_d = a * a, b * b, -c * c, det_v
+        if (big_d - big_a * big_b) ** 2 <= (1 + big_b) * big_c ** 2 * (big_a + big_d):
+            nu_min = ((abs(big_c) + sqrt(big_c ** 2 + (big_b - 1) * (big_d - big_a)))
+                      / (big_b - 1))
+        else:
+            s = big_a * big_b + big_d - big_c ** 2
+            nu_min = sqrt((s - sqrt(s * s - 4 * big_a * big_b * big_d)) / (2 * big_b))
+        discord = g(b) - g(nu_plus) - g(nu_minus) + g(nu_min)
+        return tuple(float(value / n_1) for value in (log_neg, coh_info, discord))
+
+
+def test_correlation_columns_match_exact_oracle():
+    # every stable point of the source_surfaces demo grid
+    config = mwqi.parse_config(SOURCE_SURFACES.read_text(encoding="utf-8"))
+    baths = mwqi.bath_occupations(config.params)
+    gamma_w, gamma_o = (axis.values() for axis in config.axes)
+    checked = 0
+    for gw in gamma_w:
+        for go in gamma_o:
+            coop = mwqi.Cooperativities(float(gw), float(go))
+            if not mwqi.is_stable(coop, config.params).stable:
+                continue
+            m = source_moments(mwqi.coefficients(coop), baths.n_w, baths.n_o, baths.n_b)
+            rep = correlation_report(m)
+            got = (rep.log_neg_per_photon, rep.coh_info_per_photon, rep.discord_per_photon)
+            for value, exact in zip(got, _exact_per_photon(m)):
+                assert value == pytest.approx(exact, abs=1e-12), m
+            checked += 1
+    assert checked == 547
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,10 @@ def test_parse_error_diagnostics():
         parse_config("[grid]\naxis = gamma_w log 1 10 1\n")  # count < 2
     with pytest.raises(ConfigError):
         parse_config(POINT_CFG + "[channel]\nn_b = 5\n")  # both t_b and n_b
+    with pytest.raises(ConfigError) as err:
+        # n_b would override every t_b axis value
+        parse_config("[channel]\nn_b = 600\n[grid]\naxis = t_b lin 1 300 3\n")
+    assert "t_b" in str(err.value)
     with pytest.raises(ConfigError):
         parse_config("[outputs]\nselect = nonsense\n")
 
