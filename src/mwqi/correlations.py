@@ -24,7 +24,8 @@ __all__ = [
 
 
 def __getattr__(name):
-    # the benchmark tracer hooks this name; lazy so `import mwqi` never loads scipy.optimize
+    # the benchmark tracer hooks this name; lazy so `import mwqi` never loads scipy,
+    # which only the tests and the benchmark need
     if name == "minimize":
         from scipy.optimize import minimize
         return minimize

@@ -471,7 +471,7 @@ def run_figure3(config: SweepConfig) -> str:
     """Error probabilities of both systems versus the mode-pair count M.
 
     Columns: m, p_qi, p_coh, fom.  Requires a stable base operating point and
-    a channel; probabilities are evaluated in the log domain.
+    a channel; probabilities come straight from the stdlib erfc.
     """
     point, _ = _base_point(config)
     coef, baths, m = _source(point)

@@ -49,6 +49,18 @@ def test_fig3_subcommand(cfg_path, tmp_path):
     assert out.read_text().splitlines()[3] == "m,p_qi,p_coh,fom"
 
 
+def test_fig3_overflowing_snr_gives_zero_probabilities(tmp_path):
+    # M * snr overflows to inf on a lossless, background-free channel
+    path = tmp_path / "fig3.cfg"
+    path.write_text(POINT_CFG.replace("eta = 0.07", "eta = 1.0").replace("293 k", "0 k")
+                    + "\n[fig3]\nm_min = 1e300\nm_max = 1e308\nm_points = 3\n")
+    out = tmp_path / "curves.csv"
+    assert cli.main(["fig3", str(path), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[4:]]
+    assert len(rows) == 3
+    assert all(float(p_qi) == 0.0 and float(p_coh) == 0.0 for _, p_qi, p_coh, _ in rows)
+
+
 def test_report_subcommand(cfg_path, capsys):
     assert cli.main(["report", cfg_path]) == 0
     assert "all checks passed" in capsys.readouterr().out

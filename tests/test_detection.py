@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def test_error_probability_unit_argument():
 
 
 def test_error_probability_matches_direct_erfc():
-    # log-domain composition against the direct evaluation, down to underflow
+    # against scipy's erfc, down to underflow
     for snr_m in (1e-3, 1.0, 50.0, 500.0, 2500.0):
         direct = erfc(math.sqrt(snr_m / 8.0)) / 2.0
         assert error_probability(snr_m, 1) == pytest.approx(direct, rel=1e-12)
@@ -212,6 +213,77 @@ def test_error_probability_validation():
         error_probability(1.0, 0.5)
     with pytest.raises(ValueError):
         error_probability(-1.0, 10)
+    with pytest.raises(ValueError, match="snr must be >= 0"):
+        log10_error_probability(-1.0, 10)
+
+
+def test_error_probability_overflowing_argument():
+    # M * snr overflows to inf: the probability is 0 and its log -inf
+    assert error_probability(1e300, 1e10) == 0.0
+    assert log10_error_probability(1e300, 1e10) == -math.inf
+    assert log10_error_probability(1e300, 1e300) == -math.inf
+
+
+def _machin_pi():
+    """pi at the current decimal precision, from 16 atan(1/5) - 4 atan(1/239)."""
+    eps = Decimal(10) ** -(getcontext().prec + 2)
+
+    def atan_inv(x):
+        term = total = Decimal(1) / x
+        n = 1
+        while abs(term) > eps:
+            term /= -x * x
+            n += 2
+            total += term / n
+        return total
+
+    return 16 * atan_inv(5) - 4 * atan_inv(239)
+
+
+def _exact_log10_half_erfc(z):
+    """log10(erfc(z) / 2) for a float z >= 0, to more than 50 digits.
+
+    Below z = 30 from the series erf(z) = (2/sqrt(pi)) e^{-z^2} sum_n
+    (2z^2)^n z / (2n+1)!!, with z^2 / ln 10 extra digits for the cancellation
+    in 1 - erf(z); above, from the continued fraction (Abramowitz & Stegun
+    7.1.14) sqrt(pi) e^{z^2} erfc(z) = 1/(z + (1/2)/(z + 1/(z + (3/2)/(z + ...)))),
+    evaluated backward.
+    """
+    with localcontext() as ctx:
+        x = Decimal(z)
+        if z < 30:
+            ctx.prec = 60 + int(z * z / math.log(10))
+            x2 = x * x
+            term = total = x
+            n = 0
+            while term > total.scaleb(-ctx.prec):
+                n += 1
+                term *= 2 * x2 / (2 * n + 1)
+                total += term
+            log_half_erfc = ((1 - 2 * (-x2).exp() * total / _machin_pi().sqrt()) / 2).ln()
+        else:
+            ctx.prec = 60
+            fraction = x
+            for k in range(100, 0, -1):
+                fraction = x + Decimal(k) / 2 / fraction
+            log_half_erfc = -x * x - (2 * _machin_pi().sqrt() * fraction).ln()
+        ctx.prec = 60
+        return log_half_erfc / Decimal(10).ln()
+
+
+def test_error_probability_matches_exact_oracle():
+    # z on a 1/64 grid and M * snr = 8 z^2 make the erfc argument exact in float64
+    grid = [k / 8 for k in range(213)]  # [0, 26.5]: erfc(z) / 2 stays normal
+    grid += [round(26.5 * (1e6 / 26.5) ** (e / 60) * 64) / 64 for e in range(1, 61)]
+    for z in grid:
+        exact = _exact_log10_half_erfc(z)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            got = Decimal(log10_error_probability(8 * z * z, 1))
+            assert abs(got - exact) <= -exact * Decimal("1e-15"), z
+            if z <= 26.5:
+                p = Decimal(10) ** exact
+                assert abs(Decimal(error_probability(8 * z * z, 1)) - p) <= p * Decimal("1e-15"), z
 
 
 def test_coherent_benchmark_values(ref_channel):

@@ -27,10 +27,18 @@ CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 # evaluation of the same moments.  Accuracy is guarded in absolute terms, at
 # 1e-12 bits per photon, by test_correlation_columns_match_exact_oracle in
 # test_correlations.py.
+# The error probabilities moved when erfcx and exp gave way to the stdlib
+# erfc: 129 of the 139 normal p_qi/p_coh cells of the fig3 curves, by at most
+# 6.0e-14 relative, each new cell within 2.3e-16 of exact (the old ones were
+# up to 6.0e-14 off); one subnormal cell moved by one step, 4.9e-324.
+# Accuracy is guarded at 1e-15 relative by
+# test_error_probability_matches_exact_oracle in test_detection.py.
 DECLARED_COLUMNS = {
     "discord_per_photon": 1e-8,
     "log_neg_per_photon": 1e-7,
     "coh_info_per_photon": 1e-7,
+    "p_qi": 1e-13,
+    "p_coh": 1e-13,
 }
 DECLARED_LINES = {"D = ": 1e-8}  # report lines, by prefix
 
@@ -38,7 +46,8 @@ _NUMBER = re.compile(r"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 
 
 def _numbers_close(got: str, want: str, rtol: float) -> bool:
-    return math.isclose(float(got), float(want), rel_tol=rtol, abs_tol=0.0)
+    # the absolute floor is a few subnormal steps (4.9e-324 each)
+    return math.isclose(float(got), float(want), rel_tol=rtol, abs_tol=1e-322)
 
 
 def _compare_csv(got: list[str], want: list[str]) -> None:

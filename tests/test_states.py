@@ -80,12 +80,18 @@ def test_cm_is_float64(make):
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# numpy.longdouble replaced after numpy and scipy.special are loaded, so any
-# use by mwqi raises; results must not depend on the platform's long double
+# numpy.longdouble replaced after numpy is loaded, and scipy imports blocked,
+# so any use of either by mwqi raises: results must not depend on the
+# platform's long double, and the runtime needs numpy only
 _NO_LONGDOUBLE = """
 import sys
 import numpy
-import scipy.special
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} imported")
 
 
 class NoLongDouble:
@@ -95,6 +101,7 @@ class NoLongDouble:
     __call__ = __getattr__ = __eq__ = __hash__ = __instancecheck__ = _fail
 
 
+sys.meta_path.insert(0, NoScipy())
 numpy.longdouble = NoLongDouble()
 import mwqi.cli
 
