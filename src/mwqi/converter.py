@@ -24,6 +24,15 @@ d = 1 + 2*Gamma_w - 2*Gamma_o:
 
 These closed forms satisfy the output commutator identities
 a_w^2 - b^2 + c_w^2 = 1 and a_o^2 - b^2 - c_o^2 = 1 exactly.
+
+Stability is read off the characteristic cubic of the linearized dynamics,
+l^3 + p2 l^2 + p1 l + p0 with G_j^2 = Gamma_j*kappa_j*gamma_m and
+
+    p2 = gamma_m/2 + kappa_w + kappa_o
+    p1 = (gamma_m/2)(kappa_w + kappa_o) + kappa_w*kappa_o + G_w^2 - G_o^2
+    p0 = (gamma_m/2) kappa_w kappa_o + G_w^2 kappa_o - G_o^2 kappa_w,
+
+solved in closed form; the 6x6 ``drift_matrix`` is kept as its test oracle.
 """
 
 from __future__ import annotations
@@ -105,12 +114,13 @@ class EomParams:
     t_eom: float
 
     def __post_init__(self):
+        # written so that NaN fails too
         for name in ("omega_m", "q_factor", "kappa_w", "kappa_o",
                      "omega_w", "lambda_o", "g_w", "g_o"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.t_eom < 0:
-            raise ValueError("t_eom must be >= 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not 0.0 <= self.t_eom < math.inf:
+            raise ValueError("t_eom must be finite and >= 0")
 
     @property
     def gamma_m(self) -> float:
@@ -151,8 +161,9 @@ class Cooperativities:
     gamma_o: float
 
     def __post_init__(self):
-        if self.gamma_w < 0 or self.gamma_o < 0:
-            raise ValueError("cooperativities must be >= 0")
+        # written so that NaN fails too
+        if not (0.0 <= self.gamma_w < math.inf and 0.0 <= self.gamma_o < math.inf):
+            raise ValueError("cooperativities must be finite and >= 0")
 
     @classmethod
     def from_intracavity_photons(cls, params: EomParams,
@@ -214,11 +225,13 @@ class SourceMoments:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Outcome of the drift-matrix stability test.
+    """Outcome of the stability test.
 
-    ``margin`` is minus the largest real part of the drift eigenvalues
-    (positive means stable).  ``adiabatic_stable`` is the weak-coupling
-    criterion Gamma_o < Gamma_w + 1/2, exposed for cross-checking.
+    ``margin`` is minus the largest real part of the roots of the
+    characteristic cubic, which are the drift-matrix eigenvalues (positive
+    means stable); ``stable`` is ``margin > 0``.  ``adiabatic_stable`` is the
+    weak-coupling criterion Gamma_o < Gamma_w + 1/2, exposed for
+    cross-checking.
     """
 
     stable: bool
@@ -329,6 +342,7 @@ def drift_matrix(coop: Cooperativities, params: EomParams) -> np.ndarray:
     Ordering (x_b, p_b, x_w, p_w, x_o, p_o) for the mechanical, microwave,
     and optical fluctuation modes, with damping rates gamma_m/2, kappa_w,
     kappa_o and multi-photon couplings G_j = sqrt(Gamma_j*kappa_j*gamma_m).
+    :func:`is_stable` does not build it; it is the oracle of that test.
     """
     gm = params.gamma_m
     g_w = math.sqrt(coop.gamma_w * params.kappa_w * gm)
@@ -348,13 +362,79 @@ def drift_matrix(coop: Cooperativities, params: EomParams) -> np.ndarray:
 def is_stable(coop: Cooperativities, params: EomParams) -> StabilityReport:
     """Dynamical stability of an operating point.
 
-    Stable when every eigenvalue of the drift matrix has a negative real
-    part; the margin is minus the largest real part.
+    The drift matrix splits into two similar real 3x3 blocks, on
+    (x_b, p_w, p_o) and (p_b, x_w, x_o), so its spectrum is the roots of one
+    real cubic
+
+        f(l) = (l + gamma_m/2)(l + kappa_w)(l + kappa_o)
+               + G_w^2 (l + kappa_o) - G_o^2 (l + kappa_w)
+             = l (l^2 + p2 l + p1) + p0,
+        p0   = gamma_m kappa_w kappa_o (1/2 + Gamma_w - Gamma_o),
+
+    with the coefficients of the module docstring.  The margin is minus the
+    largest real root part: the trigonometric form gives the largest of three
+    real roots; Cardano gives the one real root r, and Vieta the real part
+    (-p2 - r)/2 of the complex pair.  One Newton step on f then polishes the
+    root.  Every step is arranged to keep the digits of a small margin:
+
+    - 1/2 + Gamma_w - Gamma_o is formed with one rounding, so near the
+      adiabatic edge p0 is as exact as its inputs;
+    - the depressed cubic is formed from the rates' offsets from p2/3, which
+      keeps clustered roots apart (a triple root when kappa_w = kappa_o =
+      gamma_m/2 at zero drive);
+    - the Newton step evaluates f in the first form near l = -gamma_m/2 and
+      in the second near l = 0, whichever is closer to the root.
+
+    ``stable`` is ``margin > 0``, the Routh-Hurwitz condition p0 > 0,
+    p1 > 0, p2 p1 > p0.
+
+    Raises
+    ------
+    OverflowError
+        If a cooperativity is so large (above ~1e95 at the nominal rates)
+        that the cubic overflows float64.
     """
-    eigs = np.linalg.eigvals(drift_matrix(coop, params))
-    margin = float(-np.max(eigs.real))
+    gm, gw, go = params.gamma_m, coop.gamma_w, coop.gamma_o
+    a, kw, ko = 0.5 * gm, params.kappa_w, params.kappa_o
+    dg = (gw * kw - go * ko) * gm  # G_w^2 - G_o^2
+    c0 = 2.0 * a * kw * ko  # gamma_m kappa_w kappa_o
+    dc = gw - go
+    bv = dc - gw  # TwoSum: dc + dc_err = Gamma_w - Gamma_o exactly
+    dc_err = (gw - (dc - bv)) - (go + bv)
+    p0 = c0 * ((dc + 0.5) + dc_err)  # dc + 0.5 is exact where the sum is small
+    p2 = a + kw + ko
+    # depressed cubic y^3 + 3 P y + 2 Q in y = l + p2/3
+    s = p2 / 3.0
+    da, dw, do = a - s, kw - s, ko - s
+    big_p = (da * dw + dw * do + do * da + dg) / 3.0
+    big_q = 0.5 * (da * dw * do + c0 * dc - s * dg)
+    disc = big_q * big_q + big_p * big_p * big_p
+    if not math.isfinite(disc):
+        raise OverflowError(f"stability cubic overflows at {coop}")
+    if disc > 0.0:  # one real root, u + v with u v = -P
+        w = -big_q - math.copysign(math.sqrt(disc), big_q)
+        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+        v = -big_p / u
+        # u^3 + v^3 = -2Q; the quotient form does not cancel where P > 0
+        x = (u + v if big_p <= 0.0 else -2.0 * big_q / (u * u + v * v + big_p)) - s
+    elif big_p < 0.0:  # three real roots, the largest
+        m = math.sqrt(-big_p)
+        x = 2.0 * m * math.cos(math.acos(max(-1.0, min(1.0, -big_q / (m * m * m)))) / 3.0) - s
+    else:  # triple root
+        x = -s
+    xa, xw, xo = x + a, x + kw, x + ko
+    if abs(xa) < abs(x):
+        f = xa * xw * xo + x * dg + c0 * dc
+    else:
+        f = x * (xw * xo + a * (xw + ko) + dg) + p0
+    slope = xw * xo + xa * (xw + xo) + dg
+    if slope:
+        x -= f / slope
+    if disc > 0.0:
+        x = max(x, -0.5 * (p2 + x))
+    margin = float(-x)
     return StabilityReport(
         stable=margin > 0.0,
         margin=margin,
-        adiabatic_stable=coop.gamma_o < coop.gamma_w + 0.5,
+        adiabatic_stable=go < gw + 0.5,
     )

@@ -238,10 +238,13 @@ def receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
 
 def _erfc_argument(snr_per_m: float, modes: float) -> float:
     """z = sqrt(M * snr / 8), the erfc argument of the M-pair test."""
-    if modes < 1:
+    # negated comparisons, so that NaN fails them
+    if not modes >= 1:
         raise ValueError("mode count must be >= 1")
-    if snr_per_m < 0:
+    if not snr_per_m >= 0:
         raise ValueError("snr must be >= 0")
+    if snr_per_m == 0.0:
+        return 0.0  # a blind receiver, even at M = inf
     return math.sqrt(modes * snr_per_m / 8.0)
 
 

@@ -202,7 +202,7 @@ def test_criterion_11_stability(params, ref_coop):
             if rep.stable != rep.adiabatic_stable:
                 disagreements.append((gw, go))
     ok = ref.stable and not disagreements
-    _verdict(11, "drift-matrix stability agrees with the adiabatic criterion", ok,
+    _verdict(11, "cubic stability test agrees with the adiabatic criterion", ok,
              f"reference margin {ref.margin:.3e} rad/s, "
              f"{len(disagreements)} off-band disagreements, "
              f"{near_boundary} inside the 5% band (logged)")

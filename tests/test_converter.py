@@ -1,4 +1,7 @@
+import dataclasses
 import math
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from mwqi import (
     source_state,
     symplectic_spectrum,
 )
+
+SOURCE_SURFACES = Path(__file__).resolve().parents[1] / "demos" / "configs" / "source_surfaces.cfg"
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +207,7 @@ def test_stability_decoupled(params):
     rep = is_stable(Cooperativities(0.0, 0.0), params)
     assert rep.stable
     expected = min(params.gamma_m / 2, params.kappa_w, params.kappa_o)
-    assert rep.margin == pytest.approx(expected, rel=1e-9)
+    assert rep.margin == pytest.approx(expected, rel=1e-13)
 
 
 def test_stability_reference(params, ref_coop):
@@ -240,6 +245,178 @@ def test_stability_agrees_with_adiabatic_criterion(params):
         print(f"near-boundary stability disagreements: {near_boundary}")
 
 
+def _cubic(coop, params):
+    """Float coefficients (p2, p1, p0) of the characteristic cubic."""
+    half_gm, kw, ko = params.gamma_m / 2, params.kappa_w, params.kappa_o
+    gw2 = coop.gamma_w * kw * params.gamma_m
+    go2 = coop.gamma_o * ko * params.gamma_m
+    return (half_gm + kw + ko,
+            half_gm * (kw + ko) + kw * ko + gw2 - go2,
+            half_gm * kw * ko + gw2 * ko - go2 * kw)
+
+
+def _routh_hurwitz(coop, params):
+    p2, p1, p0 = _cubic(coop, params)
+    return p0 > 0 and p1 > 0 and p2 * p1 > p0
+
+
+def _exact_margin(coop, params):
+    """Minus the largest real root part of the cubic, to 50 digits.
+
+    The coefficients are formed exactly from the float inputs.  The real root
+    is found by bisection on a bracket that holds no other real root; when
+    the discriminant is negative the other two roots are a complex pair whose
+    real part is (-p2 - r)/2, as the roots sum to -p2.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 200  # holds a product of three doubles exactly
+        gm, kw, ko = (Decimal(v) for v in (params.gamma_m, params.kappa_w, params.kappa_o))
+        gw2 = Decimal(coop.gamma_w) * kw * gm
+        go2 = Decimal(coop.gamma_o) * ko * gm
+        p2 = gm / 2 + kw + ko
+        p1 = gm / 2 * (kw + ko) + kw * ko + gw2 - go2
+        p0 = gm / 2 * kw * ko + gw2 * ko - go2 * kw
+        disc = (18 * p2 * p1 * p0 - 4 * p2 ** 3 * p0 + p2 ** 2 * p1 ** 2
+                - 4 * p1 ** 3 - 27 * p0 ** 2)
+        ctx.prec = 60
+
+        def f(x):
+            return ((x + p2) * x + p1) * x + p0
+
+        # Fujiwara's bound: every root has |l| < bound
+        bound = 2 * max(abs(p2), abs(p1).sqrt(), (abs(p0) / 2) ** (Decimal(1) / 3))
+        lo, hi = -bound, bound
+        crit = p2 * p2 - 3 * p1
+        if crit > 0:  # a local maximum at `left`, a local minimum at `right`
+            left, right = ((-p2 + sign * crit.sqrt()) / 3 for sign in (-1, 1))
+            if f(right) <= 0:
+                lo = right  # the largest root is right of the minimum
+            else:
+                hi = left  # the only real root is left of the maximum
+        # f(lo) <= 0 < f(hi), and f increases on [lo, hi]
+        for _ in range(2000):
+            if hi - lo <= abs(hi + lo) * Decimal("1e-52"):
+                break
+            mid = (lo + hi) / 2
+            if f(mid) <= 0:
+                lo = mid
+            else:
+                hi = mid
+        r = (lo + hi) / 2
+        return -(r if disc >= 0 else max(r, (-p2 - r) / 2))
+
+
+def test_stability_margin_matches_exact_oracle():
+    # every point of the source_surfaces demo grid, stable or not
+    config = mwqi.parse_config(SOURCE_SURFACES.read_text(encoding="utf-8"))
+    gamma_w, gamma_o = (axis.values() for axis in config.axes)
+    checked = 0
+    for gw in gamma_w:
+        for go in gamma_o:
+            coop = Cooperativities(float(gw), float(go))
+            exact = _exact_margin(coop, config.params)
+            margin = is_stable(coop, config.params).margin
+            assert abs(Decimal(margin) - exact) <= Decimal("2e-13") * abs(exact), (gw, go)
+            checked += 1
+    assert checked == 625
+
+
+def test_stability_matches_eigenvalue_and_routh_hurwitz_oracles(params):
+    eps = np.finfo(float).eps
+    p2 = _cubic(Cooperativities(0.0, 0.0), params)[0]
+    checked = 0
+    for gw in np.geomspace(1e-2, 1e5, 60):
+        for go in np.geomspace(1e-2, 1e5, 60):
+            coop = Cooperativities(float(gw), float(go))
+            rep = is_stable(coop, params)
+            if abs(rep.margin) <= 1e-9 * p2:
+                continue
+            drift = drift_matrix(coop, params)
+            eig = -float(np.max(np.linalg.eigvals(drift).real))
+            assert rep.stable == (eig > 0) == _routh_hurwitz(coop, params), (gw, go)
+            # eigvals resolves an eigenvalue to about eps*|A| in absolute
+            # terms: at Gamma_w = Gamma_o = 1e5 (|A| = 1.3e8 rad/s) it is
+            # 1.1e-10 off a 59 rad/s margin, which the cubic gets within
+            # 1e-16 of the exact value
+            assert rep.margin == pytest.approx(
+                eig, rel=1e-10, abs=eps * np.linalg.norm(drift)), (gw, go)
+            checked += 1
+    assert checked > 3500
+
+
+def test_stability_triple_root(params):
+    # kappa_w = kappa_o = gamma_m/2 at zero drive: (l + gamma_m/2)^3.  Many
+    # gamma_m, since the rounding of p2/3 decides which branch runs.
+    for q_factor in (params.q_factor, *np.geomspace(1e3, 1e6, 400)):
+        half_gm = params.omega_m / q_factor / 2
+        triple = dataclasses.replace(params, q_factor=q_factor, kappa_w=half_gm, kappa_o=half_gm)
+        rep = is_stable(Cooperativities(0.0, 0.0), triple)
+        assert rep.stable
+        assert rep.margin == pytest.approx(triple.gamma_m / 2, rel=1e-13), q_factor
+
+
+def test_stability_double_root(params):
+    # kappa_o = kappa_w at zero drive: a double root at -kappa, below -gamma_m/2
+    double = dataclasses.replace(params, kappa_o=params.kappa_w)
+    rep = is_stable(Cooperativities(0.0, 0.0), double)
+    assert rep.margin == pytest.approx(params.gamma_m / 2, rel=1e-13)
+    eigs = np.linalg.eigvals(drift_matrix(Cooperativities(0.0, 0.0), double))
+    assert rep.margin == pytest.approx(-max(eigs.real), rel=1e-13)
+
+
+@pytest.mark.parametrize("gamma_w", [0.0, 0.3, 10.0, 1e3, 1e5])
+def test_stability_real_root_crossing(params, gamma_w):
+    # p0 = gamma_m kappa_w kappa_o (1/2 + Gamma_w - Gamma_o) -> 0: a real
+    # root crosses zero at the adiabatic edge
+    edge = gamma_w + 0.5
+    p2 = _cubic(Cooperativities(0.0, 0.0), params)[0]
+    assert abs(is_stable(Cooperativities(gamma_w, edge), params).margin) <= 1e-12 * p2
+    for step in (1e-3, 1e-6, 1e-9, 1e-12):
+        for gamma_o, stable in ((edge * (1 - step), True), (edge * (1 + step), False)):
+            coop = Cooperativities(gamma_w, gamma_o)
+            rep = is_stable(coop, params)
+            assert rep.stable == stable == _routh_hurwitz(coop, params), (gamma_o, rep)
+            # the margin shrinks with the step, and keeps its relative digits
+            exact = _exact_margin(coop, params)
+            assert abs(Decimal(rep.margin) - exact) <= Decimal("1e-13") * abs(exact), gamma_o
+
+
+def test_stability_complex_pair_crossing(params):
+    # with kappa_o > kappa_w, p2 p1 - p0 = (a + kw)(a + ko)(kw + ko)
+    # + (a + kw) G_w^2 - (a + ko) G_o^2 (a = gamma_m/2) reaches zero while
+    # p0 > 0: a complex pair crosses the imaginary axis
+    swapped = dataclasses.replace(params, kappa_w=params.kappa_o, kappa_o=params.kappa_w)
+    a, kw, ko, gm = swapped.gamma_m / 2, swapped.kappa_w, swapped.kappa_o, swapped.gamma_m
+    gamma_w = 1e5
+    hopf = ((a + kw) * (a + ko) * (kw + ko) + (a + kw) * gamma_w * kw * gm) / ((a + ko) * ko * gm)
+    assert hopf < gamma_w + 0.5
+    for gamma_o, stable in ((hopf * (1 - 1e-6), True), (hopf * (1 + 1e-6), False)):
+        coop = Cooperativities(gamma_w, gamma_o)
+        p2, p1, p0 = _cubic(coop, swapped)
+        assert p0 > 0 and p1 > 0
+        eigs = np.linalg.eigvals(drift_matrix(coop, swapped))
+        assert abs(eigs[np.argmax(eigs.real)].imag) > 1e6  # the pair sets the margin
+        rep = is_stable(coop, swapped)
+        assert rep.stable == stable == _routh_hurwitz(coop, swapped)
+        exact = _exact_margin(coop, swapped)
+        assert abs(Decimal(rep.margin) - exact) <= Decimal("1e-9") * abs(exact)
+
+
+@pytest.mark.parametrize("gamma_w,gamma_o", [(1e15, 1e15), (1e80, 0.0), (1e90, 5e89)])
+def test_stability_extreme_cooperativities(params, gamma_w, gamma_o):
+    # far outside the physical range, where eigvals resolves no digit of
+    # the margin (6.3e-9 rad/s at Gamma_w = Gamma_o = 1e15)
+    coop = Cooperativities(gamma_w, gamma_o)
+    exact = _exact_margin(coop, params)
+    assert abs(Decimal(is_stable(coop, params).margin) - exact) <= Decimal("1e-13") * abs(exact)
+
+
+@pytest.mark.parametrize("gamma_w,gamma_o", [(0.0, 1e120), (1e300, 0.0)])
+def test_stability_overflow_raises(params, gamma_w, gamma_o):
+    with pytest.raises(OverflowError):
+        is_stable(Cooperativities(gamma_w, gamma_o), params)
+
+
 # ---------------------------------------------------------------------------
 # parameter plumbing
 # ---------------------------------------------------------------------------
@@ -265,3 +442,19 @@ def test_params_validation():
         nominal_params(t_eom=-1.0)
     with pytest.raises(ValueError):
         Cooperativities(-1.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cooperativities_reject_non_finite(bad):
+    with pytest.raises(ValueError):
+        Cooperativities(bad, 1.0)
+    with pytest.raises(ValueError):
+        Cooperativities(1.0, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_params_reject_non_finite(bad):
+    for name in ("omega_m", "q_factor", "kappa_w", "kappa_o",
+                 "omega_w", "lambda_o", "g_w", "g_o", "t_eom"):
+        with pytest.raises(ValueError):
+            dataclasses.replace(nominal_params(), **{name: bad})

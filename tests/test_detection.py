@@ -217,6 +217,20 @@ def test_error_probability_validation():
         log10_error_probability(-1.0, 10)
 
 
+@pytest.mark.parametrize("func", [error_probability, log10_error_probability])
+def test_error_probability_rejects_nan(func):
+    with pytest.raises(ValueError, match="snr must be >= 0"):
+        func(math.nan, 10)
+    with pytest.raises(ValueError, match="mode count must be >= 1"):
+        func(1.0, math.nan)
+
+
+def test_error_probability_blind_with_infinite_modes():
+    # inf * 0 is NaN; a receiver with no signal is blind at any M
+    assert error_probability(0.0, math.inf) == 0.5
+    assert log10_error_probability(0.0, math.inf) == log10_error_probability(0.0, 10)
+
+
 def test_error_probability_overflowing_argument():
     # M * snr overflows to inf: the probability is 0 and its log -inf
     assert error_probability(1e300, 1e10) == 0.0

@@ -33,7 +33,13 @@ CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 # up to 6.0e-14 off); one subnormal cell moved by one step, 4.9e-324.
 # Accuracy is guarded at 1e-15 relative by
 # test_error_probability_matches_exact_oracle in test_detection.py.
+# The stability margin moved when the 6x6 eigvals gave way to the closed-form
+# cubic: 577 of the 625 margin cells of each sweep golden, by at most 2.46e-12
+# relative, which was the error of the old cells; every stable flag is
+# unchanged.  Accuracy is guarded at 2e-13 relative by
+# test_stability_margin_matches_exact_oracle in test_converter.py.
 DECLARED_COLUMNS = {
+    "margin": 5e-12,
     "discord_per_photon": 1e-8,
     "log_neg_per_photon": 1e-7,
     "coh_info_per_photon": 1e-7,
