@@ -12,12 +12,11 @@ and the error-probability comparison against the optimal classical
 __version__ = "0.1.0"
 
 from .states import (
-    DegenerateSpectrumError,
+    PHYSICALITY_TOL,
     PhysicalityError,
     SymplecticData,
     TwoModeGaussianState,
     entropy,
-    from_blocks,
     sample_quadratures,
     standard_form,
     symplectic_spectrum,

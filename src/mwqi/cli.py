@@ -6,8 +6,9 @@ Subcommands::
     mwqi fig3 <config>    error probability versus mode count, CSV
     mwqi report <config>  single-point report with invariant checks
 
-Exit codes: 0 success, 1 config error, 2 physics error (instability or a
-non-physical state), 3 validation failure.
+Exit codes: 0 success, 1 config error, 2 physics error (instability, a
+non-physical state, a metric undefined at zero photons, or a stability test
+that overflows float64), 3 validation failure.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import argparse
 import dataclasses
 import sys
 
-from .converter import InstabilityError
-from .states import DegenerateSpectrumError, PhysicalityError
+from .converter import InstabilityError, UndefinedMetricError
+from .states import PhysicalityError
 from .sweep import ConfigError, parse_config, report_point, run_figure3, run_sweep
 
 EXIT_OK = 0
@@ -80,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InstabilityError, PhysicalityError, DegenerateSpectrumError) as exc:
+    except (InstabilityError, PhysicalityError, UndefinedMetricError, OverflowError) as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
 

@@ -321,9 +321,9 @@ def source_moments(coef: EomCoefficients, n_w_thermal: float,
     return SourceMoments(n_w=n_w, n_o=n_o, cross=cross)
 
 
-def source_state(m: SourceMoments, tol: float = 1e-9) -> TwoModeGaussianState:
+def source_state(m: SourceMoments) -> TwoModeGaussianState:
     """Covariance-matrix state of the transmitter output pair."""
-    return standard_form(m.n_w, m.n_o, m.cross, tol=tol)
+    return standard_form(m.n_w, m.n_o, m.cross)
 
 
 def entanglement_metric(m: SourceMoments) -> float:

@@ -83,8 +83,6 @@ class TargetChannelParams:
         0 < eta << 1.
     n_b : float
         Mean background photon number per mode.
-    t_b : float or None
-        Background temperature when the channel was built from one.
     exact_h1_background : bool
         When True the background under H1 carries n_b / (1 - eta) photons so
         that the background contribution to the return is exactly n_b; the
@@ -93,7 +91,6 @@ class TargetChannelParams:
 
     eta: float
     n_b: float
-    t_b: float | None = None
     exact_h1_background: bool = False
 
     def __post_init__(self):
@@ -106,7 +103,7 @@ class TargetChannelParams:
     def from_temperature(cls, eta: float, t_b: float, omega_w: float,
                          exact_h1_background: bool = False) -> "TargetChannelParams":
         """Channel with the background occupation set by the Planck law at omega_w."""
-        return cls(eta=eta, n_b=planck_occupation(omega_w, t_b), t_b=t_b,
+        return cls(eta=eta, n_b=planck_occupation(omega_w, t_b),
                    exact_h1_background=exact_h1_background)
 
     def h1_background(self) -> float:

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "PHYSICALITY_TOL",
     "PhysicalityError",
-    "DegenerateSpectrumError",
     "TwoModeGaussianState",
     "SymplecticData",
-    "from_blocks",
     "standard_form",
     "two_mode_squeezed_vacuum",
     "thermal_product",
@@ -37,12 +36,12 @@ __all__ = [
 ]
 
 
+# absolute slack of the uncertainty principle: a, b and nu_minus may fall this far below 1
+PHYSICALITY_TOL = 1e-9
+
+
 class PhysicalityError(ValueError):
     """Raised when a covariance matrix violates the uncertainty principle."""
-
-
-class DegenerateSpectrumError(ArithmeticError):
-    """Raised when the symplectic discriminant is negative beyond rounding noise."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +68,9 @@ class TwoModeGaussianState:
     a, b : float
         Quadrature variances of the first and the second mode.
     c_x, c_p : float
-        Cross covariances <x1 x2> and <p1 p2>.
-    tol : float
-        Absolute physicality tolerance on the symplectic eigenvalues.
+        Cross covariances <x1 x2> and <p1 p2>; c_p = -c_x for the
+        phase-sensitive correlations this package produces, c_p = c_x for
+        phase-insensitive ones.
     spectrum : SymplecticData, optional
         Computed from the four numbers when omitted.  A constructor passes
         it when the rounded numbers do not carry it, as for a pure state
@@ -80,27 +79,28 @@ class TwoModeGaussianState:
     Raises
     ------
     PhysicalityError
-        If a variance is below the vacuum level or the state violates the
-        uncertainty principle; the message lists the symplectic eigenvalues.
+        If a variance is below the vacuum level, the matrix is not positive
+        definite, or the state violates the uncertainty principle, each by
+        more than ``PHYSICALITY_TOL``; the message lists the symplectic
+        eigenvalues.
     """
 
     a: float
     b: float
     c_x: float
     c_p: float
-    tol: float = 1e-9
     spectrum: SymplecticData | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("a", "b", "c_x", "c_p"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if min(self.a, self.b) < 1.0 - self.tol:
+        if min(self.a, self.b) < 1.0 - PHYSICALITY_TOL:
             raise PhysicalityError(
                 f"diagonal variance below vacuum level: min={min(self.a, self.b)!r}")
         if self.spectrum is None:
             object.__setattr__(self, "spectrum", _spectrum(self.a, self.b, self.c_x, self.c_p))
         data = self.spectrum
-        if data.nu_minus < 1.0 - self.tol:
+        if data.nu_minus < 1.0 - PHYSICALITY_TOL:
             raise PhysicalityError(
                 "state violates the uncertainty principle: "
                 f"nu_plus={data.nu_plus!r}, nu_minus={data.nu_minus!r}, "
@@ -117,18 +117,7 @@ class TwoModeGaussianState:
                          [0.0, c_p, 0.0, b]])
 
 
-def from_blocks(a: float, b: float, c_x: float, c_p: float,
-                tol: float = 1e-9) -> TwoModeGaussianState:
-    """State with covariance [[a*I, diag(c_x, c_p)], [diag(c_x, c_p), b*I]].
-
-    Covers the two correlation families this package produces: phase-sensitive
-    correlations (c_p = -c_x) and phase-insensitive ones (c_p = c_x).
-    """
-    return TwoModeGaussianState(a, b, c_x, c_p, tol=tol)
-
-
-def standard_form(n_1: float, n_2: float, cross: complex,
-                  tol: float = 1e-9) -> TwoModeGaussianState:
+def standard_form(n_1: float, n_2: float, cross: complex) -> TwoModeGaussianState:
     """Two-mode squeezed thermal state from its second moments.
 
     Builds the covariance matrix [[a*I, c*Z], [c*Z, b*I]] with a = 2*n_1 + 1,
@@ -152,10 +141,10 @@ def standard_form(n_1: float, n_2: float, cross: complex,
     if n_1 < 0 or n_2 < 0:
         raise ValueError(f"mean photon numbers must be >= 0, got {n_1}, {n_2}")
     c = 2.0 * abs(cross)
-    return TwoModeGaussianState(2.0 * n_1 + 1.0, 2.0 * n_2 + 1.0, c, -c, tol=tol)
+    return TwoModeGaussianState(2.0 * n_1 + 1.0, 2.0 * n_2 + 1.0, c, -c)
 
 
-def two_mode_squeezed_vacuum(r: float, tol: float = 1e-9) -> TwoModeGaussianState:
+def two_mode_squeezed_vacuum(r: float) -> TwoModeGaussianState:
     """Pure two-mode squeezed vacuum with squeezing parameter r >= 0.
 
     The state carries its exact spectrum, nu_plus = nu_minus = 1 and
@@ -165,21 +154,20 @@ def two_mode_squeezed_vacuum(r: float, tol: float = 1e-9) -> TwoModeGaussianStat
     if r < 0:
         raise ValueError("squeezing parameter must be >= 0")
     a, c = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    return TwoModeGaussianState(a, a, c, -c, tol=tol,
+    return TwoModeGaussianState(a, a, c, -c,
                                 spectrum=SymplecticData(1.0, 1.0, math.exp(-2.0 * r)))
 
 
-def thermal_product(n_1: float, n_2: float, tol: float = 1e-9) -> TwoModeGaussianState:
+def thermal_product(n_1: float, n_2: float) -> TwoModeGaussianState:
     """Uncorrelated product of two thermal states."""
-    return standard_form(n_1, n_2, 0.0, tol=tol)
+    return standard_form(n_1, n_2, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # symplectic spectrum
 # ---------------------------------------------------------------------------
 
-def _pair(a: float, b: float, c_x: float, c_p: float,
-          disc_tol: float = 1e-9) -> tuple[float, float]:
+def _pair(a: float, b: float, c_x: float, c_p: float) -> tuple[float, float]:
     """(nu_plus, nu_minus) of the standard form a, b, c_x, c_p.
 
     The squared eigenvalues are the roots of x^2 - Delta*x + det V with
@@ -193,7 +181,8 @@ def _pair(a: float, b: float, c_x: float, c_p: float,
     correlation family at hand (c_p = -c_x or c_p = c_x), and
     disc = Delta^2 - 4 det V as a sum of products.  Near the physical
     boundary the direct root (Delta - sqrt(disc)) / 2 loses all significant
-    digits; these forms contain no such cancellation.
+    digits; these forms contain no such cancellation.  A disc below its
+    rounding noise means V is not positive definite (PhysicalityError).
     """
     a_m1, b_m1 = a - 1.0, b - 1.0  # no rounding for float64 a, b in [0.5, 2**53]
     cc = c_x * c_p
@@ -205,8 +194,9 @@ def _pair(a: float, b: float, c_x: float, c_p: float,
     disc = ((a - b) ** 2 * (a + b - c_x + c_p) * (a + b + c_x - c_p)
             + (a + b) ** 2 * (c_x + c_p) ** 2)
     if disc < 0:
-        if disc < -disc_tol * ((delta_m2 + 2) ** 2 + 1):
-            raise DegenerateSpectrumError(f"negative symplectic discriminant: {disc!r}")
+        if disc < -PHYSICALITY_TOL * ((delta_m2 + 2) ** 2 + 1):
+            raise PhysicalityError(
+                f"covariance matrix not positive definite: symplectic discriminant {disc!r}")
         disc = 0.0
     s = math.sqrt(disc)
     denom = delta_m2 + s  # 2 (nu_plus^2 - 1)
@@ -237,13 +227,13 @@ def symplectic_spectrum(state: TwoModeGaussianState) -> SymplecticData:
 # entropy and sampling
 # ---------------------------------------------------------------------------
 
-def entropy(nu: float, tol: float = 1e-9) -> float:
+def entropy(nu: float) -> float:
     """Von Neumann entropy in bits of a mode with symplectic eigenvalue nu.
 
     g(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2), with
     g(1) = 0 by continuity.
     """
-    if nu < 1.0 - tol:
+    if nu < 1.0 - PHYSICALITY_TOL:
         raise ValueError(f"symplectic eigenvalue must be >= 1, got {nu!r}")
     if nu <= 1.0:
         return 0.0

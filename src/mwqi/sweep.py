@@ -70,7 +70,7 @@ from .detection import (
     mc_receiver_statistics,
     receiver_statistics,
 )
-from .states import PhysicalityError, symplectic_spectrum
+from .states import PHYSICALITY_TOL, symplectic_spectrum
 
 __all__ = [
     "ConfigError",
@@ -502,7 +502,8 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
     Returns (text, ok).  ``ok`` is True when every internal invariant holds
     (and, with Monte-Carlo validation on, every sampled statistic agrees with
     its closed form within 3 standard errors).  Raises
-    :class:`InstabilityError` for an unstable point.
+    :class:`InstabilityError` for an unstable point and
+    :class:`PhysicalityError` for an unphysical source state.
     """
     point, stability = _base_point(config)
     coef, baths, m = _source(point)
@@ -531,15 +532,10 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
     lines.append("")
     lines.append("== source moments ==")
     lines.append(f"n_w = {m.n_w:.9g}   n_o = {m.n_o:.9g}   |<d_w d_o>| = {m.cross:.9g}")
-    try:
-        state = source_state(m)
-        spec_data = symplectic_spectrum(state)
-        lines.append(f"symplectic spectrum: nu+ = {spec_data.nu_plus:.9g}, "
-                     f"nu- = {spec_data.nu_minus:.9g}, ppt nu- = {spec_data.nu_ppt_minus:.9g}")
-        check("source state physical", spec_data.nu_minus >= 1.0 - 1e-9)
-    except PhysicalityError as exc:
-        lines.append(f"source state NOT physical: {exc}")
-        check("source state physical", False)
+    spec_data = symplectic_spectrum(source_state(m))
+    lines.append(f"symplectic spectrum: nu+ = {spec_data.nu_plus:.9g}, "
+                 f"nu- = {spec_data.nu_minus:.9g}, ppt nu- = {spec_data.nu_ppt_minus:.9g}")
+    check("source state physical", spec_data.nu_minus >= 1.0 - PHYSICALITY_TOL)
 
     report = correlation_report(m)
     lines.append("")

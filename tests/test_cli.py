@@ -95,6 +95,28 @@ def test_unstable_point_exits_2(tmp_path, capsys):
     assert cli.main(["fig3", str(path)]) == 2
 
 
+FIG3_CFG = "\n[fig3]\nm_min = 10\nm_max = 100\nm_points = 2\n"
+# the stability cubic's coefficients overflow float64
+HUGE_DRIVE_CFG = POINT_CFG.replace("gamma_w = 5181.95", "gamma_w = 1e100") + FIG3_CFG
+# no drive and a cold converter: n_w = 0 leaves the per-photon metrics undefined
+DARK_CFG = (POINT_CFG.replace("5181.95", "0").replace("668.43", "0")
+            + "\n[eom]\nt_eom = 0 mk\n")
+
+
+@pytest.mark.parametrize("command,text,message", [
+    ("report", HUGE_DRIVE_CFG, "overflows"),
+    ("fig3", HUGE_DRIVE_CFG, "overflows"),
+    ("report", DARK_CFG, "n_w = 0"),
+], ids=["overflow-report", "overflow-fig3", "zero-photons-report"])
+def test_physics_error_exits_2(tmp_path, capsys, command, text, message):
+    path = tmp_path / "physics.cfg"
+    path.write_text(text)
+    assert cli.main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("physics error: ") and message in err
+    assert len(err.splitlines()) == 1
+
+
 def test_failed_validation_exits_3(cfg_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "report_point", lambda cfg: ("forced failure\n", False))
     assert cli.main(["report", cfg_path]) == 3

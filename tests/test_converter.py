@@ -154,7 +154,7 @@ def test_source_physicality_over_grid(params):
                     continue
                 m = source_moments(coefficients(Cooperativities(gw, go)),
                                    n_w_t, 0.0, n_b_t)
-                data = symplectic_spectrum(source_state(m, tol=1e-6))
+                data = symplectic_spectrum(source_state(m))
                 worst = min(worst, data.nu_minus)
     assert worst >= 1.0 - 1e-9
 

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -11,11 +12,11 @@ from scipy.optimize import minimize
 import mwqi
 from mwqi import (
     SourceMoments,
+    TwoModeGaussianState,
     UndefinedMetricError,
     coherent_information,
     correlation_report,
     entropy,
-    from_blocks,
     gaussian_discord,
     log_negativity,
     source_moments,
@@ -186,7 +187,7 @@ def test_discord_nonnegative_on_random_states():
     pytest.param((4.6, 16.1, 5.0, -7.2), False, id="heterodyne"),
 ])
 def test_discord_asymmetric_states_match_oracle(blocks, homodyne, measured_mode):
-    state = from_blocks(*blocks)
+    state = TwoModeGaussianState(*blocks)
     expected, log_s = _oracle_discord(state, measured_mode=measured_mode)
     assert _is_homodyne(log_s) == homodyne
     value = gaussian_discord(state, measured_mode=measured_mode)
@@ -201,7 +202,7 @@ def test_discord_random_asymmetric_states_match_oracle():
         n1, n2 = rng.uniform(0.05, 3.0, 2)
         c_x, c_p = rng.uniform(-2.0, 2.0, 2) * math.sqrt(n1 * (n2 + 1))
         try:
-            state = from_blocks(2 * n1 + 1, 2 * n2 + 1, c_x, c_p)
+            state = TwoModeGaussianState(2 * n1 + 1, 2 * n2 + 1, c_x, c_p)
         except mwqi.PhysicalityError:
             continue
         expected, log_s = _oracle_discord(state)
@@ -235,7 +236,11 @@ def test_import_loads_no_scipy():
         "import scipy.optimize\n"
         "assert mwqi.correlations.minimize is scipy.optimize.minimize\n"
     )
-    subprocess.run([sys.executable, "-c", code], check=True)
+    # the child imports the same mwqi as this process, installed or from src/
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(mwqi.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +268,7 @@ def test_metric_negativity_equivalence(params):
         if abs(e - 1.0) <= 1e-4:
             continue
         checked += 1
-        en = log_negativity(source_state(m, tol=1e-6))
+        en = log_negativity(source_state(m))
         if e > 1.0:
             entangled += 1
             assert en > 0.0, m

@@ -14,7 +14,6 @@ from mwqi import (
     TargetChannelParams,
     TwoModeGaussianState,
     entropy,
-    from_blocks,
     return_state,
     sample_quadratures,
     source_state,
@@ -52,6 +51,12 @@ def test_unphysical_cm_rejected_with_diagnostics():
     assert "nu" in str(err.value)
 
 
+def test_negative_discriminant_rejected():
+    # |c_x| > sqrt(ab): V is not positive definite and disc = -336
+    with pytest.raises(PhysicalityError, match="discriminant"):
+        TwoModeGaussianState(1.0, 3.0, 5.0, -5.0)
+
+
 def test_negative_photon_number_rejected():
     with pytest.raises(ValueError):
         standard_form(-0.1, 0.0, 0.0)
@@ -65,14 +70,14 @@ def test_cross_phase_is_absorbed():
 
 @pytest.mark.parametrize("make", [
     lambda: TwoModeGaussianState(2.0, 3.0, 1.0, -1.0),
-    lambda: from_blocks(4.6, 16.1, 5.0, -7.2),
+    lambda: TwoModeGaussianState(4.6, 16.1, 5.0, -7.2),
     lambda: standard_form(0.739, 0.681, 1.084),
     lambda: two_mode_squeezed_vacuum(1.0),
     lambda: thermal_product(1.0, 2.0),
     lambda: source_state(SourceMoments(n_w=0.739, n_o=0.681, cross=1.084)),
     lambda: return_state(SourceMoments(n_w=0.739, n_o=0.681, cross=1.084),
                          TargetChannelParams(eta=0.07, n_b=610.0), Hypothesis.H1),
-], ids=["direct", "from_blocks", "standard_form", "tmsv", "thermal_product",
+], ids=["direct", "asymmetric", "standard_form", "tmsv", "thermal_product",
         "source_state", "return_state"])
 def test_cm_is_float64(make):
     assert make().cm.dtype == np.float64
@@ -178,7 +183,7 @@ def test_spectrum_matches_eigenvalue_oracle(n1, n2, cross):
 ])
 def test_asymmetric_spectrum_matches_eigenvalue_oracle(blocks):
     # |c_x| != |c_p|: the correction term of the factored margin is nonzero
-    state = from_blocks(*blocks)
+    state = TwoModeGaussianState(*blocks)
     data = symplectic_spectrum(state)
     lo, hi = _eigvals_oracle(state.cm)
     flip = np.diag([1.0, 1.0, 1.0, -1.0])  # partial transpose: p2 -> -p2
@@ -190,7 +195,7 @@ def test_asymmetric_spectrum_matches_eigenvalue_oracle(blocks):
 
 def test_beamsplitter_family_spectrum():
     # [[a I, c I], [c I, b I]] with a = b: eigenvalues a -+ c
-    state = from_blocks(3.0, 3.0, 1.2, 1.2)
+    state = TwoModeGaussianState(3.0, 3.0, 1.2, 1.2)
     data = symplectic_spectrum(state)
     assert data.nu_minus == pytest.approx(1.8, abs=1e-12)
     assert data.nu_plus == pytest.approx(4.2, abs=1e-12)
