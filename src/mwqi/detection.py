@@ -87,6 +87,7 @@ class TargetChannelParams:
         When True the background under H1 carries n_b / (1 - eta) photons so
         that the background contribution to the return is exactly n_b; the
         default keeps the plain n_b convention used by the reported numbers.
+        Library only: the sweep config always uses the default.
     """
 
     eta: float
@@ -100,17 +101,9 @@ class TargetChannelParams:
             raise ValueError("n_b must be >= 0")
 
     @classmethod
-    def from_temperature(cls, eta: float, t_b: float, omega_w: float,
-                         exact_h1_background: bool = False) -> "TargetChannelParams":
+    def from_temperature(cls, eta: float, t_b: float, omega_w: float) -> "TargetChannelParams":
         """Channel with the background occupation set by the Planck law at omega_w."""
-        return cls(eta=eta, n_b=planck_occupation(omega_w, t_b),
-                   exact_h1_background=exact_h1_background)
-
-    def h1_background(self) -> float:
-        # at eta = 1 the background does not enter the return at all
-        if self.exact_h1_background and self.eta < 1.0:
-            return self.n_b / (1.0 - self.eta)
-        return self.n_b
+        return cls(eta=eta, n_b=planck_occupation(omega_w, t_b))
 
 
 @dataclass(frozen=True)
@@ -166,10 +159,18 @@ def return_state(source: SourceMoments, ch: TargetChannelParams,
 
 def _return_moments(source: SourceMoments, ch: TargetChannelParams,
                     hypothesis: Hypothesis) -> tuple[float, float]:
-    """(n_R, cross_R): occupation of the returned mode and its correlation with the idler."""
+    """(n_R, cross_R): occupation of the returned mode and its correlation with the idler.
+
+    Shared by :func:`return_state`, :func:`receiver_statistics` and the
+    Monte-Carlo oracle.  The H1 background is n_B, or n_B / (1 - eta) with
+    ``ch.exact_h1_background`` (not at eta = 1, where it does not enter).
+    """
     if hypothesis is Hypothesis.H0:
         return ch.n_b, 0.0
-    return (ch.eta * source.n_w + (1.0 - ch.eta) * ch.h1_background(),
+    n_b = ch.n_b
+    if ch.exact_h1_background and ch.eta < 1.0:
+        n_b = ch.n_b / (1.0 - ch.eta)
+    return (ch.eta * source.n_w + (1.0 - ch.eta) * n_b,
             math.sqrt(ch.eta) * source.cross)
 
 
@@ -184,20 +185,6 @@ def entanglement_threshold(source: SourceMoments, eta: float) -> float:
     if source.n_o <= 0:
         raise ValueError("threshold undefined at n_o = 0")
     return max(0.0, eta * (source.cross ** 2 / source.n_o - source.n_w))
-
-
-def _pair_occupations(source: SourceMoments, ch: TargetChannelParams,
-                      rx: ReceiverParams, baths: BathOccupations,
-                      hypothesis: Hypothesis) -> tuple[float, float, float]:
-    """(N_1, N_2, S) for the conjugated-return / lossy-idler pair."""
-    coef, k_i = rx.coef, rx.idler_transmissivity
-    n_r, cross_r = _return_moments(source, ch, hypothesis)
-    n_1 = (coef.b ** 2 * (n_r + 1.0)
-           + coef.a_o ** 2 * baths.n_o
-           + coef.c_o ** 2 * (baths.n_b + 1.0))
-    n_2 = k_i * source.n_o
-    s = coef.b * math.sqrt(k_i) * cross_r
-    return n_1, n_2, s
 
 
 def snr_per_mode(mu0: float, mu1: float, var0: float, var1: float) -> float:
@@ -215,18 +202,26 @@ def receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
 
     The receiver's internal baths carry the occupations of the transmitter's
     converter (``baths``); the retained idler passes a beam splitter of
-    transmissivity ``rx.idler_transmissivity`` mixing in vacuum before
-    detection.
+    transmissivity kappa_I = ``rx.idler_transmissivity`` mixing in vacuum
+    before detection.  Under each hypothesis, with (n_R, cross_R) from the
+    return channel, the conjugated return and the lossy idler carry
+
+        N_1 = b^2 (n_R + 1) + a_o^2 n_o^T + c_o^2 (n_b^T + 1)
+        N_2 = kappa_I n_o,    S = b sqrt(kappa_I) cross_R
+
+    and the per-pair count has mean 2 S and variance 2 S^2 + 2 N_1 N_2 + N_1 + N_2.
     """
-
-    def stats(hyp):
-        n_1, n_2, s = _pair_occupations(source, ch, rx, baths, hyp)
-        mu = 2.0 * s
-        var = 2.0 * s * s + 2.0 * n_1 * n_2 + n_1 + n_2
-        return mu, var
-
-    mu0, var0 = stats(Hypothesis.H0)
-    mu1, var1 = stats(Hypothesis.H1)
+    coef, k_i = rx.coef, rx.idler_transmissivity
+    n_2 = k_i * source.n_o
+    optical = coef.a_o ** 2 * baths.n_o
+    mechanical = coef.c_o ** 2 * (baths.n_b + 1.0)
+    moments = []
+    for hyp in (Hypothesis.H0, Hypothesis.H1):
+        n_r, cross_r = _return_moments(source, ch, hyp)
+        n_1 = coef.b ** 2 * (n_r + 1.0) + optical + mechanical
+        s = coef.b * math.sqrt(k_i) * cross_r
+        moments += [2.0 * s, 2.0 * s * s + 2.0 * n_1 * n_2 + n_1 + n_2]
+    mu0, var0, mu1, var1 = moments
     return DetectionStatistics(
         mu0=mu0, mu1=mu1, var0=var0, var1=var1,
         snr_per_m=snr_per_mode(mu0, mu1, var0, var1),

@@ -79,10 +79,12 @@ class TwoModeGaussianState:
     Raises
     ------
     PhysicalityError
-        If a variance is below the vacuum level, the matrix is not positive
-        definite, or the state violates the uncertainty principle, each by
-        more than ``PHYSICALITY_TOL``; the message lists the symplectic
-        eigenvalues.
+        If an entry is not finite, or a variance is below the vacuum level,
+        the matrix is not positive definite, or the state violates the
+        uncertainty principle, each by more than ``PHYSICALITY_TOL``; the
+        message lists the symplectic eigenvalues.
+    OverflowError
+        If the finite entries are too large for a float64 spectrum.
     """
 
     a: float
@@ -94,6 +96,8 @@ class TwoModeGaussianState:
     def __post_init__(self):
         for name in ("a", "b", "c_x", "c_p"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        if not all(map(math.isfinite, (self.a, self.b, self.c_x, self.c_p))):
+            raise PhysicalityError(f"non-finite covariance entry: {self!r}")
         if min(self.a, self.b) < 1.0 - PHYSICALITY_TOL:
             raise PhysicalityError(
                 f"diagonal variance below vacuum level: min={min(self.a, self.b)!r}")
@@ -182,7 +186,8 @@ def _pair(a: float, b: float, c_x: float, c_p: float) -> tuple[float, float]:
     disc = Delta^2 - 4 det V as a sum of products.  Near the physical
     boundary the direct root (Delta - sqrt(disc)) / 2 loses all significant
     digits; these forms contain no such cancellation.  A disc below its
-    rounding noise means V is not positive definite (PhysicalityError).
+    rounding noise means V is not positive definite (PhysicalityError);
+    entries near 1e77 overflow M or disc (OverflowError).
     """
     a_m1, b_m1 = a - 1.0, b - 1.0  # no rounding for float64 a, b in [0.5, 2**53]
     cc = c_x * c_p
@@ -193,6 +198,8 @@ def _pair(a: float, b: float, c_x: float, c_p: float) -> tuple[float, float]:
     delta_m2 = a_m1 * (a + 1) + b_m1 * (b + 1) + 2 * cc  # Delta - 2
     disc = ((a - b) ** 2 * (a + b - c_x + c_p) * (a + b + c_x - c_p)
             + (a + b) ** 2 * (c_x + c_p) ** 2)
+    if not (math.isfinite(m) and math.isfinite(disc)):
+        raise OverflowError("symplectic spectrum overflows float64")
     if disc < 0:
         if disc < -PHYSICALITY_TOL * ((delta_m2 + 2) ** 2 + 1):
             raise PhysicalityError(
@@ -233,8 +240,9 @@ def entropy(nu: float) -> float:
     g(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2), with
     g(1) = 0 by continuity.
     """
-    if nu < 1.0 - PHYSICALITY_TOL:
-        raise ValueError(f"symplectic eigenvalue must be >= 1, got {nu!r}")
+    # negated comparison, so that NaN fails it
+    if not 1.0 - PHYSICALITY_TOL <= nu < math.inf:
+        raise ValueError(f"symplectic eigenvalue must be finite and >= 1, got {nu!r}")
     if nu <= 1.0:
         return 0.0
     xp = (nu + 1.0) / 2

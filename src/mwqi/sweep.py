@@ -109,7 +109,6 @@ _KEYS = {
     ("channel", "t_b"): ("temp", ">= 0"),
     ("channel", "n_b"): ("plain", ">= 0"),
     ("channel", "kappa_i"): ("plain", "in (0, 1]"),
-    ("channel", "exact_h1"): ("switch", None),
     ("fig3", "m_min"): ("plain", ">= 1"),
     ("fig3", "m_max"): ("plain", ">= 1"),
     ("fig3", "m_points"): (1, None),
@@ -160,7 +159,6 @@ class SweepConfig:
     t_b: float | None
     n_b: float | None
     kappa_i: float
-    exact_h1: bool
     axes: tuple[GridAxis, ...]
     outputs: tuple[str, ...]
     m_min: float
@@ -312,7 +310,6 @@ def parse_config(text: str) -> SweepConfig:
         t_b=get("channel", "t_b"),
         n_b=get("channel", "n_b"),
         kappa_i=get("channel", "kappa_i", 1.0),
-        exact_h1=get("channel", "exact_h1", False),
         axes=tuple(axes),
         outputs=tuple(outputs),
         m_min=m_min,
@@ -343,14 +340,12 @@ class _Point:
     eta: float | None
     n_b: float | None
     kappa_i: float
-    exact_h1: bool
 
     def channel(self) -> TargetChannelParams:
         if self.eta is None or self.n_b is None:
             raise ConfigError("channel outputs selected but [channel] eta/t_b missing",
                               field_name="eta")
-        return TargetChannelParams(eta=self.eta, n_b=self.n_b,
-                                   exact_h1_background=self.exact_h1)
+        return TargetChannelParams(eta=self.eta, n_b=self.n_b)
 
 
 def _resolve_point(config: SweepConfig, overrides: dict[str, float]) -> _Point:
@@ -372,7 +367,7 @@ def _resolve_point(config: SweepConfig, overrides: dict[str, float]) -> _Point:
         n_b = None
     kappa_i = overrides.get("kappa_i", config.kappa_i)
     return _Point(params=params, coop=Cooperativities(gamma_w, gamma_o),
-                  eta=eta, n_b=n_b, kappa_i=kappa_i, exact_h1=config.exact_h1)
+                  eta=eta, n_b=n_b, kappa_i=kappa_i)
 
 
 def _base_point(config: SweepConfig) -> tuple[_Point, StabilityReport]:
@@ -481,10 +476,7 @@ def run_figure3(config: SweepConfig) -> str:
     snr_coh = coherent_snr_per_mode(m.n_w, ch)
     fom = _fmt(figure_of_merit(m, ch, rx, baths))
 
-    if config.m_points == 1:
-        m_grid = np.array([config.m_min])
-    else:
-        m_grid = np.geomspace(config.m_min, config.m_max, config.m_points)
+    m_grid = np.geomspace(config.m_min, config.m_max, config.m_points)
     rows = [",".join([_fmt(float(modes)), _fmt(error_probability(snr_qi, float(modes))),
                       _fmt(error_probability(snr_coh, float(modes))), fom])
             for modes in m_grid]

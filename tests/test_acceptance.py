@@ -36,8 +36,6 @@ from mwqi import (
     two_mode_squeezed_vacuum,
 )
 
-from conftest import REF_ETA
-
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'} {name}"
@@ -60,8 +58,8 @@ def test_criterion_02_source_moments(ref_moments):
              f"n_o = {ref_moments.n_o:.4f} (delta {dev_o:+.2%})")
 
 
-def test_criterion_03_entanglement_threshold(ref_moments):
-    thresh = entanglement_threshold(ref_moments, REF_ETA)
+def test_criterion_03_entanglement_threshold(ref_moments, ref_channel):
+    thresh = entanglement_threshold(ref_moments, ref_channel.eta)
     dev = (thresh - 0.069) / 0.069
     _verdict(3, "separability threshold 0.069 within 10%", abs(dev) < 0.10,
              f"threshold = {thresh:.5f} (delta {dev:+.2%})")

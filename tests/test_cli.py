@@ -102,12 +102,17 @@ HUGE_DRIVE_CFG = POINT_CFG.replace("gamma_w = 5181.95", "gamma_w = 1e100") + FIG
 DARK_CFG = (POINT_CFG.replace("5181.95", "0").replace("668.43", "0")
             + "\n[eom]\nt_eom = 0 mk\n")
 
+# a converter so hot that the source state's symplectic invariants overflow float64
+HOT_CFG = POINT_CFG + "\n[eom]\nt_eom = 1e80 k\n"
 
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command,text,message", [
     ("report", HUGE_DRIVE_CFG, "overflows"),
     ("fig3", HUGE_DRIVE_CFG, "overflows"),
     ("report", DARK_CFG, "n_w = 0"),
-], ids=["overflow-report", "overflow-fig3", "zero-photons-report"])
+    ("report", HOT_CFG, "overflows"),
+], ids=["overflow-report", "overflow-fig3", "zero-photons-report", "hot-source-report"])
 def test_physics_error_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "physics.cfg"
     path.write_text(text)
@@ -115,6 +120,17 @@ def test_physics_error_exits_2(tmp_path, capsys, command, text, message):
     err = capsys.readouterr().err
     assert err.startswith("physics error: ") and message in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_source_lands_in_error_column(tmp_path, capsys):
+    path = tmp_path / "hot.cfg"
+    path.write_text(HOT_CFG.replace("select = n_w, n_o, fom",
+                                    "select = n_w, log_neg_per_photon, discord_per_photon"))
+    assert cli.main(["sweep", str(path)]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert row[2:5] == ["", "", ""]
+    assert row[5] == "OverflowError: symplectic spectrum overflows float64"
 
 
 def test_failed_validation_exits_3(cfg_path, monkeypatch, capsys):

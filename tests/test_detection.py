@@ -27,8 +27,6 @@ from mwqi import (
     snr_per_mode,
 )
 
-from conftest import REF_ETA
-
 
 # ---------------------------------------------------------------------------
 # return channel
@@ -97,8 +95,8 @@ def test_channel_validation():
 # entanglement threshold
 # ---------------------------------------------------------------------------
 
-def test_threshold_reference(ref_moments):
-    thresh = entanglement_threshold(ref_moments, REF_ETA)
+def test_threshold_reference(ref_moments, ref_channel):
+    thresh = entanglement_threshold(ref_moments, ref_channel.eta)
     assert abs(thresh - 0.069) / 0.069 < 0.10
 
 
@@ -111,12 +109,12 @@ def test_threshold_separable_source_clamped():
     assert entanglement_threshold(m, 0.3) == 0.0
 
 
-def test_threshold_separates_entangled_return(ref_moments):
+def test_threshold_separates_entangled_return(ref_moments, ref_channel):
     # with the exact H1 background the separability boundary sits exactly at
     # the threshold value
-    thresh = entanglement_threshold(ref_moments, REF_ETA)
+    thresh = entanglement_threshold(ref_moments, ref_channel.eta)
     for factor, entangled in ((0.8, True), (1.2, False)):
-        ch = TargetChannelParams(eta=REF_ETA, n_b=factor * thresh,
+        ch = TargetChannelParams(eta=ref_channel.eta, n_b=factor * thresh,
                                  exact_h1_background=True)
         state = return_state(ref_moments, ch, Hypothesis.H1)
         assert (log_negativity(state) > 0.0) is entangled
@@ -136,10 +134,42 @@ def test_receiver_no_correlation_no_signal(ref_channel, ref_receiver, baths):
 def test_receiver_mean_shift(ref_moments, ref_channel, ref_coefficients, baths):
     stats = receiver_statistics(ref_moments, ref_channel,
                                 ReceiverParams(ref_coefficients), baths)
-    expected = 2.0 * ref_coefficients.b * math.sqrt(REF_ETA) * ref_moments.cross
+    expected = 2.0 * ref_coefficients.b * math.sqrt(ref_channel.eta) * ref_moments.cross
     assert stats.mu1 - stats.mu0 == pytest.approx(expected, rel=1e-12)
     assert stats.mu1 >= stats.mu0
     assert stats.var0 > 0 and stats.var1 > 0
+
+
+def _pair_formula(source, ch, rx, baths):
+    """(mu0, var0, mu1, var1) written out from the per-pair (N_1, N_2, S)."""
+    coef, k_i = rx.coef, rx.idler_transmissivity
+    n_b1 = ch.n_b
+    if ch.exact_h1_background and ch.eta < 1.0:
+        n_b1 = ch.n_b / (1.0 - ch.eta)
+    returns = [(ch.n_b, 0.0),
+               (ch.eta * source.n_w + (1.0 - ch.eta) * n_b1, math.sqrt(ch.eta) * source.cross)]
+    out = []
+    for n_r, cross_r in returns:
+        n_1 = (coef.b ** 2 * (n_r + 1.0) + coef.a_o ** 2 * baths.n_o
+               + coef.c_o ** 2 * (baths.n_b + 1.0))
+        n_2 = k_i * source.n_o
+        s = coef.b * math.sqrt(k_i) * cross_r
+        out += [2.0 * s, 2.0 * s * s + 2.0 * n_1 * n_2 + n_1 + n_2]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.07, 1.0])
+@pytest.mark.parametrize("exact", [False, True], ids=["plain-h1", "exact-h1"])
+@pytest.mark.parametrize("kappa_i", [1.0, 0.6])
+def test_receiver_statistics_match_pair_formula(ref_moments, ref_coefficients, baths,
+                                                eta, exact, kappa_i):
+    # a warm optical bath and a lossy idler, which the goldens never reach
+    ch = TargetChannelParams(eta=eta, n_b=600.0, exact_h1_background=exact)
+    rx = ReceiverParams(ref_coefficients, idler_transmissivity=kappa_i)
+    warm = mwqi.BathOccupations(n_w=baths.n_w, n_o=0.4, n_b=baths.n_b)
+    stats = receiver_statistics(ref_moments, ch, rx, warm)
+    assert (stats.mu0, stats.var0, stats.mu1, stats.var1) == _pair_formula(
+        ref_moments, ch, rx, warm)
 
 
 def test_receiver_idler_loss_kills_signal(ref_moments, ref_channel, ref_coefficients, baths):
@@ -324,9 +354,9 @@ def test_fom_reference_advantage(ref_moments, ref_channel, ref_receiver, baths):
     assert figure_of_merit(ref_moments, ref_channel, ref_receiver, baths) > 1.0
 
 
-def test_fom_bright_background_asymptote(ref_moments, ref_receiver, baths):
+def test_fom_bright_background_asymptote(ref_moments, ref_channel, ref_receiver, baths):
     foms = [figure_of_merit(ref_moments,
-                            TargetChannelParams(eta=REF_ETA, n_b=n_b),
+                            TargetChannelParams(eta=ref_channel.eta, n_b=n_b),
                             ref_receiver, baths)
             for n_b in np.geomspace(1e2, 1e6, 9)]
     assert abs(foms[-1] - foms[-2]) / foms[-1] < 1e-3
@@ -401,10 +431,11 @@ def _reference_mc(source, ch, rx, baths, hypothesis, samples, seed):
 
 @pytest.mark.parametrize("seed", [11, 12])
 @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
-def test_mc_oracle_pins_draw_order(ref_moments, ref_coefficients, baths, hypothesis, seed):
+def test_mc_oracle_pins_draw_order(ref_moments, ref_channel, ref_coefficients, baths,
+                                   hypothesis, seed):
     # lossy idler (vacuum port in use), a thermal optical bath and the exact
     # H1 background, so every entry of the receiver map is exercised
-    ch = TargetChannelParams(eta=REF_ETA, n_b=600.0, exact_h1_background=True)
+    ch = TargetChannelParams(eta=ref_channel.eta, n_b=600.0, exact_h1_background=True)
     rx = ReceiverParams(ref_coefficients, idler_transmissivity=0.6)
     warm = mwqi.BathOccupations(n_w=baths.n_w, n_o=0.4, n_b=baths.n_b)
     mc = mc_receiver_statistics(ref_moments, ch, rx, warm, hypothesis,

@@ -1,13 +1,16 @@
-"""The documented config examples parse, the documented flag set holds, and
-the sources keep the declared Python floor."""
+"""The documented config examples parse, the documented flag set holds, the
+package exports exactly the submodules' public names, and the sources keep
+the declared Python floor."""
 
 import ast
 import re
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
 
+import mwqi
 import mwqi.cli as cli
 import mwqi.sweep as sweep
 from mwqi import parse_config
@@ -37,6 +40,17 @@ def test_undocumented_flags_rejected(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_package_exports_exactly_the_submodule_names():
+    layers = (mwqi.states, mwqi.converter, mwqi.correlations, mwqi.detection, mwqi.sweep)
+    union = [name for layer in layers for name in layer.__all__]
+    assert sorted(mwqi.__all__) == sorted(union) and len(set(union)) == len(union)
+    assert not [name for name in mwqi.__all__
+                if isinstance(getattr(mwqi, name), types.ModuleType)]
+    namespace = {}
+    exec("from mwqi import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(union)
 
 
 def test_sources_keep_python_floor():

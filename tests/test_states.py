@@ -11,6 +11,7 @@ from mwqi import (
     Hypothesis,
     PhysicalityError,
     SourceMoments,
+    SymplecticData,
     TargetChannelParams,
     TwoModeGaussianState,
     entropy,
@@ -55,6 +56,27 @@ def test_negative_discriminant_rejected():
     # |c_x| > sqrt(ab): V is not positive definite and disc = -336
     with pytest.raises(PhysicalityError, match="discriminant"):
         TwoModeGaussianState(1.0, 3.0, 5.0, -5.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make,error", [
+    (lambda: TwoModeGaussianState(math.nan, 1.0, 0.0, 0.0), PhysicalityError),
+    (lambda: TwoModeGaussianState(math.inf, 1.0, 0.0, 0.0), PhysicalityError),
+    (lambda: TwoModeGaussianState(1.0, math.nan, 0.0, 0.0), PhysicalityError),
+    (lambda: TwoModeGaussianState(1.0, 1.0, math.nan, 0.0), PhysicalityError),
+    (lambda: TwoModeGaussianState(1.0, 1.0, 0.0, -math.inf), PhysicalityError),
+    (lambda: TwoModeGaussianState(math.nan, 1.0, 0.0, 0.0,
+                                  spectrum=SymplecticData(1.0, 1.0, 1.0)), PhysicalityError),
+    # finite moments whose symplectic invariants overflow float64
+    (lambda: standard_form(1e80, 1e80, 5e79), OverflowError),
+    (lambda: TwoModeGaussianState(2e77, 2e77, 1e77, -1e77), OverflowError),
+    (lambda: entropy(math.nan), ValueError),
+    (lambda: entropy(math.inf), ValueError),
+], ids=["nan-a", "inf-a", "nan-b", "nan-c_x", "inf-c_p", "nan-with-spectrum",
+        "overflow-standard_form", "overflow-direct", "entropy-nan", "entropy-inf"])
+def test_non_finite_and_overflowing_rejected(make, error):
+    with pytest.raises(error):
+        make()
 
 
 def test_negative_photon_number_rejected():

@@ -74,6 +74,9 @@ def test_parse_error_diagnostics():
     assert "t_b" in str(err.value)
     with pytest.raises(ConfigError):
         parse_config("[outputs]\nselect = nonsense\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config("[channel]\nexact_h1 = on\n")  # library-only switch
+    assert "exact_h1" in str(err.value)
 
 
 @pytest.mark.parametrize("entry", [
