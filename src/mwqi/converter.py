@@ -241,10 +241,10 @@ class StabilityReport:
 
 def planck_occupation(omega: float, temp: float) -> float:
     """Bose-Einstein occupation 1/(exp(hbar*omega/kT) - 1); zero at T = 0."""
-    if omega <= 0:
-        raise ValueError("omega must be > 0")
-    if temp < 0:
-        raise ValueError("temp must be >= 0")
+    if not 0.0 < omega < math.inf:
+        raise ValueError("omega must be finite and > 0")
+    if not 0.0 <= temp < math.inf:
+        raise ValueError("temp must be finite and >= 0")
     if temp == 0.0:
         return 0.0
     x = _hbar * omega / (_k_b * temp)

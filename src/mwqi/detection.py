@@ -97,8 +97,8 @@ class TargetChannelParams:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
-        if self.n_b < 0:
-            raise ValueError("n_b must be >= 0")
+        if not 0.0 <= self.n_b < math.inf:
+            raise ValueError("n_b must be finite and >= 0")
 
     @classmethod
     def from_temperature(cls, eta: float, t_b: float, omega_w: float) -> "TargetChannelParams":

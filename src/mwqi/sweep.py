@@ -36,6 +36,7 @@ without a [grid] section evaluates a single point at the base values.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -331,91 +332,86 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-@dataclass(frozen=True)
-class _Point:
-    """One grid point after axis overrides."""
+class _Drive:
+    """One drive point (t_eom, gamma_w, gamma_o) and the source work that depends
+    on it alone.  A cached property keeps a value only once it is computed, so
+    a failing step raises again, with the same text, at each row that asks."""
 
-    params: EomParams
-    coop: Cooperativities
-    eta: float | None
-    n_b: float | None
-    kappa_i: float
+    def __init__(self, config: SweepConfig, overrides: dict[str, float]):
+        params = config.params
+        if "t_eom" in overrides:
+            params = dataclasses.replace(params, t_eom=overrides["t_eom"])
+        gamma_w = overrides.get("gamma_w", config.gamma_w)
+        gamma_o = overrides.get("gamma_o", config.gamma_o)
+        if gamma_w is None or gamma_o is None:
+            raise ConfigError("gamma_w and gamma_o must come from [drive] or a grid axis",
+                              field_name="gamma_w")
+        self.params, self.coop = params, Cooperativities(gamma_w, gamma_o)
 
-    def channel(self) -> TargetChannelParams:
-        if self.eta is None or self.n_b is None:
-            raise ConfigError("channel outputs selected but [channel] eta/t_b missing",
-                              field_name="eta")
-        return TargetChannelParams(eta=self.eta, n_b=self.n_b)
+    @functools.cached_property
+    def source(self):
+        """(coefficients, bath occupations, source moments); the point must be stable."""
+        coef = coefficients(self.coop)
+        baths = bath_occupations(self.params)
+        return coef, baths, source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
+
+    @functools.cached_property
+    def report(self):
+        return correlation_report(self.source[2])
 
 
-def _resolve_point(config: SweepConfig, overrides: dict[str, float]) -> _Point:
-    params = config.params
-    if "t_eom" in overrides:
-        params = dataclasses.replace(params, t_eom=overrides["t_eom"])
-    gamma_w = overrides.get("gamma_w", config.gamma_w)
-    gamma_o = overrides.get("gamma_o", config.gamma_o)
-    if gamma_w is None or gamma_o is None:
-        raise ConfigError("gamma_w and gamma_o must come from [drive] or a grid axis",
-                          field_name="gamma_w")
-    eta = overrides.get("eta", config.eta)
-    t_b = overrides.get("t_b", config.t_b)
+def _background(config: SweepConfig, t_b: float | None) -> float | None:
+    """Background occupation n_b: given, or the Planck occupation at t_b."""
     if config.n_b is not None:
-        n_b = config.n_b
-    elif t_b is not None:
-        n_b = planck_occupation(params.omega_w, t_b)
-    else:
-        n_b = None
-    kappa_i = overrides.get("kappa_i", config.kappa_i)
-    return _Point(params=params, coop=Cooperativities(gamma_w, gamma_o),
-                  eta=eta, n_b=n_b, kappa_i=kappa_i)
+        return config.n_b
+    return None if t_b is None else planck_occupation(config.params.omega_w, t_b)
 
 
-def _base_point(config: SweepConfig) -> tuple[_Point, StabilityReport]:
-    """The point at the base values; raises :class:`InstabilityError` if unstable."""
-    point = _resolve_point(config, {})
-    stability = is_stable(point.coop, point.params)
+def _channel(eta: float | None, n_b: float | None) -> TargetChannelParams:
+    if eta is None or n_b is None:
+        raise ConfigError("channel outputs selected but [channel] eta/t_b missing",
+                          field_name="eta")
+    return TargetChannelParams(eta=eta, n_b=n_b)
+
+
+def _base_point(config: SweepConfig) -> tuple[_Drive, StabilityReport]:
+    """The drive point at the base values; raises :class:`InstabilityError` if unstable."""
+    drive = _Drive(config, {})
+    stability = is_stable(drive.coop, drive.params)
     if not stability.stable:
         raise InstabilityError(
             f"operating point unstable, margin {stability.margin!r} rad/s")
-    return point, stability
+    return drive, stability
 
 
-def _source(point: _Point):
-    """(coefficients, bath occupations, source moments) of a stable point."""
-    coef = coefficients(point.coop)
-    baths = bath_occupations(point.params)
-    return coef, baths, source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
-
-
-def _evaluate_outputs(point: _Point, outputs: tuple[str, ...]) -> dict[str, float]:
-    """Metric values for one stable grid point; may raise physics errors."""
-    coef, baths, m = _source(point)
-    values: dict[str, float] = {}
-    report = stats = ch = None
-    for token in outputs:
-        if token == "n_w":
-            values[token] = m.n_w
-        elif token == "n_o":
-            values[token] = m.n_o
+def _point_cells(drive: _Drive, config: SweepConfig, overrides: dict[str, float]) -> list[str]:
+    """Metric cells of one stable grid point; may raise physics errors."""
+    coef, baths, m = drive.source
+    cells = []
+    ch = stats = None
+    for token in config.outputs:
+        if token in ("n_w", "n_o"):
+            value = getattr(m, token)
         elif token == "e_metric":
-            values[token] = 0.0 if m.cross == 0.0 else entanglement_metric(m)
+            value = 0.0 if m.cross == 0.0 else entanglement_metric(m)
         elif token in ("log_neg_per_photon", "coh_info_per_photon", "discord_per_photon"):
-            if report is None:
-                report = correlation_report(m)
-            values[token] = getattr(report, token)
+            value = getattr(drive.report, token)
         else:
             if ch is None:
                 # built on first use: a bad axis eta fails only the outputs that need it
-                ch, rx = point.channel(), ReceiverParams(coef, point.kappa_i)
+                ch = _channel(overrides.get("eta", config.eta),
+                              _background(config, overrides.get("t_b", config.t_b)))
+                rx = ReceiverParams(coef, overrides.get("kappa_i", config.kappa_i))
             if token == "fom":
-                values[token] = figure_of_merit(m, ch, rx, baths)
+                value = figure_of_merit(m, ch, rx, baths)
             else:
                 if stats is None:
                     stats = receiver_statistics(m, ch, rx, baths)
                 kind, _, modes = token.partition("@")
                 snr = stats.snr_per_m if kind == "p_qi" else coherent_snr_per_mode(m.n_w, ch)
-                values[token] = error_probability(snr, float(modes))
-    return values
+                value = error_probability(snr, float(modes))
+        cells.append(_fmt(value))
+    return cells
 
 
 def _meta_lines(config: SweepConfig) -> list[str]:
@@ -433,23 +429,29 @@ def run_sweep(config: SweepConfig) -> str:
     points keep their stability flag and margin but leave the metric cells
     empty; a failure at one point lands in the ``error`` column and never
     aborts the sweep.  Output is byte-identical for identical config and
-    seed.
+    seed, and each row is the same whatever the axis order.  Consecutive rows
+    at one drive point (t_eom, gamma_w, gamma_o) share its source work, so
+    channel axes (eta, t_b, kappa_i) listed after the drive axes run faster.
     """
     if not config.outputs:
         raise ConfigError("no outputs selected", field_name="select")
+    columns = [[(value, _fmt(value)) for value in axis.values().tolist()]
+               for axis in config.axes]
+    drive_key = drive = None  # only the last drive point is kept
     rows = []
-    for combo in itertools.product(*(axis.values() for axis in config.axes)):
-        overrides = {axis.name: float(value) for axis, value in zip(config.axes, combo)}
-        cells = [_fmt(value) for value in overrides.values()]
+    for combo in itertools.product(*columns):
+        overrides = {axis.name: value for axis, (value, _) in zip(config.axes, combo)}
+        cells = [text for _, text in combo]
         error = ""
         metric_cells = [""] * len(config.outputs)
         try:
-            point = _resolve_point(config, overrides)
-            stability = is_stable(point.coop, point.params)
+            key = (overrides.get("t_eom"), overrides.get("gamma_w"), overrides.get("gamma_o"))
+            if key != drive_key:
+                drive, drive_key = _Drive(config, overrides), key
+            stability = is_stable(drive.coop, drive.params)
             cells += ["1" if stability.stable else "0", _fmt(stability.margin)]
             if stability.stable:
-                values = _evaluate_outputs(point, config.outputs)
-                metric_cells = [_fmt(values[t]) for t in config.outputs]
+                metric_cells = _point_cells(drive, config, overrides)
         except ConfigError:
             raise
         except Exception as exc:  # recorded per point, sweep continues
@@ -468,10 +470,10 @@ def run_figure3(config: SweepConfig) -> str:
     Columns: m, p_qi, p_coh, fom.  Requires a stable base operating point and
     a channel; probabilities come straight from the stdlib erfc.
     """
-    point, _ = _base_point(config)
-    coef, baths, m = _source(point)
-    ch = point.channel()
-    rx = ReceiverParams(coef, point.kappa_i)
+    drive, _ = _base_point(config)
+    coef, baths, m = drive.source
+    ch = _channel(config.eta, _background(config, config.t_b))
+    rx = ReceiverParams(coef, config.kappa_i)
     snr_qi = receiver_statistics(m, ch, rx, baths).snr_per_m
     snr_coh = coherent_snr_per_mode(m.n_w, ch)
     fom = _fmt(figure_of_merit(m, ch, rx, baths))
@@ -497,8 +499,8 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
     :class:`InstabilityError` for an unstable point and
     :class:`PhysicalityError` for an unphysical source state.
     """
-    point, stability = _base_point(config)
-    coef, baths, m = _source(point)
+    drive, stability = _base_point(config)
+    coef, baths, m = drive.source
     lines: list[str] = []
     checks: list[tuple[str, bool]] = []
 
@@ -506,8 +508,8 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
         checks.append((name, ok))
 
     lines.append("== operating point ==")
-    lines.append(f"gamma_w = {point.coop.gamma_w:.6g}   gamma_o = {point.coop.gamma_o:.6g}")
-    lines.append(f"t_eom = {point.params.t_eom:.6g} K")
+    lines.append(f"gamma_w = {drive.coop.gamma_w:.6g}   gamma_o = {drive.coop.gamma_o:.6g}")
+    lines.append(f"t_eom = {drive.params.t_eom:.6g} K")
     lines.append(f"stable: yes (margin {stability.margin:.6g} rad/s, "
                  f"adiabatic criterion {'holds' if stability.adiabatic_stable else 'violated'})")
     lines.append("")
@@ -544,16 +546,17 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
         check("E-metric/negativity agreement",
               (report.e_metric > 1.0) == (report.log_neg > 0.0))
 
-    if point.eta is not None and point.n_b is not None:
-        ch = point.channel()
-        rx = ReceiverParams(coef, point.kappa_i)
+    n_b = _background(config, config.t_b)
+    if config.eta is not None and n_b is not None:
+        ch = _channel(config.eta, n_b)
+        rx = ReceiverParams(coef, config.kappa_i)
         stats = receiver_statistics(m, ch, rx, baths)
         thresh = entanglement_threshold(m, ch.eta)
         snr_coh = coherent_snr_per_mode(m.n_w, ch)
         fom = figure_of_merit(m, ch, rx, baths)
         lines.append("")
         lines.append("== target channel ==")
-        lines.append(f"eta = {ch.eta:.6g}   n_B = {ch.n_b:.6g}   kappa_I = {point.kappa_i:.6g}")
+        lines.append(f"eta = {ch.eta:.6g}   n_B = {ch.n_b:.6g}   kappa_I = {config.kappa_i:.6g}")
         lines.append(f"entanglement threshold n_B^thresh = {thresh:.6g}")
         lines.append("")
         lines.append("== detection ==")

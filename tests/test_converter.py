@@ -55,6 +55,16 @@ def test_planck_validation():
         planck_occupation(1.0, -1.0)
 
 
+@pytest.mark.parametrize("omega, temp", [
+    (math.nan, 1.0), (math.inf, 1.0), (1e9, math.nan), (1e9, math.inf),
+])
+def test_planck_rejects_non_finite(omega, temp):
+    # NaN slipped past the plain comparisons; an infinite temperature
+    # ended in ZeroDivisionError
+    with pytest.raises(ValueError, match="must be finite"):
+        planck_occupation(omega, temp)
+
+
 # ---------------------------------------------------------------------------
 # coefficients
 # ---------------------------------------------------------------------------

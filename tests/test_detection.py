@@ -91,6 +91,14 @@ def test_channel_validation():
         TargetChannelParams(eta=0.1, n_b=-1.0)
 
 
+@pytest.mark.parametrize("n_b", [math.nan, math.inf])
+def test_channel_rejects_non_finite(n_b):
+    # a NaN background gave NaN receiver statistics, an infinite one a
+    # silently blind receiver
+    with pytest.raises(ValueError, match="n_b must be finite"):
+        TargetChannelParams(eta=0.07, n_b=n_b)
+
+
 # ---------------------------------------------------------------------------
 # entanglement threshold
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 
@@ -228,6 +229,90 @@ axis = gamma_w log 2e3 8e3 3
     errors = [dict(zip(header, r))["error"] for r in data]
     assert sum(1 for e in errors if "synthetic metric failure" in e) == 1
     assert sum(1 for e in errors if e == "") == 2
+
+
+def _grid(*axes, select="n_w, fom, p_qi@1e6, log_neg_per_photon"):
+    return parse_config(POINT_CFG.replace("n_w, n_o, e_metric, fom", select)
+                        + "\n[grid]\n" + "".join(f"axis = {a}\n" for a in axes))
+
+
+_GAMMA_W = "gamma_w log 1e3 1e4 3"
+_GAMMA_O = "gamma_o log 1e2 3e3 3"
+_ETA = "eta log 1e-3 1e-1 4"
+
+
+def test_sweep_rows_do_not_depend_on_axis_order():
+    # eta first changes the drive point at every row, eta last shares it
+    # between consecutive rows; both must give the same rows
+    def rows(cfg):
+        header, *data = _parse_csv(run_sweep(cfg))
+        order = ["gamma_w", "gamma_o", "eta"] + header[3:]
+        return sorted(",".join(dict(zip(header, r))[h] for h in order) for r in data)
+
+    no_reuse = rows(_grid(_ETA, _GAMMA_W, _GAMMA_O))
+    assert no_reuse == rows(_grid(_GAMMA_W, _GAMMA_O, _ETA))
+    assert len(no_reuse) == 36
+    assert {r.split(",")[3] for r in no_reuse} == {"0", "1"}  # crosses the unstable region
+
+
+@pytest.mark.parametrize("axes, shared", [
+    ((_GAMMA_W, _GAMMA_O, _ETA), True),
+    ((_ETA, _GAMMA_W, _GAMMA_O), False),
+])
+def test_source_is_evaluated_once_per_run_of_a_drive_point(monkeypatch, axes, shared):
+    calls = []
+    real = sweep_mod.coefficients
+    monkeypatch.setattr(sweep_mod, "coefficients",
+                        lambda coop: calls.append(coop) or real(coop))
+    header, *data = _parse_csv(run_sweep(_grid(*axes)))
+    stable = [record for record in (dict(zip(header, r)) for r in data)
+              if record["stable"] == "1"]
+    drive_points = {(r["gamma_w"], r["gamma_o"]) for r in stable}
+    assert 0 < len(drive_points) < len(stable)
+    assert len(calls) == (len(drive_points) if shared else len(stable))
+
+
+def test_failing_drive_point_fails_each_of_its_rows(monkeypatch):
+    # the hot source overflows the symplectic spectrum; the failure is not
+    # kept, so each row at that drive point recomputes it and records the
+    # same error, and the next drive point is clean
+    calls = []
+    real = sweep_mod.correlation_report
+    monkeypatch.setattr(sweep_mod, "correlation_report",
+                        lambda m: calls.append(m) or real(m))
+    header, *data = _parse_csv(run_sweep(_grid(
+        "gamma_w log 4e3 6e3 2", "t_eom log 0.03 1e80 2", "eta lin 0.05 0.1 3")))
+    records = [dict(zip(header, r)) for r in data]
+    hot = [r for r in records if r["t_eom"] == "1.0000000000000000e+80"]
+    assert len(hot) == 6 and len(calls) == 2 + len(hot)
+    for r in hot:
+        assert r["error"] == "OverflowError: symplectic spectrum overflows float64"
+        assert r["stable"] == "1"
+        assert r["n_w"] == r["fom"] == r["log_neg_per_photon"] == ""
+    assert records[3:6] == hot[:3]
+    for r in records[6:9]:  # the next drive point
+        assert r["error"] == "" and float(r["fom"]) > 0
+
+
+def test_nothing_is_kept_between_sweeps(monkeypatch):
+    # every row shares the base drive point, so a source kept from the
+    # previous sweep would be reused at once
+    cfg = _grid(_ETA, select="n_w")
+    plain = run_sweep(cfg)
+    real = sweep_mod.source_moments
+
+    def doubled(coef, *baths):
+        m = real(coef, *baths)
+        return dataclasses.replace(m, n_w=2.0 * m.n_w)
+
+    monkeypatch.setattr(sweep_mod, "source_moments", doubled)
+    swapped = run_sweep(cfg)
+    monkeypatch.setattr(sweep_mod, "source_moments", real)
+    assert run_sweep(cfg) == plain
+    (header, *rows), (_, *swapped_rows) = _parse_csv(plain), _parse_csv(swapped)
+    n_w = header.index("n_w")
+    assert len(rows) == 4 and all(r[header.index("error")] == "" for r in rows)
+    assert [float(r[n_w]) for r in swapped_rows] == [2.0 * float(r[n_w]) for r in rows]
 
 
 def test_sweep_qualitative_entanglement_region(params):
