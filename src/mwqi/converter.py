@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -219,12 +220,13 @@ class SourceMoments:
     cross: float
 
     def __post_init__(self):
-        if self.n_w < 0 or self.n_o < 0 or self.cross < 0:
-            raise ValueError("moments must be >= 0")
+        # negated comparisons, so that NaN fails them
+        if not (0.0 <= self.n_w < math.inf and 0.0 <= self.n_o < math.inf
+                and 0.0 <= self.cross < math.inf):
+            raise ValueError("moments must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Outcome of the stability test.
 
     ``margin`` is minus the largest real part of the roots of the
@@ -240,7 +242,9 @@ class StabilityReport:
 
 
 def planck_occupation(omega: float, temp: float) -> float:
-    """Bose-Einstein occupation 1/(exp(hbar*omega/kT) - 1); zero at T = 0."""
+    """Bose-Einstein occupation 1/(exp(hbar*omega/kT) - 1); zero at T = 0.
+
+    Raises OverflowError past float64, from about 8.6e307 K at 10 GHz."""
     if not 0.0 < omega < math.inf:
         raise ValueError("omega must be finite and > 0")
     if not 0.0 <= temp < math.inf:
@@ -250,7 +254,10 @@ def planck_occupation(omega: float, temp: float) -> float:
     x = _hbar * omega / (_k_b * temp)
     if x > 700.0:
         return 0.0
-    return 1.0 / math.expm1(x)
+    n = 1.0 / math.expm1(x) if x else math.inf  # x underflows to 0 only past the overflow
+    if n == math.inf:
+        raise OverflowError(f"Planck occupation overflows float64 at {temp!r} K")
+    return n
 
 
 def bath_occupations(params: EomParams) -> BathOccupations:
@@ -433,8 +440,4 @@ def is_stable(coop: Cooperativities, params: EomParams) -> StabilityReport:
     if disc > 0.0:
         x = max(x, -0.5 * (p2 + x))
     margin = float(-x)
-    return StabilityReport(
-        stable=margin > 0.0,
-        margin=margin,
-        adiabatic_stable=go < gw + 0.5,
-    )
+    return StabilityReport(margin > 0.0, margin, go < gw + 0.5)

@@ -39,6 +39,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,8 +119,7 @@ class ReceiverParams:
             raise ValueError("idler_transmissivity must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class DetectionStatistics:
+class DetectionStatistics(NamedTuple):
     """Per-mode-pair difference-photocount statistics under both hypotheses.
 
     ``snr_per_m`` is the coefficient such that SNR(M) = M * snr_per_m.
@@ -222,10 +222,7 @@ def receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
         s = coef.b * math.sqrt(k_i) * cross_r
         moments += [2.0 * s, 2.0 * s * s + 2.0 * n_1 * n_2 + n_1 + n_2]
     mu0, var0, mu1, var1 = moments
-    return DetectionStatistics(
-        mu0=mu0, mu1=mu1, var0=var0, var1=var1,
-        snr_per_m=snr_per_mode(mu0, mu1, var0, var1),
-    )
+    return DetectionStatistics(mu0, mu1, var0, var1, snr_per_mode(mu0, mu1, var0, var1))
 
 
 def _erfc_argument(snr_per_m: float, modes: float) -> float:

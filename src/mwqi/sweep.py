@@ -333,8 +333,8 @@ def _fmt(x: float) -> str:
 
 
 class _Drive:
-    """One drive point (t_eom, gamma_w, gamma_o) and the source work that depends
-    on it alone.  A cached property keeps a value only once it is computed, so
+    """One drive point (t_eom, gamma_w, gamma_o) and the work that depends on it
+    alone.  A value, cached property or receiver, is kept only once computed, so
     a failing step raises again, with the same text, at each row that asks."""
 
     def __init__(self, config: SweepConfig, overrides: dict[str, float]):
@@ -347,6 +347,7 @@ class _Drive:
             raise ConfigError("gamma_w and gamma_o must come from [drive] or a grid axis",
                               field_name="gamma_w")
         self.params, self.coop = params, Cooperativities(gamma_w, gamma_o)
+        self.receivers: dict[float, ReceiverParams] = {}
 
     @functools.cached_property
     def source(self):
@@ -359,15 +360,18 @@ class _Drive:
     def report(self):
         return correlation_report(self.source[2])
 
+    def receiver(self, kappa_i: float) -> ReceiverParams:
+        rx = self.receivers.get(kappa_i)
+        if rx is None:
+            rx = self.receivers[kappa_i] = ReceiverParams(self.source[0], kappa_i)
+        return rx
 
-def _background(config: SweepConfig, t_b: float | None) -> float | None:
-    """Background occupation n_b: given, or the Planck occupation at t_b."""
-    if config.n_b is not None:
-        return config.n_b
-    return None if t_b is None else planck_occupation(config.params.omega_w, t_b)
 
-
-def _channel(eta: float | None, n_b: float | None) -> TargetChannelParams:
+def _channel(config: SweepConfig, eta: float | None, t_b: float | None) -> TargetChannelParams:
+    """Channel at eta whose background n_b is given, or the Planck occupation at t_b."""
+    n_b = config.n_b
+    if n_b is None and t_b is not None:
+        n_b = planck_occupation(config.params.omega_w, t_b)
     if eta is None or n_b is None:
         raise ConfigError("channel outputs selected but [channel] eta/t_b missing",
                           field_name="eta")
@@ -384,10 +388,11 @@ def _base_point(config: SweepConfig) -> tuple[_Drive, StabilityReport]:
     return drive, stability
 
 
-def _point_cells(drive: _Drive, config: SweepConfig, overrides: dict[str, float]) -> list[str]:
-    """Metric cells of one stable grid point; may raise physics errors."""
-    coef, baths, m = drive.source
-    cells = []
+def _point_values(drive: _Drive, config: SweepConfig, overrides: dict[str, float],
+                  channels: dict[tuple, TargetChannelParams]) -> tuple[float, ...]:
+    """Metric values of one stable grid point; may raise physics errors."""
+    _, baths, m = drive.source
+    values = []
     ch = stats = None
     for token in config.outputs:
         if token in ("n_w", "n_o"):
@@ -399,9 +404,11 @@ def _point_cells(drive: _Drive, config: SweepConfig, overrides: dict[str, float]
         else:
             if ch is None:
                 # built on first use: a bad axis eta fails only the outputs that need it
-                ch = _channel(overrides.get("eta", config.eta),
-                              _background(config, overrides.get("t_b", config.t_b)))
-                rx = ReceiverParams(coef, overrides.get("kappa_i", config.kappa_i))
+                key = (overrides.get("eta", config.eta), overrides.get("t_b", config.t_b))
+                ch = channels.get(key)  # kept only once built, as in _Drive
+                if ch is None:
+                    ch = channels[key] = _channel(config, *key)
+                rx = drive.receiver(overrides.get("kappa_i", config.kappa_i))
             if token == "fom":
                 value = figure_of_merit(m, ch, rx, baths)
             else:
@@ -410,8 +417,8 @@ def _point_cells(drive: _Drive, config: SweepConfig, overrides: dict[str, float]
                 kind, _, modes = token.partition("@")
                 snr = stats.snr_per_m if kind == "p_qi" else coherent_snr_per_mode(m.n_w, ch)
                 value = error_probability(snr, float(modes))
-        cells.append(_fmt(value))
-    return cells
+        values.append(value)
+    return tuple(values)
 
 
 def _meta_lines(config: SweepConfig) -> list[str]:
@@ -429,38 +436,41 @@ def run_sweep(config: SweepConfig) -> str:
     points keep their stability flag and margin but leave the metric cells
     empty; a failure at one point lands in the ``error`` column and never
     aborts the sweep.  Output is byte-identical for identical config and
-    seed, and each row is the same whatever the axis order.  Consecutive rows
-    at one drive point (t_eom, gamma_w, gamma_o) share its source work, so
-    channel axes (eta, t_b, kappa_i) listed after the drive axes run faster.
+    seed, and each row is the same whatever the axis order.  Stability and
+    the receiver statistics are evaluated at every point; the rest is built
+    once per key and kept, once built, for this call only: the source work
+    per run of consecutive rows at one drive point (t_eom, gamma_w, gamma_o),
+    so channel axes listed after the drive axes run faster; the receiver per
+    (drive point, kappa_i); the channel per (eta, t_b).
     """
     if not config.outputs:
         raise ConfigError("no outputs selected", field_name="select")
-    columns = [[(value, _fmt(value)) for value in axis.values().tolist()]
-               for axis in config.axes]
+    names = [axis.name for axis in config.axes]
+    columns = [axis.values().tolist() for axis in config.axes]
+    texts = [[_fmt(value) for value in column] for column in columns]
+    template = ",".join(["%.16e"] * len(config.outputs))  # the cells of _fmt
+    no_metrics = "," * (len(config.outputs) - 1)
+    channels: dict[tuple, TargetChannelParams] = {}
     drive_key = drive = None  # only the last drive point is kept
     rows = []
-    for combo in itertools.product(*columns):
-        overrides = {axis.name: value for axis, (value, _) in zip(config.axes, combo)}
-        cells = [text for _, text in combo]
-        error = ""
-        metric_cells = [""] * len(config.outputs)
+    for combo, cells in zip(itertools.product(*columns), itertools.product(*texts)):
+        overrides = dict(zip(names, combo))
+        stability_cells, metrics, error = ",", no_metrics, ""
         try:
             key = (overrides.get("t_eom"), overrides.get("gamma_w"), overrides.get("gamma_o"))
             if key != drive_key:
                 drive, drive_key = _Drive(config, overrides), key
             stability = is_stable(drive.coop, drive.params)
-            cells += ["1" if stability.stable else "0", _fmt(stability.margin)]
+            stability_cells = "%d,%.16e" % (stability.stable, stability.margin)
             if stability.stable:
-                metric_cells = _point_cells(drive, config, overrides)
+                metrics = template % _point_values(drive, config, overrides, channels)
         except ConfigError:
             raise
         except Exception as exc:  # recorded per point, sweep continues
             error = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
-            if len(cells) == len(config.axes):
-                cells += ["", ""]
-        rows.append(",".join(cells + metric_cells + [error]))
+        rows.append(",".join([*cells, stability_cells, metrics, error]))
 
-    header = [a.name for a in config.axes] + ["stable", "margin"] + list(config.outputs) + ["error"]
+    header = names + ["stable", "margin"] + list(config.outputs) + ["error"]
     return "\n".join(_meta_lines(config) + [",".join(header)] + rows) + "\n"
 
 
@@ -472,7 +482,7 @@ def run_figure3(config: SweepConfig) -> str:
     """
     drive, _ = _base_point(config)
     coef, baths, m = drive.source
-    ch = _channel(config.eta, _background(config, config.t_b))
+    ch = _channel(config, config.eta, config.t_b)
     rx = ReceiverParams(coef, config.kappa_i)
     snr_qi = receiver_statistics(m, ch, rx, baths).snr_per_m
     snr_coh = coherent_snr_per_mode(m.n_w, ch)
@@ -546,9 +556,8 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
         check("E-metric/negativity agreement",
               (report.e_metric > 1.0) == (report.log_neg > 0.0))
 
-    n_b = _background(config, config.t_b)
-    if config.eta is not None and n_b is not None:
-        ch = _channel(config.eta, n_b)
+    if config.eta is not None and (config.n_b is not None or config.t_b is not None):
+        ch = _channel(config, config.eta, config.t_b)
         rx = ReceiverParams(coef, config.kappa_i)
         stats = receiver_statistics(m, ch, rx, baths)
         thresh = entanglement_threshold(m, ch.eta)

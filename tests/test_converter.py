@@ -65,6 +65,21 @@ def test_planck_rejects_non_finite(omega, temp):
         planck_occupation(omega, temp)
 
 
+@pytest.mark.parametrize("omega, temp", [
+    (2 * math.pi * 10e9, 1e308),  # 1 / expm1(x) overflows
+    (2 * math.pi * 10e9, 8.7e307),
+    (5e-324, 1e300),  # x underflows to 0
+])
+def test_planck_overflow_is_named(omega, temp):
+    # the occupation used to come back as inf and reach the sweep cells
+    with pytest.raises(OverflowError, match="Planck occupation overflows float64"):
+        planck_occupation(omega, temp)
+
+
+def test_planck_largest_finite_occupation():
+    assert planck_occupation(2 * math.pi * 10e9, 8.6e307) > 1e308
+
+
 # ---------------------------------------------------------------------------
 # coefficients
 # ---------------------------------------------------------------------------
@@ -147,6 +162,16 @@ def test_moments_negative_occupation_rejected():
         source_moments(c, -0.1, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_moments_reject_non_finite(bad):
+    # NaN and inf passed the plain `< 0` test
+    for field in ("n_w", "n_o", "cross"):
+        with pytest.raises(ValueError, match="moments must be finite"):
+            mwqi.SourceMoments(**{"n_w": 0.5, "n_o": 0.5, "cross": 0.1, field: bad})
+    with pytest.raises(ValueError, match="moments must be finite"):
+        source_moments(coefficients(Cooperativities(1.0, 1.0)), bad, 0.0, 0.0)
+
+
 def test_reference_moments(ref_moments):
     assert abs(ref_moments.n_w - 0.739) / 0.739 < 0.05
     assert abs(ref_moments.n_o - 0.681) / 0.681 < 0.05
@@ -224,6 +249,16 @@ def test_stability_reference(params, ref_coop):
     rep = is_stable(ref_coop, params)
     assert rep.stable
     assert rep.adiabatic_stable
+    assert rep.margin == 5658729.92311345  # as when the report was a dataclass
+
+
+def test_stability_report_is_a_named_tuple(params, ref_coop):
+    rep = is_stable(ref_coop, params)
+    assert mwqi.StabilityReport._fields == ("stable", "margin", "adiabatic_stable")
+    stable, margin, adiabatic = rep
+    assert rep == (stable, margin, adiabatic) == (True, rep.margin, True)
+    with pytest.raises(AttributeError):
+        rep.margin = 0.0
 
 
 def test_stability_adiabatic_violation(params):

@@ -8,6 +8,7 @@ from scipy.special import erfc
 
 import mwqi
 from mwqi import (
+    DetectionStatistics,
     Hypothesis,
     ReceiverParams,
     SourceMoments,
@@ -137,6 +138,18 @@ def test_receiver_no_correlation_no_signal(ref_channel, ref_receiver, baths):
     stats = receiver_statistics(m, ref_channel, ref_receiver, baths)
     assert stats.mu1 == stats.mu0 == 0.0
     assert stats.snr_per_m == 0.0
+
+
+def test_detection_statistics_is_a_named_tuple(ref_moments, ref_channel, ref_receiver, baths):
+    stats = receiver_statistics(ref_moments, ref_channel, ref_receiver, baths)
+    assert DetectionStatistics._fields == ("mu0", "mu1", "var0", "var1", "snr_per_m")
+    # the values of the reference point when the record was a dataclass
+    assert stats == (0.0, 0.4713002361287752, 984.5877149155446, 916.0191264209255,
+                     0.00023381609704004703)
+    mu0, mu1, var0, var1, snr_per_m = stats
+    assert stats.snr_per_m == snr_per_m == 0.00023381609704004703
+    with pytest.raises(AttributeError):
+        stats.snr_per_m = 0.0
 
 
 def test_receiver_mean_shift(ref_moments, ref_channel, ref_coefficients, baths):

@@ -150,6 +150,28 @@ def test_sweep_deterministic_and_paths_agree():
     lines = report_point(cfg)[0].splitlines()
     assert f"figure of merit F = {float(fom):.9g}" in lines
     assert f"M = 1e+06:  P_QI = {float(p_qi):.6e}   P_coh = {float(p_coh):.6e}" in lines
+    # every row of a grid with channel axes, whose channels and receivers the
+    # sweep shares between rows, equals the row built afresh from the public
+    # functions
+    cfg = _grid("gamma_w log 4e3 6e3 2", "eta log 1e-3 1e-1 3", "t_b lin 10 300 2",
+                "kappa_i lin 0.5 1 2", select="fom, p_qi@1e6, p_coh@1e6")
+    header, *data = _parse_csv(run_sweep(cfg))
+    assert len(data) == 24
+    params = cfg.params
+    baths = mwqi.bath_occupations(params)
+    for row in data:
+        gamma_w, eta, t_b, kappa_i = map(float, row[:4])
+        coop = mwqi.Cooperativities(gamma_w, cfg.gamma_o)
+        coef = mwqi.coefficients(coop)
+        m = mwqi.source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
+        ch = mwqi.TargetChannelParams(eta, mwqi.planck_occupation(params.omega_w, t_b))
+        rx = mwqi.ReceiverParams(coef, kappa_i)
+        values = (mwqi.figure_of_merit(m, ch, rx, baths),
+                  mwqi.error_probability(mwqi.receiver_statistics(m, ch, rx, baths).snr_per_m,
+                                         1e6),
+                  mwqi.error_probability(mwqi.coherent_snr_per_mode(m.n_w, ch), 1e6))
+        assert row[4:] == ["1", f"{mwqi.is_stable(coop, params).margin:.16e}",
+                           *(f"{value:.16e}" for value in values), ""]
 
 
 def test_out_of_range_axis_value_lands_in_error_column():
@@ -297,7 +319,7 @@ def test_failing_drive_point_fails_each_of_its_rows(monkeypatch):
 def test_nothing_is_kept_between_sweeps(monkeypatch):
     # every row shares the base drive point, so a source kept from the
     # previous sweep would be reused at once
-    cfg = _grid(_ETA, select="n_w")
+    cfg = _grid(_ETA, select="n_w, fom")
     plain = run_sweep(cfg)
     real = sweep_mod.source_moments
 
@@ -313,6 +335,76 @@ def test_nothing_is_kept_between_sweeps(monkeypatch):
     n_w = header.index("n_w")
     assert len(rows) == 4 and all(r[header.index("error")] == "" for r in rows)
     assert [float(r[n_w]) for r in swapped_rows] == [2.0 * float(r[n_w]) for r in rows]
+    # the same for the channels, which rows at one (eta, t_b) share
+    real_channel = sweep_mod.TargetChannelParams
+    monkeypatch.setattr(sweep_mod, "TargetChannelParams",
+                        lambda eta, n_b: real_channel(eta=eta, n_b=2.0 * n_b))
+    _, *brighter_rows = _parse_csv(run_sweep(cfg))
+    monkeypatch.setattr(sweep_mod, "TargetChannelParams", real_channel)
+    assert run_sweep(cfg) == plain
+    fom = header.index("fom")
+    assert [r[n_w] for r in brighter_rows] == [r[n_w] for r in rows]
+    assert all(float(b[fom]) != float(r[fom]) for b, r in zip(brighter_rows, rows))
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of ``mwqi.sweep.<name>``."""
+    calls = []
+    real = getattr(sweep_mod, name)
+    monkeypatch.setattr(sweep_mod, name, lambda *args, **kwargs: calls.append(args)
+                        or real(*args, **kwargs))
+    return calls
+
+
+def test_channel_and_receiver_are_built_once_per_key(monkeypatch):
+    channels = _counting(monkeypatch, "_channel")
+    receivers = _counting(monkeypatch, "ReceiverParams")
+    header, *data = _parse_csv(run_sweep(_grid(
+        "gamma_w log 4e3 6e3 2", "kappa_i lin 0.5 1 2", "eta log 1e-3 1e-1 3",
+        "t_b lin 10 300 2", select="fom, p_qi@1e6")))
+    records = [dict(zip(header, r)) for r in data]
+    assert len(records) == 24
+    assert all(r["stable"] == "1" and r["error"] == "" for r in records)
+    assert len(channels) == len({(r["eta"], r["t_b"]) for r in records}) == 6
+    assert len(receivers) == len({(r["gamma_w"], r["kappa_i"]) for r in records}) == 4
+
+
+@pytest.mark.parametrize("axes, builder, bad_key, message", [
+    (("gamma_w log 4e3 6e3 2", "eta lin 0.5 1.5 3"), "_channel",
+     ("eta", "1.5000000000000000e+00"), "ValueError: eta must lie in [0; 1]"),
+    (("eta lin 0.05 0.1 2", "kappa_i lin 0.5 1.5 3"), "ReceiverParams",
+     ("kappa_i", "1.5000000000000000e+00"), "ValueError: idler_transmissivity must lie in (0; 1]"),
+])
+def test_failing_channel_or_receiver_fails_each_of_its_rows(monkeypatch, axes, builder,
+                                                            bad_key, message):
+    # a failed build is not kept: each row with the bad key builds it again
+    # and records the same text, and the next key is clean
+    calls = _counting(monkeypatch, builder)
+    header, *data = _parse_csv(run_sweep(_grid(*axes, select="fom")))
+    records = [dict(zip(header, r)) for r in data]
+    name, value = bad_key
+    bad = [i for i, r in enumerate(records) if r[name] == value]
+    assert bad == [2, 5]
+    assert len(calls) == 2 + len(bad)  # the two good keys, once each
+    for i, r in enumerate(records):
+        if i in bad:
+            assert r["error"] == message and r["fom"] == "" and r["stable"] == "1"
+        else:
+            assert r["error"] == "" and float(r["fom"]) > 0
+
+
+@pytest.mark.parametrize("select", ["n_w, n_o", "fom, p_qi@1e6"])
+def test_overflowing_source_occupation_is_named(select):
+    # the Planck occupation of a 1e308 K converter overflows; it used to be
+    # written as inf cells with an empty error, or end in "snr must be >= 0"
+    cfg = parse_config(POINT_CFG.replace("n_w, n_o, e_metric, fom", select)
+                       + "\n[eom]\nt_eom = 1e308 k\n")
+    (header, row) = _parse_csv(run_sweep(cfg))
+    record = dict(zip(header, row))
+    assert record["stable"] == "1"
+    assert record["error"] == "OverflowError: Planck occupation overflows float64 at 1e+308 K"
+    assert all(record[token] == "" for token in cfg.outputs)
+    assert "inf" not in ",".join(row)
 
 
 def test_sweep_qualitative_entanglement_region(params):
