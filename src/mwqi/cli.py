@@ -7,8 +7,8 @@ Subcommands::
     mwqi report <config>  single-point report with invariant checks
 
 Exit codes: 0 success, 1 config error, 2 physics error (instability, a
-non-physical state, a metric undefined at zero photons, or a stability test
-that overflows float64), 3 validation failure.
+non-physical state, a metric undefined at zero photons, or a quantity that
+overflows float64), 3 validation failure.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ l^3 + p2 l^2 + p1 l + p0 with G_j^2 = Gamma_j*kappa_j*gamma_m and
     p1 = (gamma_m/2)(kappa_w + kappa_o) + kappa_w*kappa_o + G_w^2 - G_o^2
     p0 = (gamma_m/2) kappa_w kappa_o + G_w^2 kappa_o - G_o^2 kappa_w,
 
-solved in closed form; the 6x6 ``drift_matrix`` is kept as its test oracle.
+solved in closed form.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .states import TwoModeGaussianState, standard_form
 
@@ -66,7 +64,6 @@ __all__ = [
     "source_moments",
     "source_state",
     "entanglement_metric",
-    "drift_matrix",
     "is_stable",
 ]
 
@@ -98,8 +95,6 @@ class EomParams:
         Microwave cavity frequency.
     lambda_o : float
         Optical wavelength in meters.
-    g_w, g_o : float
-        Single-photon electro- and opto-mechanical coupling rates.
     t_eom : float
         Converter temperature in kelvin.
     """
@@ -110,14 +105,11 @@ class EomParams:
     kappa_o: float
     omega_w: float
     lambda_o: float
-    g_w: float
-    g_o: float
     t_eom: float
 
     def __post_init__(self):
         # written so that NaN fails too
-        for name in ("omega_m", "q_factor", "kappa_w", "kappa_o",
-                     "omega_w", "lambda_o", "g_w", "g_o"):
+        for name in ("omega_m", "q_factor", "kappa_w", "kappa_o", "omega_w", "lambda_o"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
         if not 0.0 <= self.t_eom < math.inf:
@@ -148,8 +140,6 @@ def nominal_params(t_eom: float = 30e-3) -> EomParams:
         kappa_o=0.1 * omega_m,
         omega_w=2 * math.pi * 10e9,
         lambda_o=1064e-9,
-        g_w=2 * math.pi * 0.327,
-        g_o=2 * math.pi * 115.512,
         t_eom=t_eom,
     )
 
@@ -165,18 +155,6 @@ class Cooperativities:
         # written so that NaN fails too
         if not (0.0 <= self.gamma_w < math.inf and 0.0 <= self.gamma_o < math.inf):
             raise ValueError("cooperativities must be finite and >= 0")
-
-    @classmethod
-    def from_intracavity_photons(cls, params: EomParams,
-                                 n_w_cavity: float, n_o_cavity: float) -> "Cooperativities":
-        """Cooperativities from mean drive-induced intracavity photon numbers.
-
-        The multi-photon rates are G_j = g_j * sqrt(N_j).
-        """
-        gm = params.gamma_m
-        gw = params.g_w ** 2 * n_w_cavity / (params.kappa_w * gm)
-        go = params.g_o ** 2 * n_o_cavity / (params.kappa_o * gm)
-        return cls(gamma_w=gw, gamma_o=go)
 
 
 @dataclass(frozen=True)
@@ -341,29 +319,6 @@ def entanglement_metric(m: SourceMoments) -> float:
     if m.n_w <= 0 or m.n_o <= 0:
         raise UndefinedMetricError("entanglement metric undefined at zero photon number")
     return m.cross / math.sqrt(m.n_w * m.n_o)
-
-
-def drift_matrix(coop: Cooperativities, params: EomParams) -> np.ndarray:
-    """Drift matrix of the linearized quadrature dynamics.
-
-    Ordering (x_b, p_b, x_w, p_w, x_o, p_o) for the mechanical, microwave,
-    and optical fluctuation modes, with damping rates gamma_m/2, kappa_w,
-    kappa_o and multi-photon couplings G_j = sqrt(Gamma_j*kappa_j*gamma_m).
-    :func:`is_stable` does not build it; it is the oracle of that test.
-    """
-    gm = params.gamma_m
-    g_w = math.sqrt(coop.gamma_w * params.kappa_w * gm)
-    g_o = math.sqrt(coop.gamma_o * params.kappa_o * gm)
-    g2 = gm / 2.0
-    kw, ko = params.kappa_w, params.kappa_o
-    return np.array([
-        [-g2, 0.0, 0.0, g_w, 0.0, -g_o],
-        [0.0, -g2, -g_w, 0.0, -g_o, 0.0],
-        [0.0, g_w, -kw, 0.0, 0.0, 0.0],
-        [-g_w, 0.0, 0.0, -kw, 0.0, 0.0],
-        [0.0, -g_o, 0.0, 0.0, -ko, 0.0],
-        [-g_o, 0.0, 0.0, 0.0, 0.0, -ko],
-    ])
 
 
 def is_stable(coop: Cooperativities, params: EomParams) -> StabilityReport:

@@ -63,16 +63,16 @@ def coherent_information(state: TwoModeGaussianState) -> float:
     return entropy(max(state.a, 1.0)) - entropy(data.nu_plus) - entropy(data.nu_minus)
 
 
-def gaussian_discord(state: TwoModeGaussianState, measured_mode: int = 1) -> float:
-    """Gaussian quantum discord with the measurement on ``measured_mode``.
+def gaussian_discord(state: TwoModeGaussianState) -> float:
+    """Gaussian quantum discord with the measurement on the second mode.
 
     discord = g(sqrt(B)) - g(nu_plus) - g(nu_minus) + g(sqrt(E_min)), in the
     closed form of Adesso & Datta, PRL 105, 030501 (2010) (also Giorda & Paris,
     PRL 105, 020503 (2010)).  A = det alpha, B = det beta, C = det gamma and
     D = det sigma are the local symplectic invariants, with beta the measured
-    mode's block, alpha the kept mode's block and gamma their coupling.
-    E_min is the smallest determinant of the kept mode's covariance after a
-    Gaussian measurement on the measured mode, attained on one of two
+    (second) mode's block, alpha the kept (first) mode's block and gamma their
+    coupling.  E_min is the smallest determinant of the kept mode's covariance
+    after a Gaussian measurement on the measured mode, attained on one of two
     branches:
 
     * heterodyne type, when (D - AB)^2 <= (1 + B) C^2 (A + D):
@@ -81,16 +81,14 @@ def gaussian_discord(state: TwoModeGaussianState, measured_mode: int = 1) -> flo
       E_min = (S - sqrt(S^2 - 4ABD)) / (2B) with S = AB + D - C^2, evaluated
       as 2AD / (S + sqrt(S^2 - 4ABD)) to avoid the cancellation.
 
-    With the default ``measured_mode=1`` and a source state built as
-    (microwave, optical) this is the discord of the microwave arm conditioned
-    on measuring the retained optical idler.
+    With a source state built as (microwave, optical) this is the discord of
+    the microwave arm conditioned on measuring the retained optical idler.
+    The other direction is the discord of the mode-swapped state
+    ``TwoModeGaussianState(state.b, state.a, state.c_x, state.c_p)``.
     """
-    if measured_mode not in (0, 1):
-        raise ValueError("measured_mode must be 0 or 1")
     data = symplectic_spectrum(state)
     # a: kept mode, b: measured mode; A = a^2, B = b^2, C = c_x c_p
-    a, b = (state.a, state.b) if measured_mode == 1 else (state.b, state.a)
-    c_x, c_p = state.c_x, state.c_p
+    a, b, c_x, c_p = state.a, state.b, state.c_x, state.c_p
     a2, b2, c = a * a, b * b, c_x * c_p
     d = (data.nu_plus * data.nu_minus) ** 2
     if (d - a2 * b2) ** 2 <= (1 + b2) * c * c * (a2 + d):
@@ -121,7 +119,7 @@ def correlation_report(m: SourceMoments) -> CorrelationReport:
     e = 0.0 if m.cross == 0.0 else entanglement_metric(m)
     en = log_negativity(state)
     info = coherent_information(state)
-    disc = gaussian_discord(state, measured_mode=1)
+    disc = gaussian_discord(state)
     return CorrelationReport(
         e_metric=e,
         log_neg=en,

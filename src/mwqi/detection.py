@@ -83,17 +83,13 @@ class TargetChannelParams:
         propagation loss and target reflectivity; the physical regime is
         0 < eta << 1.
     n_b : float
-        Mean background photon number per mode.
-    exact_h1_background : bool
-        When True the background under H1 carries n_b / (1 - eta) photons so
-        that the background contribution to the return is exactly n_b; the
-        default keeps the plain n_b convention used by the reported numbers.
-        Library only: the sweep config always uses the default.
+        Mean background photon number per mode, under both hypotheses.  For
+        the background that leaves exactly n_b in the return under H1
+        (Tan et al., PRL 101, 253601 (2008)), pass n_b / (1 - eta).
     """
 
     eta: float
     n_b: float
-    exact_h1_background: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -162,15 +158,11 @@ def _return_moments(source: SourceMoments, ch: TargetChannelParams,
     """(n_R, cross_R): occupation of the returned mode and its correlation with the idler.
 
     Shared by :func:`return_state`, :func:`receiver_statistics` and the
-    Monte-Carlo oracle.  The H1 background is n_B, or n_B / (1 - eta) with
-    ``ch.exact_h1_background`` (not at eta = 1, where it does not enter).
+    Monte-Carlo oracle.
     """
     if hypothesis is Hypothesis.H0:
         return ch.n_b, 0.0
-    n_b = ch.n_b
-    if ch.exact_h1_background and ch.eta < 1.0:
-        n_b = ch.n_b / (1.0 - ch.eta)
-    return (ch.eta * source.n_w + (1.0 - ch.eta) * n_b,
+    return (ch.eta * source.n_w + (1.0 - ch.eta) * ch.n_b,
             math.sqrt(ch.eta) * source.cross)
 
 
@@ -188,12 +180,23 @@ def entanglement_threshold(source: SourceMoments, eta: float) -> float:
 
 
 def snr_per_mode(mu0: float, mu1: float, var0: float, var1: float) -> float:
-    """Generic threshold-test SNR coefficient, 4 (mu1 - mu0)^2 / (sqrt(var0) + sqrt(var1))^2."""
+    """Generic threshold-test SNR coefficient, 4 (mu1 - mu0)^2 / (sqrt(var0) + sqrt(var1))^2.
+
+    A statistic or SNR that is not finite raises OverflowError, which names them.
+    """
     if var0 <= 0 or var1 <= 0:
         if mu1 == mu0:
             return 0.0  # no photons at all: a blind receiver, not an error
         raise ValueError("variances must be > 0")
-    return 4.0 * (mu1 - mu0) ** 2 / (math.sqrt(var0) + math.sqrt(var1)) ** 2
+    try:  # ** 2, not x * x: the byte-exact fom goldens hold the roundings of pow
+        snr = 4.0 * (mu1 - mu0) ** 2 / (math.sqrt(var0) + math.sqrt(var1)) ** 2
+    except OverflowError:  # a bare range error, named below
+        snr = math.inf
+    # a non-finite mean reaches snr; an infinite variance alone would give a blind snr 0
+    if not math.isfinite(snr + var0 + var1):
+        raise OverflowError("receiver statistics overflow float64: "
+                            f"mu0={mu0!r}, mu1={mu1!r}, var0={var0!r}, var1={var1!r}")
+    return snr
 
 
 def receiver_statistics(source: SourceMoments, ch: TargetChannelParams,

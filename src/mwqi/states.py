@@ -29,10 +29,8 @@ __all__ = [
     "SymplecticData",
     "standard_form",
     "two_mode_squeezed_vacuum",
-    "thermal_product",
     "symplectic_spectrum",
     "entropy",
-    "sample_quadratures",
 ]
 
 
@@ -162,11 +160,6 @@ def two_mode_squeezed_vacuum(r: float) -> TwoModeGaussianState:
                                 spectrum=SymplecticData(1.0, 1.0, math.exp(-2.0 * r)))
 
 
-def thermal_product(n_1: float, n_2: float) -> TwoModeGaussianState:
-    """Uncorrelated product of two thermal states."""
-    return standard_form(n_1, n_2, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # symplectic spectrum
 # ---------------------------------------------------------------------------
@@ -257,15 +250,3 @@ def _gaussian_factor(cm) -> np.ndarray:
     """
     w, u = np.linalg.eigh(np.asarray(cm, dtype=float))
     return (u * np.sqrt(np.clip(w, 0.0, None))).T
-
-
-def sample_quadratures(state: TwoModeGaussianState, count: int, seed: int) -> np.ndarray:
-    """Draw i.i.d. quadrature 4-vectors (x1, p1, x2, p2) from the state.
-
-    The stream is deterministic for a fixed seed.  The sample covariance
-    converges to ``state.cm`` entrywise as the count grows.
-    """
-    if count < 1:
-        raise ValueError("sample count must be >= 1")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((count, 4)) @ _gaussian_factor(state.cm)

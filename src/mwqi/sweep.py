@@ -99,8 +99,7 @@ _RANGES = {
 # (section, key) -> (kind, allowed range).  A kind is a unit family of
 # _parse_quantity, "switch" for on/off, or an int: the least allowed count.
 _KEYS = {
-    **{("eom", key): ("freq", "> 0")
-       for key in ("omega_m", "kappa_w", "kappa_o", "omega_w", "g_w", "g_o")},
+    **{("eom", key): ("freq", "> 0") for key in ("omega_m", "kappa_w", "kappa_o", "omega_w")},
     ("eom", "q_factor"): ("plain", "> 0"),
     ("eom", "lambda_o"): ("length", "> 0"),
     ("eom", "t_eom"): ("temp", ">= 0"),
@@ -389,12 +388,13 @@ def _base_point(config: SweepConfig) -> tuple[_Drive, StabilityReport]:
 
 
 def _point_values(drive: _Drive, config: SweepConfig, overrides: dict[str, float],
-                  channels: dict[tuple, TargetChannelParams]) -> tuple[float, ...]:
-    """Metric values of one stable grid point; may raise physics errors."""
+                  channels: dict[tuple, TargetChannelParams],
+                  plan: list[tuple[str, float | None]]) -> tuple[float, ...]:
+    """Metric values of one stable grid point, one per ``plan`` entry; may raise physics errors."""
     _, baths, m = drive.source
     values = []
     ch = stats = None
-    for token in config.outputs:
+    for token, modes in plan:
         if token in ("n_w", "n_o"):
             value = getattr(m, token)
         elif token == "e_metric":
@@ -414,9 +414,8 @@ def _point_values(drive: _Drive, config: SweepConfig, overrides: dict[str, float
             else:
                 if stats is None:
                     stats = receiver_statistics(m, ch, rx, baths)
-                kind, _, modes = token.partition("@")
-                snr = stats.snr_per_m if kind == "p_qi" else coherent_snr_per_mode(m.n_w, ch)
-                value = error_probability(snr, float(modes))
+                snr = stats.snr_per_m if token == "p_qi" else coherent_snr_per_mode(m.n_w, ch)
+                value = error_probability(snr, modes)
         values.append(value)
     return tuple(values)
 
@@ -450,6 +449,9 @@ def run_sweep(config: SweepConfig) -> str:
     texts = [[_fmt(value) for value in column] for column in columns]
     template = ",".join(["%.16e"] * len(config.outputs))  # the cells of _fmt
     no_metrics = "," * (len(config.outputs) - 1)
+    # each output as (name, mode count), split once: p_qi@M and p_coh@M carry M
+    plan = [(name, float(modes) if modes else None)
+            for name, _, modes in (token.partition("@") for token in config.outputs)]
     channels: dict[tuple, TargetChannelParams] = {}
     drive_key = drive = None  # only the last drive point is kept
     rows = []
@@ -463,7 +465,7 @@ def run_sweep(config: SweepConfig) -> str:
             stability = is_stable(drive.coop, drive.params)
             stability_cells = "%d,%.16e" % (stability.stable, stability.margin)
             if stability.stable:
-                metrics = template % _point_values(drive, config, overrides, channels)
+                metrics = template % _point_values(drive, config, overrides, channels, plan)
         except ConfigError:
             raise
         except Exception as exc:  # recorded per point, sweep continues

@@ -22,9 +22,13 @@ from mwqi import (
     source_moments,
     source_state,
     standard_form,
-    thermal_product,
     two_mode_squeezed_vacuum,
 )
+
+
+def _swapped(state):
+    """The state with its two modes exchanged: gaussian_discord of it measures mode 0."""
+    return TwoModeGaussianState(state.b, state.a, state.c_x, state.c_p)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +47,7 @@ def test_log_negativity_tmsv():
 
 @pytest.mark.parametrize("n1,n2", [(0.5, 0.5), (3.0, 1.0), (20.0, 0.1)])
 def test_log_negativity_separable(n1, n2):
-    assert log_negativity(thermal_product(n1, n2)) == 0.0
+    assert log_negativity(standard_form(n1, n2, 0.0)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +63,7 @@ def test_coherent_information_tmsv():
 
 
 def test_coherent_information_product_thermal():
-    assert coherent_information(thermal_product(1.0, 1.0)) == pytest.approx(-2.0, abs=1e-12)
+    assert coherent_information(standard_form(1.0, 1.0, 0.0)) == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_coherent_information_vacuum():
@@ -134,7 +138,7 @@ def _is_homodyne(log_s):
 
 @pytest.mark.parametrize("n1,n2", [(0.4, 1.3), (2.0, 2.0), (0.4, 0.0)])
 def test_discord_product_state(n1, n2):
-    assert abs(gaussian_discord(thermal_product(n1, n2))) < 1e-6
+    assert abs(gaussian_discord(standard_form(n1, n2, 0.0))) < 1e-6
 
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 1.0, 2.0])
@@ -164,10 +168,10 @@ def test_discord_restart_robustness(ref_moments):
 def test_discord_both_directions():
     state = two_mode_squeezed_vacuum(0.8)
     # symmetric state: both conditioning directions coincide
-    assert gaussian_discord(state, measured_mode=0) == pytest.approx(
-        gaussian_discord(state, measured_mode=1), abs=1e-7)
-    with pytest.raises(ValueError):
-        gaussian_discord(state, measured_mode=2)
+    assert gaussian_discord(_swapped(state)) == pytest.approx(
+        gaussian_discord(state), abs=1e-7)
+    assert gaussian_discord(_swapped(state)) == pytest.approx(
+        _oracle_discord(state, measured_mode=0)[0], abs=1e-6)
 
 
 def test_discord_nonnegative_on_random_states():
@@ -190,7 +194,7 @@ def test_discord_asymmetric_states_match_oracle(blocks, homodyne, measured_mode)
     state = TwoModeGaussianState(*blocks)
     expected, log_s = _oracle_discord(state, measured_mode=measured_mode)
     assert _is_homodyne(log_s) == homodyne
-    value = gaussian_discord(state, measured_mode=measured_mode)
+    value = gaussian_discord(state if measured_mode == 1 else _swapped(state))
     assert value >= 0.0
     assert value == pytest.approx(expected, abs=1e-6)
 

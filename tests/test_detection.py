@@ -73,18 +73,6 @@ def test_return_cross_independent_of_background(ref_moments):
     assert occ[0] < occ[1] < occ[2]
 
 
-def test_exact_h1_background_flag(ref_moments):
-    eta = 0.2
-    approx = TargetChannelParams(eta=eta, n_b=100.0)
-    exact = TargetChannelParams(eta=eta, n_b=100.0, exact_h1_background=True)
-    cm_a = np.asarray(return_state(ref_moments, approx, Hypothesis.H1).cm, float)
-    cm_e = np.asarray(return_state(ref_moments, exact, Hypothesis.H1).cm, float)
-    n_a = (cm_a[0, 0] - 1) / 2
-    n_e = (cm_e[0, 0] - 1) / 2
-    assert n_a == pytest.approx(eta * ref_moments.n_w + (1 - eta) * 100.0, rel=1e-12)
-    assert n_e == pytest.approx(eta * ref_moments.n_w + 100.0, rel=1e-12)
-
-
 def test_channel_validation():
     with pytest.raises(ValueError):
         TargetChannelParams(eta=1.5, n_b=1.0)
@@ -119,12 +107,12 @@ def test_threshold_separable_source_clamped():
 
 
 def test_threshold_separates_entangled_return(ref_moments, ref_channel):
-    # with the exact H1 background the separability boundary sits exactly at
-    # the threshold value
-    thresh = entanglement_threshold(ref_moments, ref_channel.eta)
+    # with the exact H1 background, n_b / (1 - eta), the separability
+    # boundary sits exactly at the threshold value
+    eta = ref_channel.eta
+    thresh = entanglement_threshold(ref_moments, eta)
     for factor, entangled in ((0.8, True), (1.2, False)):
-        ch = TargetChannelParams(eta=ref_channel.eta, n_b=factor * thresh,
-                                 exact_h1_background=True)
+        ch = TargetChannelParams(eta=eta, n_b=factor * thresh / (1.0 - eta))
         state = return_state(ref_moments, ch, Hypothesis.H1)
         assert (log_negativity(state) > 0.0) is entangled
 
@@ -164,11 +152,8 @@ def test_receiver_mean_shift(ref_moments, ref_channel, ref_coefficients, baths):
 def _pair_formula(source, ch, rx, baths):
     """(mu0, var0, mu1, var1) written out from the per-pair (N_1, N_2, S)."""
     coef, k_i = rx.coef, rx.idler_transmissivity
-    n_b1 = ch.n_b
-    if ch.exact_h1_background and ch.eta < 1.0:
-        n_b1 = ch.n_b / (1.0 - ch.eta)
     returns = [(ch.n_b, 0.0),
-               (ch.eta * source.n_w + (1.0 - ch.eta) * n_b1, math.sqrt(ch.eta) * source.cross)]
+               (ch.eta * source.n_w + (1.0 - ch.eta) * ch.n_b, math.sqrt(ch.eta) * source.cross)]
     out = []
     for n_r, cross_r in returns:
         n_1 = (coef.b ** 2 * (n_r + 1.0) + coef.a_o ** 2 * baths.n_o
@@ -184,8 +169,9 @@ def _pair_formula(source, ch, rx, baths):
 @pytest.mark.parametrize("kappa_i", [1.0, 0.6])
 def test_receiver_statistics_match_pair_formula(ref_moments, ref_coefficients, baths,
                                                 eta, exact, kappa_i):
-    # a warm optical bath and a lossy idler, which the goldens never reach
-    ch = TargetChannelParams(eta=eta, n_b=600.0, exact_h1_background=exact)
+    # a warm optical bath and a lossy idler, which the goldens never reach;
+    # the exact H1 background n_b / (1 - eta) is n_b at eta = 1, where it does not enter
+    ch = TargetChannelParams(eta=eta, n_b=600.0 / (1.0 - eta) if exact and eta < 1.0 else 600.0)
     rx = ReceiverParams(ref_coefficients, idler_transmissivity=kappa_i)
     warm = mwqi.BathOccupations(n_w=baths.n_w, n_o=0.4, n_b=baths.n_b)
     stats = receiver_statistics(ref_moments, ch, rx, warm)
@@ -221,6 +207,18 @@ def test_snr_convention_anchor():
         generic = snr_per_mode(0.0, mu1, var, var)
         quoted = 4.0 * eta * n_w / (2.0 * n_b + 1.0)
         assert abs(generic - quoted) / quoted < 1e-12
+
+
+@pytest.mark.parametrize("stats", [
+    (0.0, 1e200, 1.0, 1.0),  # the squared mean shift; it raised a bare range error
+    (0.0, 1e154, 1e308, 1e308),  # the squared denominator, likewise
+    (0.0, 1.0, math.inf, 1.0),  # an infinite variance, else a silently blind receiver
+    (0.0, 1e150, 1e-200, 1e-200),  # the quotient
+    (math.nan, 1.0, 1.0, 1.0),
+], ids=["mean-shift", "denominator", "variance", "quotient", "nan-mean"])
+def test_snr_overflow_is_named(stats):
+    with pytest.raises(OverflowError, match="receiver statistics overflow float64: mu0="):
+        snr_per_mode(*stats)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +454,7 @@ def test_mc_oracle_pins_draw_order(ref_moments, ref_channel, ref_coefficients, b
                                    hypothesis, seed):
     # lossy idler (vacuum port in use), a thermal optical bath and the exact
     # H1 background, so every entry of the receiver map is exercised
-    ch = TargetChannelParams(eta=ref_channel.eta, n_b=600.0, exact_h1_background=True)
+    ch = TargetChannelParams(eta=ref_channel.eta, n_b=600.0 / (1.0 - ref_channel.eta))
     rx = ReceiverParams(ref_coefficients, idler_transmissivity=0.6)
     warm = mwqi.BathOccupations(n_w=baths.n_w, n_o=0.4, n_b=baths.n_b)
     mc = mc_receiver_statistics(ref_moments, ch, rx, warm, hypothesis,

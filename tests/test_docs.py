@@ -1,6 +1,6 @@
-"""The documented config examples parse, the documented flag set holds, the
-package exports exactly the submodules' public names, and the sources keep
-the declared Python floor."""
+"""The documented config examples parse, the README quick start runs, the
+documented flag set holds, the package exports exactly the submodules' public
+names, and the sources keep the declared Python floor."""
 
 import ast
 import re
@@ -25,6 +25,21 @@ def test_readme_config_block_parses():
     block, = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     config = parse_config(block)
     assert config.axes and config.outputs and config.mc_validation
+
+
+def test_readme_lists_every_eom_key():
+    text = README.read_text(encoding="utf-8")
+    keys = [key for section, key in sweep._KEYS if section == "eom"]
+    assert len(keys) == 7 and all(f"`{key}`" in text for key in keys)
+
+
+def test_readme_quick_start_runs(capsys):
+    block, = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    exec(compile(block, str(README), "exec"), {})
+    report, fom, p_qi = capsys.readouterr().out.splitlines()
+    assert report.startswith("CorrelationReport(e_metric=")
+    assert float(fom) > 1.0
+    assert 0.0 < float(p_qi) < 0.5
 
 
 def test_sweep_docstring_example_parses():

@@ -16,13 +16,12 @@ from mwqi import (
     TwoModeGaussianState,
     entropy,
     return_state,
-    sample_quadratures,
     source_state,
     standard_form,
     symplectic_spectrum,
-    thermal_product,
     two_mode_squeezed_vacuum,
 )
+from mwqi.states import _gaussian_factor
 
 
 def test_vacuum_is_identity_cm():
@@ -95,7 +94,7 @@ def test_cross_phase_is_absorbed():
     lambda: TwoModeGaussianState(4.6, 16.1, 5.0, -7.2),
     lambda: standard_form(0.739, 0.681, 1.084),
     lambda: two_mode_squeezed_vacuum(1.0),
-    lambda: thermal_product(1.0, 2.0),
+    lambda: standard_form(1.0, 2.0, 0.0),
     lambda: source_state(SourceMoments(n_w=0.739, n_o=0.681, cross=1.084)),
     lambda: return_state(SourceMoments(n_w=0.739, n_o=0.681, cross=1.084),
                          TargetChannelParams(eta=0.07, n_b=610.0), Hypothesis.H1),
@@ -162,7 +161,7 @@ def test_spectrum_vacuum():
 
 
 def test_spectrum_thermal_product():
-    data = symplectic_spectrum(thermal_product(1.0, 1.0))
+    data = symplectic_spectrum(standard_form(1.0, 1.0, 0.0))
     assert data.nu_plus == pytest.approx(3.0, abs=1e-12)
     assert data.nu_minus == pytest.approx(3.0, abs=1e-12)
 
@@ -247,8 +246,20 @@ def test_entropy_domain_error():
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# sampling through the factor of the Monte-Carlo receiver oracle
 # ---------------------------------------------------------------------------
+
+def sample_quadratures(state, count, seed):
+    """Draw i.i.d. quadrature 4-vectors (x1, p1, x2, p2) from the state.
+
+    The stream is deterministic for a fixed seed.  The sample covariance
+    converges to ``state.cm`` entrywise as the count grows.
+    """
+    if count < 1:
+        raise ValueError("sample count must be >= 1")
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((count, 4)) @ _gaussian_factor(state.cm)
+
 
 def test_sampling_vacuum_variance():
     q = sample_quadratures(standard_form(0.0, 0.0, 0.0), 10 ** 6, seed=123)

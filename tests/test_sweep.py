@@ -78,6 +78,10 @@ def test_parse_error_diagnostics():
     with pytest.raises(ConfigError) as err:
         parse_config("[channel]\nexact_h1 = on\n")  # library-only switch
     assert "exact_h1" in str(err.value)
+    for key in ("g_w", "g_o"):  # single-photon couplings: no output reads them
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[eom]\n{key} = 1 hz\n")
+        assert f"unknown eom parameter '{key}'" in str(err.value)
 
 
 @pytest.mark.parametrize("entry", [
@@ -405,6 +409,30 @@ def test_overflowing_source_occupation_is_named(select):
     assert record["error"] == "OverflowError: Planck occupation overflows float64 at 1e+308 K"
     assert all(record[token] == "" for token in cfg.outputs)
     assert "inf" not in ",".join(row)
+
+
+@pytest.mark.parametrize("eom, axes, named", [
+    ("", ("t_eom log 1e154 1e300 5",), 5),
+    # the drive plane of advantage_surface.cfg, where 25 rows held nan or inf fom cells
+    ("[eom]\nt_eom = 1e154 k\n", ("gamma_w log 1e2 1e4 25", "gamma_o log 1e1 1e3 25"), 305),
+], ids=["t_eom-axis", "drive-plane"])
+def test_overflowing_receiver_statistics_are_named(eom, axes, named):
+    # from t_eom ~ 1e154 K the receiver moments pass float64; rows used to end
+    # in the bare "OverflowError: (34; 'Numerical result out of range')"
+    cfg = parse_config(POINT_CFG.replace("n_w, n_o, e_metric, fom", "n_w, fom, p_qi@1e6, p_coh@1e6")
+                       + eom + "[grid]\n" + "".join(f"axis = {a}\n" for a in axes))
+    header, *data = _parse_csv(run_sweep(cfg))
+    errors = 0
+    for row in data:
+        record = dict(zip(header, row))
+        if record["error"]:
+            assert record["error"].startswith(
+                "OverflowError: receiver statistics overflow float64: mu0=0.0; mu1="), record
+            assert all(record[token] == "" for token in cfg.outputs)
+            errors += 1
+        elif record["stable"] == "1":
+            assert all(math.isfinite(float(record[token])) for token in cfg.outputs), record
+    assert errors == named
 
 
 def test_sweep_qualitative_entanglement_region(params):
