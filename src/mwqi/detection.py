@@ -188,12 +188,18 @@ def snr_per_mode(mu0: float, mu1: float, var0: float, var1: float) -> float:
         if mu1 == mu0:
             return 0.0  # no photons at all: a blind receiver, not an error
         raise ValueError("variances must be > 0")
+    dmu, sd = mu1 - mu0, math.sqrt(var0) + math.sqrt(var1)
     try:  # ** 2, not x * x: the byte-exact fom goldens hold the roundings of pow
-        snr = 4.0 * (mu1 - mu0) ** 2 / (math.sqrt(var0) + math.sqrt(var1)) ** 2
+        snr = 4.0 * dmu ** 2 / sd ** 2
     except OverflowError:  # a bare range error, named below
         snr = math.inf
+    if snr == math.inf:  # a square of the first form can overflow where the snr does not
+        try:
+            snr = 4.0 * (dmu / sd) ** 2
+        except OverflowError:
+            pass
     # a non-finite mean reaches snr; an infinite variance alone would give a blind snr 0
-    if not math.isfinite(snr + var0 + var1):
+    if not math.isfinite(snr + sd):
         raise OverflowError("receiver statistics overflow float64: "
                             f"mu0={mu0!r}, mu1={mu1!r}, var0={var0!r}, var1={var1!r}")
     return snr

@@ -49,7 +49,6 @@ from .converter import (
     Cooperativities,
     EomParams,
     InstabilityError,
-    StabilityReport,
     bath_occupations,
     coefficients,
     entanglement_metric,
@@ -118,6 +117,8 @@ _KEYS = {
 }
 _SECTIONS = {section for section, _ in _KEYS} | {"grid", "outputs"}
 _AXIS_NAMES = ("gamma_w", "gamma_o", "eta", "t_b", "t_eom", "kappa_i")
+_NEEDED = {"gamma_w": "[drive] gamma_w", "gamma_o": "[drive] gamma_o",
+           "eta": "[channel] eta", "t_b": "[channel] t_b or n_b"}
 _PLAIN_OUTPUTS = ("n_w", "n_o", "e_metric", "log_neg_per_photon",
                   "coh_info_per_photon", "discord_per_photon", "fom")
 
@@ -331,93 +332,48 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
-class _Drive:
-    """One drive point (t_eom, gamma_w, gamma_o) and the work that depends on it
-    alone.  A value, cached property or receiver, is kept only once computed, so
-    a failing step raises again, with the same text, at each row that asks."""
-
-    def __init__(self, config: SweepConfig, overrides: dict[str, float]):
-        params = config.params
-        if "t_eom" in overrides:
-            params = dataclasses.replace(params, t_eom=overrides["t_eom"])
-        gamma_w = overrides.get("gamma_w", config.gamma_w)
-        gamma_o = overrides.get("gamma_o", config.gamma_o)
-        if gamma_w is None or gamma_o is None:
-            raise ConfigError("gamma_w and gamma_o must come from [drive] or a grid axis",
-                              field_name="gamma_w")
-        self.params, self.coop = params, Cooperativities(gamma_w, gamma_o)
-        self.receivers: dict[float, ReceiverParams] = {}
-
-    @functools.cached_property
-    def source(self):
-        """(coefficients, bath occupations, source moments); the point must be stable."""
-        coef = coefficients(self.coop)
-        baths = bath_occupations(self.params)
-        return coef, baths, source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
-
-    @functools.cached_property
-    def report(self):
-        return correlation_report(self.source[2])
-
-    def receiver(self, kappa_i: float) -> ReceiverParams:
-        rx = self.receivers.get(kappa_i)
-        if rx is None:
-            rx = self.receivers[kappa_i] = ReceiverParams(self.source[0], kappa_i)
-        return rx
+def _check_config(config: SweepConfig, needs_channel: bool, axes=None) -> None:
+    """Raise :class:`ConfigError` naming the first needed value that is missing.
+    Only a sweep passes ``axes``: the base point of fig3 and report takes none."""
+    given = {axis.name for axis in axes or ()} | {
+        key for key in ("gamma_w", "gamma_o", "eta", "t_b") if getattr(config, key) is not None}
+    for key in ("gamma_w", "gamma_o") + (("eta", "t_b") if needs_channel else ()):
+        if key not in given and not (key == "t_b" and config.n_b is not None):
+            where = " (a value or a grid axis)" if axes is not None else ""
+            raise ConfigError(f"missing {_NEEDED[key]}{where}", field_name=key)
 
 
-def _channel(config: SweepConfig, eta: float | None, t_b: float | None) -> TargetChannelParams:
+def _drive_point(config: SweepConfig, t_eom: float | None = None, gamma_w: float | None = None,
+                 gamma_o: float | None = None) -> tuple[Cooperativities, EomParams]:
+    """(cooperativities, params) at a drive point; a value left None is the base value."""
+    params = config.params if t_eom is None else dataclasses.replace(config.params, t_eom=t_eom)
+    return Cooperativities(config.gamma_w if gamma_w is None else gamma_w,
+                           config.gamma_o if gamma_o is None else gamma_o), params
+
+
+def _source(coop: Cooperativities, params: EomParams):
+    """(coefficients, bath occupations, source moments); the point must be stable."""
+    coef = coefficients(coop)
+    baths = bath_occupations(params)
+    return coef, baths, source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
+
+
+def _channel(config: SweepConfig, eta: float, t_b: float | None) -> TargetChannelParams:
     """Channel at eta whose background n_b is given, or the Planck occupation at t_b."""
-    n_b = config.n_b
-    if n_b is None and t_b is not None:
-        n_b = planck_occupation(config.params.omega_w, t_b)
-    if eta is None or n_b is None:
-        raise ConfigError("channel outputs selected but [channel] eta/t_b missing",
-                          field_name="eta")
+    n_b = config.n_b if config.n_b is not None else planck_occupation(config.params.omega_w, t_b)
     return TargetChannelParams(eta=eta, n_b=n_b)
 
 
-def _base_point(config: SweepConfig) -> tuple[_Drive, StabilityReport]:
-    """The drive point at the base values; raises :class:`InstabilityError` if unstable."""
-    drive = _Drive(config, {})
-    stability = is_stable(drive.coop, drive.params)
+def _base_point(config: SweepConfig, needs_channel: bool):
+    """(cooperativities, params, stability, source) at the checked config's base
+    values; raises :class:`InstabilityError` if the point is unstable."""
+    _check_config(config, needs_channel)
+    coop, params = _drive_point(config)
+    stability = is_stable(coop, params)
     if not stability.stable:
         raise InstabilityError(
             f"operating point unstable, margin {stability.margin!r} rad/s")
-    return drive, stability
-
-
-def _point_values(drive: _Drive, config: SweepConfig, overrides: dict[str, float],
-                  channels: dict[tuple, TargetChannelParams],
-                  plan: list[tuple[str, float | None]]) -> tuple[float, ...]:
-    """Metric values of one stable grid point, one per ``plan`` entry; may raise physics errors."""
-    _, baths, m = drive.source
-    values = []
-    ch = stats = None
-    for token, modes in plan:
-        if token in ("n_w", "n_o"):
-            value = getattr(m, token)
-        elif token == "e_metric":
-            value = 0.0 if m.cross == 0.0 else entanglement_metric(m)
-        elif token in ("log_neg_per_photon", "coh_info_per_photon", "discord_per_photon"):
-            value = getattr(drive.report, token)
-        else:
-            if ch is None:
-                # built on first use: a bad axis eta fails only the outputs that need it
-                key = (overrides.get("eta", config.eta), overrides.get("t_b", config.t_b))
-                ch = channels.get(key)  # kept only once built, as in _Drive
-                if ch is None:
-                    ch = channels[key] = _channel(config, *key)
-                rx = drive.receiver(overrides.get("kappa_i", config.kappa_i))
-            if token == "fom":
-                value = figure_of_merit(m, ch, rx, baths)
-            else:
-                if stats is None:
-                    stats = receiver_statistics(m, ch, rx, baths)
-                snr = stats.snr_per_m if token == "p_qi" else coherent_snr_per_mode(m.n_w, ch)
-                value = error_probability(snr, modes)
-        values.append(value)
-    return tuple(values)
+    return coop, params, stability, _source(coop, params)
 
 
 def _meta_lines(config: SweepConfig) -> list[str]:
@@ -434,40 +390,73 @@ def run_sweep(config: SweepConfig) -> str:
     One row per grid point in row-major order (first axis slowest).  Unstable
     points keep their stability flag and margin but leave the metric cells
     empty; a failure at one point lands in the ``error`` column and never
-    aborts the sweep.  Output is byte-identical for identical config and
-    seed, and each row is the same whatever the axis order.  Stability and
-    the receiver statistics are evaluated at every point; the rest is built
-    once per key and kept, once built, for this call only: the source work
-    per run of consecutive rows at one drive point (t_eom, gamma_w, gamma_o),
-    so channel axes listed after the drive axes run faster; the receiver per
-    (drive point, kappa_i); the channel per (eta, t_b).
+    aborts the sweep.  A config that leaves a needed value unset raises
+    :class:`ConfigError` before the first row.  Output is byte-identical for
+    identical config and seed, and each row is the same whatever the axis
+    order.  Stability and the receiver statistics are evaluated at every point.
     """
     if not config.outputs:
         raise ConfigError("no outputs selected", field_name="select")
+    # each output as (name, mode count), split once: p_qi@M and p_coh@M carry M
+    plan = [(name, float(modes) if modes else None)
+            for name, _, modes in (token.partition("@") for token in config.outputs)]
+    _check_config(config, any(name in ("fom", "p_qi", "p_coh") for name, _ in plan),
+                  config.axes)
     names = [axis.name for axis in config.axes]
     columns = [axis.values().tolist() for axis in config.axes]
     texts = [[_fmt(value) for value in column] for column in columns]
     template = ",".join(["%.16e"] * len(config.outputs))  # the cells of _fmt
     no_metrics = "," * (len(config.outputs) - 1)
-    # each output as (name, mode count), split once: p_qi@M and p_coh@M carry M
-    plan = [(name, float(modes) if modes else None)
-            for name, _, modes in (token.partition("@") for token in config.outputs)]
-    channels: dict[tuple, TargetChannelParams] = {}
-    drive_key = drive = None  # only the last drive point is kept
+
+    # Work shared between rows, kept for this call only.  The drive key is
+    # (t_eom, gamma_w, gamma_o), so source work is shared by consecutive rows
+    # at one drive point.  A cache stores a value only once its build returns,
+    # so a failing build raises again, with the same text, at each row that asks.
+    kappa_count = next((axis.count for axis in config.axes if axis.name == "kappa_i"), 1)
+    drive = functools.lru_cache(maxsize=1)(lambda key: _drive_point(config, *key))
+    source = functools.lru_cache(maxsize=1)(lambda key: _source(*drive(key)))
+    report = functools.lru_cache(maxsize=1)(lambda key: correlation_report(source(key)[2]))
+    receiver = functools.lru_cache(maxsize=kappa_count)(
+        lambda key, kappa_i: ReceiverParams(source(key)[0], kappa_i))
+    channel = functools.lru_cache(maxsize=None)(lambda eta, t_b: _channel(config, eta, t_b))
+
+    def point_values(key, point: dict[str, float]) -> tuple[float, ...]:
+        """Metric values of one stable grid point, one per ``plan`` entry."""
+        _, baths, m = source(key)
+        values = []
+        ch = stats = None
+        for token, modes in plan:
+            if token in ("n_w", "n_o"):
+                value = getattr(m, token)
+            elif token == "e_metric":
+                value = 0.0 if m.cross == 0.0 else entanglement_metric(m)
+            elif token in ("log_neg_per_photon", "coh_info_per_photon", "discord_per_photon"):
+                value = getattr(report(key), token)
+            else:
+                if ch is None:
+                    # built on first use: a bad axis eta fails only the outputs that need it
+                    ch = channel(point.get("eta", config.eta), point.get("t_b", config.t_b))
+                    rx = receiver(key, point.get("kappa_i", config.kappa_i))
+                if token == "fom":
+                    value = figure_of_merit(m, ch, rx, baths)
+                else:
+                    if stats is None:
+                        stats = receiver_statistics(m, ch, rx, baths)
+                    snr = stats.snr_per_m if token == "p_qi" else coherent_snr_per_mode(m.n_w, ch)
+                    value = error_probability(snr, modes)
+            values.append(value)
+        return tuple(values)
+
     rows = []
     for combo, cells in zip(itertools.product(*columns), itertools.product(*texts)):
         overrides = dict(zip(names, combo))
         stability_cells, metrics, error = ",", no_metrics, ""
         try:
             key = (overrides.get("t_eom"), overrides.get("gamma_w"), overrides.get("gamma_o"))
-            if key != drive_key:
-                drive, drive_key = _Drive(config, overrides), key
-            stability = is_stable(drive.coop, drive.params)
+            stability = is_stable(*drive(key))
             stability_cells = "%d,%.16e" % (stability.stable, stability.margin)
             if stability.stable:
-                metrics = template % _point_values(drive, config, overrides, channels, plan)
-        except ConfigError:
-            raise
+                metrics = template % point_values(key, overrides)
         except Exception as exc:  # recorded per point, sweep continues
             error = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
         rows.append(",".join([*cells, stability_cells, metrics, error]))
@@ -482,8 +471,7 @@ def run_figure3(config: SweepConfig) -> str:
     Columns: m, p_qi, p_coh, fom.  Requires a stable base operating point and
     a channel; probabilities come straight from the stdlib erfc.
     """
-    drive, _ = _base_point(config)
-    coef, baths, m = drive.source
+    *_, (coef, baths, m) = _base_point(config, needs_channel=True)
     ch = _channel(config, config.eta, config.t_b)
     rx = ReceiverParams(coef, config.kappa_i)
     snr_qi = receiver_statistics(m, ch, rx, baths).snr_per_m
@@ -511,8 +499,7 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
     :class:`InstabilityError` for an unstable point and
     :class:`PhysicalityError` for an unphysical source state.
     """
-    drive, stability = _base_point(config)
-    coef, baths, m = drive.source
+    coop, params, stability, (coef, baths, m) = _base_point(config, needs_channel=False)
     lines: list[str] = []
     checks: list[tuple[str, bool]] = []
 
@@ -520,8 +507,8 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
         checks.append((name, ok))
 
     lines.append("== operating point ==")
-    lines.append(f"gamma_w = {drive.coop.gamma_w:.6g}   gamma_o = {drive.coop.gamma_o:.6g}")
-    lines.append(f"t_eom = {drive.params.t_eom:.6g} K")
+    lines.append(f"gamma_w = {coop.gamma_w:.6g}   gamma_o = {coop.gamma_o:.6g}")
+    lines.append(f"t_eom = {params.t_eom:.6g} K")
     lines.append(f"stable: yes (margin {stability.margin:.6g} rad/s, "
                  f"adiabatic criterion {'holds' if stability.adiabatic_stable else 'violated'})")
     lines.append("")

@@ -122,6 +122,18 @@ def test_physics_error_exits_2(tmp_path, capsys, command, text, message):
     assert len(err.splitlines()) == 1
 
 
+def test_incomplete_config_exits_1_whatever_the_points(tmp_path, capsys):
+    # no [channel]: every sweep point is unstable, and so is the fig3 base point
+    path = tmp_path / "incomplete.cfg"
+    path.write_text("[drive]\ngamma_w = 10\n[grid]\naxis = gamma_o log 1e3 1e4 4\n"
+                    "[outputs]\nselect = n_w, fom\n")
+    assert cli.main(["sweep", str(path)]) == 1
+    path.write_text("[drive]\ngamma_w = 5181.95\ngamma_o = 7000\n" + FIG3_CFG)
+    assert cli.main(["fig3", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("config error: ") for line in err)
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_source_lands_in_error_column(tmp_path, capsys):
     path = tmp_path / "hot.cfg"

@@ -209,14 +209,19 @@ def test_snr_convention_anchor():
         assert abs(generic - quoted) / quoted < 1e-12
 
 
-@pytest.mark.parametrize("stats", [
-    (0.0, 1e200, 1.0, 1.0),  # the squared mean shift; it raised a bare range error
-    (0.0, 1e154, 1e308, 1e308),  # the squared denominator, likewise
-    (0.0, 1.0, math.inf, 1.0),  # an infinite variance, else a silently blind receiver
-    (0.0, 1e150, 1e-200, 1e-200),  # the quotient
-    (math.nan, 1.0, 1.0, 1.0),
-], ids=["mean-shift", "denominator", "variance", "quotient", "nan-mean"])
-def test_snr_overflow_is_named(stats):
+@pytest.mark.parametrize("stats, snr", [
+    ((0.0, 1e200, 1.0, 1.0), None),  # the squared mean shift; it raised a bare range error
+    # a squared denominator or mean shift that overflows where the snr does not
+    ((0.0, 1e154, 1e308, 1e308), 1.0),
+    ((0.0, 1.3e154, 1e300, 1e300), 1.69e8),
+    ((0.0, 1.0, math.inf, 1.0), None),  # an infinite variance, else a silently blind receiver
+    ((0.0, 1e150, 1e-200, 1e-200), None),  # the quotient
+    ((math.nan, 1.0, 1.0, 1.0), None),
+], ids=["mean-shift", "denominator", "finite-mean-shift", "variance", "quotient", "nan-mean"])
+def test_snr_overflow_is_named(stats, snr):
+    if snr is not None:
+        assert snr_per_mode(*stats) == snr
+        return
     with pytest.raises(OverflowError, match="receiver statistics overflow float64: mu0="):
         snr_per_mode(*stats)
 

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import weakref
 
 import pytest
 
@@ -120,6 +121,50 @@ def test_empty_output_selection_rejected():
     cfg = parse_config("[drive]\ngamma_w = 10\ngamma_o = 1\n")
     with pytest.raises(ConfigError):
         run_sweep(cfg)
+
+
+# every point is unstable, so no row would ever build a channel
+UNSTABLE_NO_CHANNEL_CFG = """
+[drive]
+gamma_w = 10
+
+[grid]
+axis = gamma_o log 1e3 1e4 4
+
+[outputs]
+select = n_w, fom
+"""
+
+
+def test_missing_channel_fails_before_the_first_row():
+    cfg = parse_config(UNSTABLE_NO_CHANNEL_CFG)
+    with pytest.raises(ConfigError) as err:
+        run_sweep(cfg)
+    assert err.value.field_name == "eta"
+    header, *data = _parse_csv(run_sweep(dataclasses.replace(cfg, outputs=("n_w",))))
+    assert len(data) == 4 and all(dict(zip(header, r))["stable"] == "0" for r in data)
+
+
+@pytest.mark.parametrize("run", [run_sweep, run_figure3, report_point])
+def test_missing_drive_value_is_named(run):
+    cfg = parse_config(POINT_CFG.replace("gamma_o = 668.43\n", ""))
+    with pytest.raises(ConfigError) as err:
+        run(cfg)
+    assert err.value.field_name == "gamma_o"
+    assert "gamma_o" in str(err.value) and "gamma_w" not in str(err.value)
+
+
+def test_axis_gives_a_value_to_the_sweep_only():
+    # eta only as an axis, t_b as a value: every sweep point has a channel
+    cfg = parse_config(POINT_CFG.replace("eta = 0.07\n", "")
+                       + "\n[grid]\naxis = eta log 1e-3 1e-1 3\n")
+    header, *data = _parse_csv(run_sweep(cfg))
+    records = [dict(zip(header, r)) for r in data]
+    assert len(records) == 3 and all(r["error"] == "" and float(r["fom"]) > 0 for r in records)
+    # fig3 evaluates the base values, where no eta is given
+    with pytest.raises(ConfigError) as err:
+        run_figure3(cfg)
+    assert err.value.field_name == "eta"
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +418,27 @@ def test_channel_and_receiver_are_built_once_per_key(monkeypatch):
     assert len(receivers) == len({(r["gamma_w"], r["kappa_i"]) for r in records}) == 4
 
 
+def test_sweep_memo_stays_bounded(monkeypatch):
+    # the caches keep the last source and report, and one receiver per kappa_i
+    # value; with the value being built, that is the peak whatever the grid size
+    peaks, calls = {}, {}
+    for name in ("source_moments", "correlation_report", "ReceiverParams"):
+        def tracked(*args, _name=name, _real=getattr(sweep_mod, name), _live=weakref.WeakSet()):
+            result = _real(*args)
+            _live.add(result)
+            peaks[_name] = max(peaks.get(_name, 0), len(_live))
+            calls[_name] = calls.get(_name, 0) + 1
+            return result
+        monkeypatch.setattr(sweep_mod, name, tracked)
+    header, *data = _parse_csv(run_sweep(_grid(
+        "gamma_w log 1e2 1e4 20", "gamma_o log 1e1 1e3 20", "kappa_i lin 0.5 1 3",
+        "eta log 1e-3 1e-1 2", select="log_neg_per_photon, fom")))
+    assert len(data) == 2400
+    assert min(calls.values()) > 100
+    assert peaks["source_moments"] <= 2 and peaks["correlation_report"] <= 2
+    assert peaks["ReceiverParams"] <= 3 + 1
+
+
 @pytest.mark.parametrize("axes, builder, bad_key, message", [
     (("gamma_w log 4e3 6e3 2", "eta lin 0.5 1.5 3"), "_channel",
      ("eta", "1.5000000000000000e+00"), "ValueError: eta must lie in [0; 1]"),
@@ -412,13 +478,14 @@ def test_overflowing_source_occupation_is_named(select):
 
 
 @pytest.mark.parametrize("eom, axes, named", [
-    ("", ("t_eom log 1e154 1e300 5",), 5),
+    ("", ("t_eom log 1e154 1e300 5",), 4),
     # the drive plane of advantage_surface.cfg, where 25 rows held nan or inf fom cells
-    ("[eom]\nt_eom = 1e154 k\n", ("gamma_w log 1e2 1e4 25", "gamma_o log 1e1 1e3 25"), 305),
+    ("[eom]\nt_eom = 1e154 k\n", ("gamma_w log 1e2 1e4 25", "gamma_o log 1e1 1e3 25"), 265),
 ], ids=["t_eom-axis", "drive-plane"])
 def test_overflowing_receiver_statistics_are_named(eom, axes, named):
     # from t_eom ~ 1e154 K the receiver moments pass float64; rows used to end
-    # in the bare "OverflowError: (34; 'Numerical result out of range')"
+    # in the bare "OverflowError: (34; 'Numerical result out of range')".  A row
+    # whose snr is finite, though a square inside it overflows, holds finite cells.
     cfg = parse_config(POINT_CFG.replace("n_w, n_o, e_metric, fom", "n_w, fom, p_qi@1e6, p_coh@1e6")
                        + eom + "[grid]\n" + "".join(f"axis = {a}\n" for a in axes))
     header, *data = _parse_csv(run_sweep(cfg))
