@@ -125,12 +125,12 @@ class EomParams:
         return 2 * math.pi * _c_light / self.lambda_o
 
 
-def nominal_params(t_eom: float = 30e-3) -> EomParams:
+def nominal_params() -> EomParams:
     """Experimentally achievable converter parameters.
 
     A 10 MHz mechanical resonator with Q = 3e4 coupling a 10 GHz microwave
     cavity (half linewidth 0.2*omega_m) to a 1064 nm optical cavity (half
-    linewidth 0.1*omega_m), held at 30 mK unless overridden.
+    linewidth 0.1*omega_m), held at 30 mK; ``dataclasses.replace`` sets other values.
     """
     omega_m = 2 * math.pi * 10e6
     return EomParams(
@@ -140,7 +140,7 @@ def nominal_params(t_eom: float = 30e-3) -> EomParams:
         kappa_o=0.1 * omega_m,
         omega_w=2 * math.pi * 10e9,
         lambda_o=1064e-9,
-        t_eom=t_eom,
+        t_eom=30e-3,
     )
 
 
@@ -181,7 +181,7 @@ class EomCoefficients:
     b: float
     c_w: float
     c_o: float
-    sign_w: float = 1.0
+    sign_w: float
 
 
 @dataclass(frozen=True)

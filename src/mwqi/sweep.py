@@ -119,8 +119,8 @@ _SECTIONS = {section for section, _ in _KEYS} | {"grid", "outputs"}
 _AXIS_NAMES = ("gamma_w", "gamma_o", "eta", "t_b", "t_eom", "kappa_i")
 _NEEDED = {"gamma_w": "[drive] gamma_w", "gamma_o": "[drive] gamma_o",
            "eta": "[channel] eta", "t_b": "[channel] t_b or n_b"}
-_PLAIN_OUTPUTS = ("n_w", "n_o", "e_metric", "log_neg_per_photon",
-                  "coh_info_per_photon", "discord_per_photon", "fom")
+_CORRELATION_OUTPUTS = ("log_neg_per_photon", "coh_info_per_photon", "discord_per_photon")
+_PLAIN_OUTPUTS = ("n_w", "n_o", "e_metric", *_CORRELATION_OUTPUTS, "fom")
 
 
 class ConfigError(ValueError):
@@ -222,7 +222,7 @@ def _parse_value(raw: str, kind: str | int, allowed: str | None, line: int, key:
     return value
 
 
-def _parse_axis(raw: str, line: int) -> GridAxis:
+def _parse_axis(raw: str, line: int, taken: set[str]) -> GridAxis:
     parts = raw.split()
     if len(parts) != 5:
         raise ConfigError(
@@ -231,6 +231,8 @@ def _parse_axis(raw: str, line: int) -> GridAxis:
     if name not in _AXIS_NAMES:
         raise ConfigError(f"unknown axis {name!r} (known: {', '.join(_AXIS_NAMES)})",
                           line, "axis")
+    if name in taken:
+        raise ConfigError(f"duplicate axis {name!r}", line, "axis")
     if spacing not in ("lin", "log"):
         raise ConfigError(f"spacing must be lin or log, got {spacing!r}", line, "axis")
     lo, hi = (_parse_quantity(bound, "plain", line, "axis") for bound in parts[2:4])
@@ -277,7 +279,7 @@ def parse_config(text: str) -> SweepConfig:
         if section == "grid":
             if key != "axis":
                 raise ConfigError("grid section accepts only 'axis' entries", lineno, key)
-            axes.append(_parse_axis(raw, lineno))
+            axes.append(_parse_axis(raw, lineno, {axis.name for axis in axes}))
         elif section == "outputs":
             if key != "select":
                 raise ConfigError("outputs section accepts only 'select'", lineno, key)
@@ -297,8 +299,6 @@ def parse_config(text: str) -> SweepConfig:
     if ("channel", "n_b") in values and (("channel", "t_b") in values or "t_b" in axis_names):
         raise ConfigError("give either t_b (a value or a grid axis) or n_b, not both",
                           field_name="t_b")
-    if len(set(axis_names)) != len(axis_names):
-        raise ConfigError("duplicate axis names")
     m_min, m_max = get("fig3", "m_min", 1e4), get("fig3", "m_max", 1e8)
     if m_max < m_min:
         raise ConfigError("need m_min <= m_max", field_name="m_min")
@@ -327,20 +327,23 @@ def parse_config(text: str) -> SweepConfig:
 # point evaluation
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    # 17 significant digits: enough to round-trip any double exactly
-    return f"{x:.16e}"
-
-
-def _check_config(config: SweepConfig, needs_channel: bool, axes=None) -> None:
-    """Raise :class:`ConfigError` naming the first needed value that is missing.
-    Only a sweep passes ``axes``: the base point of fig3 and report takes none."""
-    given = {axis.name for axis in axes or ()} | {
+def _check_config(config: SweepConfig, command: str) -> bool:
+    """Raise :class:`ConfigError` naming the first missing needed value; return whether
+    the run needs a channel: a sweep for ``fom`` or ``p_*@M`` (axes count as values),
+    ``fig3`` always, ``report`` once ``eta``, ``t_b`` or ``n_b`` is given or MC is on."""
+    sweep = command == "sweep"
+    if sweep:
+        needs_channel = any(token == "fom" or token.startswith("p_") for token in config.outputs)
+    else:
+        needs_channel = command == "fig3" or config.mc_validation or any(
+            getattr(config, key) is not None for key in ("eta", "t_b", "n_b"))
+    given = {axis.name for axis in config.axes if sweep} | {
         key for key in ("gamma_w", "gamma_o", "eta", "t_b") if getattr(config, key) is not None}
     for key in ("gamma_w", "gamma_o") + (("eta", "t_b") if needs_channel else ()):
         if key not in given and not (key == "t_b" and config.n_b is not None):
-            where = " (a value or a grid axis)" if axes is not None else ""
+            where = " (a value or a grid axis)" if sweep else ""
             raise ConfigError(f"missing {_NEEDED[key]}{where}", field_name=key)
+    return needs_channel
 
 
 def _drive_point(config: SweepConfig, t_eom: float | None = None, gamma_w: float | None = None,
@@ -364,24 +367,43 @@ def _channel(config: SweepConfig, eta: float, t_b: float | None) -> TargetChanne
     return TargetChannelParams(eta=eta, n_b=n_b)
 
 
-def _base_point(config: SweepConfig, needs_channel: bool):
-    """(cooperativities, params, stability, source) at the checked config's base
-    values; raises :class:`InstabilityError` if the point is unstable."""
-    _check_config(config, needs_channel)
+def _base_point(config: SweepConfig, command: str):
+    """(needs channel, cooperativities, params, stability, source) at the checked
+    config's base values; raises :class:`InstabilityError` if the point is unstable."""
+    needs_channel = _check_config(config, command)
     coop, params = _drive_point(config)
     stability = is_stable(coop, params)
     if not stability.stable:
         raise InstabilityError(
             f"operating point unstable, margin {stability.margin!r} rad/s")
-    return coop, params, stability, _source(coop, params)
+    return needs_channel, coop, params, stability, _source(coop, params)
+
+
+def _point_values(plan, m, baths, report, link) -> tuple[float, ...]:
+    """Metric values of one stable point, one per ``(name, mode count)`` in ``plan``; the
+    correlation ``report`` and the (channel, receiver) ``link`` may be None if unread."""
+    values, stats = [], None
+    ch, rx = link or (None, None)
+    for token, modes in plan:
+        if token in ("n_w", "n_o"):
+            value = getattr(m, token)
+        elif token == "e_metric":
+            value = 0.0 if m.cross == 0.0 else entanglement_metric(m)
+        elif token in _CORRELATION_OUTPUTS:
+            value = getattr(report, token)
+        elif token == "fom":
+            value = figure_of_merit(m, ch, rx, baths)
+        else:
+            if stats is None:
+                stats = receiver_statistics(m, ch, rx, baths)
+            snr = stats.snr_per_m if token == "p_qi" else coherent_snr_per_mode(m.n_w, ch)
+            value = error_probability(snr, modes)
+        values.append(value)
+    return tuple(values)
 
 
 def _meta_lines(config: SweepConfig) -> list[str]:
-    return [
-        f"# mwqi {__version__}",
-        f"# config-sha256={config.sha256}",
-        f"# seed={config.seed}",
-    ]
+    return [f"# mwqi {__version__}", f"# config-sha256={config.sha256}", f"# seed={config.seed}"]
 
 
 def run_sweep(config: SweepConfig) -> str:
@@ -400,18 +422,20 @@ def run_sweep(config: SweepConfig) -> str:
     # each output as (name, mode count), split once: p_qi@M and p_coh@M carry M
     plan = [(name, float(modes) if modes else None)
             for name, _, modes in (token.partition("@") for token in config.outputs)]
-    _check_config(config, any(name in ("fom", "p_qi", "p_coh") for name, _ in plan),
-                  config.axes)
+    needs_link = _check_config(config, "sweep")
+    needs_report = any(name in _CORRELATION_OUTPUTS for name, _ in plan)
     names = [axis.name for axis in config.axes]
     columns = [axis.values().tolist() for axis in config.axes]
-    texts = [[_fmt(value) for value in column] for column in columns]
-    template = ",".join(["%.16e"] * len(config.outputs))  # the cells of _fmt
+    texts = [["%.16e" % value for value in column] for column in columns]
+    template = ",".join(["%.16e"] * len(config.outputs))
     no_metrics = "," * (len(config.outputs) - 1)
 
     # Work shared between rows, kept for this call only.  The drive key is
-    # (t_eom, gamma_w, gamma_o), so source work is shared by consecutive rows
-    # at one drive point.  A cache stores a value only once its build returns,
-    # so a failing build raises again, with the same text, at each row that asks.
+    # (t_eom, gamma_w, gamma_o), so consecutive rows at one drive point share
+    # its source.  A stable row builds its source, then its correlation report
+    # if an output reads one, then its channel and receiver if an output reads
+    # them.  A cache stores a value only once its build returns, so a failing
+    # build raises again, with the same text, at each row that asks.
     kappa_count = next((axis.count for axis in config.axes if axis.name == "kappa_i"), 1)
     drive = functools.lru_cache(maxsize=1)(lambda key: _drive_point(config, *key))
     source = functools.lru_cache(maxsize=1)(lambda key: _source(*drive(key)))
@@ -419,33 +443,6 @@ def run_sweep(config: SweepConfig) -> str:
     receiver = functools.lru_cache(maxsize=kappa_count)(
         lambda key, kappa_i: ReceiverParams(source(key)[0], kappa_i))
     channel = functools.lru_cache(maxsize=None)(lambda eta, t_b: _channel(config, eta, t_b))
-
-    def point_values(key, point: dict[str, float]) -> tuple[float, ...]:
-        """Metric values of one stable grid point, one per ``plan`` entry."""
-        _, baths, m = source(key)
-        values = []
-        ch = stats = None
-        for token, modes in plan:
-            if token in ("n_w", "n_o"):
-                value = getattr(m, token)
-            elif token == "e_metric":
-                value = 0.0 if m.cross == 0.0 else entanglement_metric(m)
-            elif token in ("log_neg_per_photon", "coh_info_per_photon", "discord_per_photon"):
-                value = getattr(report(key), token)
-            else:
-                if ch is None:
-                    # built on first use: a bad axis eta fails only the outputs that need it
-                    ch = channel(point.get("eta", config.eta), point.get("t_b", config.t_b))
-                    rx = receiver(key, point.get("kappa_i", config.kappa_i))
-                if token == "fom":
-                    value = figure_of_merit(m, ch, rx, baths)
-                else:
-                    if stats is None:
-                        stats = receiver_statistics(m, ch, rx, baths)
-                    snr = stats.snr_per_m if token == "p_qi" else coherent_snr_per_mode(m.n_w, ch)
-                    value = error_probability(snr, modes)
-            values.append(value)
-        return tuple(values)
 
     rows = []
     for combo, cells in zip(itertools.product(*columns), itertools.product(*texts)):
@@ -456,7 +453,12 @@ def run_sweep(config: SweepConfig) -> str:
             stability = is_stable(*drive(key))
             stability_cells = "%d,%.16e" % (stability.stable, stability.margin)
             if stability.stable:
-                metrics = template % point_values(key, overrides)
+                _, baths, m = source(key)
+                metrics = template % _point_values(
+                    plan, m, baths, report(key) if needs_report else None,
+                    (channel(overrides.get("eta", config.eta), overrides.get("t_b", config.t_b)),
+                     receiver(key, overrides.get("kappa_i", config.kappa_i)))
+                    if needs_link else None)
         except Exception as exc:  # recorded per point, sweep continues
             error = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
         rows.append(",".join([*cells, stability_cells, metrics, error]))
@@ -471,17 +473,14 @@ def run_figure3(config: SweepConfig) -> str:
     Columns: m, p_qi, p_coh, fom.  Requires a stable base operating point and
     a channel; probabilities come straight from the stdlib erfc.
     """
-    *_, (coef, baths, m) = _base_point(config, needs_channel=True)
-    ch = _channel(config, config.eta, config.t_b)
-    rx = ReceiverParams(coef, config.kappa_i)
-    snr_qi = receiver_statistics(m, ch, rx, baths).snr_per_m
-    snr_coh = coherent_snr_per_mode(m.n_w, ch)
-    fom = _fmt(figure_of_merit(m, ch, rx, baths))
-
-    m_grid = np.geomspace(config.m_min, config.m_max, config.m_points)
-    rows = [",".join([_fmt(float(modes)), _fmt(error_probability(snr_qi, float(modes))),
-                      _fmt(error_probability(snr_coh, float(modes))), fom])
-            for modes in m_grid]
+    *_, (coef, baths, m) = _base_point(config, "fig3")
+    link = _channel(config, config.eta, config.t_b), ReceiverParams(coef, config.kappa_i)
+    m_grid = np.geomspace(config.m_min, config.m_max, config.m_points).tolist()
+    fom, *p = _point_values([("fom", None)] + [(name, modes) for modes in m_grid
+                                               for name in ("p_qi", "p_coh")],
+                            m, baths, None, link)
+    rows = ["%.16e,%.16e,%.16e,%.16e" % (modes, p_qi, p_coh, fom)
+            for modes, p_qi, p_coh in zip(m_grid, p[::2], p[1::2])]
     return "\n".join(_meta_lines(config) + ["m,p_qi,p_coh,fom"] + rows) + "\n"
 
 
@@ -499,7 +498,7 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
     :class:`InstabilityError` for an unstable point and
     :class:`PhysicalityError` for an unphysical source state.
     """
-    coop, params, stability, (coef, baths, m) = _base_point(config, needs_channel=False)
+    needs_channel, coop, params, stability, (coef, baths, m) = _base_point(config, "report")
     lines: list[str] = []
     checks: list[tuple[str, bool]] = []
 
@@ -545,13 +544,15 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
         check("E-metric/negativity agreement",
               (report.e_metric > 1.0) == (report.log_neg > 0.0))
 
-    if config.eta is not None and (config.n_b is not None or config.t_b is not None):
-        ch = _channel(config, config.eta, config.t_b)
-        rx = ReceiverParams(coef, config.kappa_i)
+    if needs_channel:
+        ch, rx = link = (_channel(config, config.eta, config.t_b),
+                         ReceiverParams(coef, config.kappa_i))
         stats = receiver_statistics(m, ch, rx, baths)
         thresh = entanglement_threshold(m, ch.eta)
-        snr_coh = coherent_snr_per_mode(m.n_w, ch)
-        fom = figure_of_merit(m, ch, rx, baths)
+        mode_counts = (1e4, 1e5, 1e6, 1e7, 1e8)
+        fom, *p = _point_values([("fom", None)] + [(name, modes) for modes in mode_counts
+                                                   for name in ("p_qi", "p_coh")],
+                                m, baths, None, link)
         lines.append("")
         lines.append("== target channel ==")
         lines.append(f"eta = {ch.eta:.6g}   n_B = {ch.n_b:.6g}   kappa_I = {config.kappa_i:.6g}")
@@ -562,9 +563,7 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
         lines.append(f"var0 = {stats.var0:.9g}   var1 = {stats.var1:.9g}")
         lines.append(f"snr per mode pair = {stats.snr_per_m:.9g}")
         lines.append(f"figure of merit F = {fom:.9g}")
-        for modes in (1e4, 1e5, 1e6, 1e7, 1e8):
-            p_qi = error_probability(stats.snr_per_m, modes)
-            p_coh = error_probability(snr_coh, modes)
+        for modes, p_qi, p_coh in zip(mode_counts, p[::2], p[1::2]):
             lines.append(f"M = {modes:.0e}:  P_QI = {p_qi:.6e}   P_coh = {p_coh:.6e}")
         blind = stats.mu0 == stats.mu1 == 0.0 and stats.snr_per_m == 0.0
         check("variances positive", (stats.var0 > 0 and stats.var1 > 0) or blind)

@@ -134,6 +134,32 @@ def test_incomplete_config_exits_1_whatever_the_points(tmp_path, capsys):
     assert len(err) == 2 and all(line.startswith("config error: ") for line in err)
 
 
+DRIVE_ONLY_CFG = "[drive]\ngamma_w = 5181.95\ngamma_o = 668.43\n"
+
+
+@pytest.mark.parametrize("extra, flags, missing", [
+    ("[channel]\neta = 0.07\n", [], "t_b"),
+    ("[channel]\nt_b = 293 k\n", [], "eta"),
+    ("[channel]\nn_b = 600\n", [], "eta"),
+    ("", ["--mc"], "eta"),
+    ("[mc]\nvalidation = on\n", [], "eta"),
+], ids=["eta-only", "t_b-only", "n_b-only", "mc-flag", "mc-config"])
+def test_report_with_part_of_a_channel_exits_1(tmp_path, capsys, extra, flags, missing):
+    path = tmp_path / "partial.cfg"
+    path.write_text(DRIVE_ONLY_CFG + extra)
+    assert cli.main(["report", str(path), *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: field '{missing}': missing [channel]")
+
+
+def test_report_without_channel_exits_0(tmp_path, capsys):
+    path = tmp_path / "source.cfg"
+    path.write_text(DRIVE_ONLY_CFG)
+    assert cli.main(["report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "result: all checks passed" in out and "detection" not in out
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_source_lands_in_error_column(tmp_path, capsys):
     path = tmp_path / "hot.cfg"

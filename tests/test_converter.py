@@ -495,7 +495,7 @@ def test_bath_occupations(params, baths):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        nominal_params(t_eom=-1.0)
+        dataclasses.replace(nominal_params(), t_eom=-1.0)
     with pytest.raises(ValueError):
         Cooperativities(-1.0, 0.0)
 

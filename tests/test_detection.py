@@ -398,6 +398,18 @@ def test_fiber_range_values():
         max_fiber_range(0.0, 0.5)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: entanglement_threshold(SourceMoments(1.0, 0.0, 0.5), 0.1),
+     "threshold undefined at n_o = 0"),
+    (lambda: snr_per_mode(0.0, 1.0, 0.0, 1.0), "variances must be > 0"),
+    (lambda: max_fiber_range(0.2, 0.5, -1.0), "loss budget must be >= 0"),
+], ids=["threshold-dark-idler", "snr-zero-variance", "fiber-negative-budget"])
+def test_invalid_inputs_are_named(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo oracle
 # ---------------------------------------------------------------------------
@@ -412,6 +424,13 @@ def test_mc_oracle_agrees_with_closed_form(ref_moments, ref_channel, ref_receive
     var_cf = stats.var1 if hypothesis is Hypothesis.H1 else stats.var0
     assert abs(mc.mu - mu_cf) <= 3 * mc.se_mu
     assert abs(mc.var - var_cf) <= 3 * mc.se_var
+
+
+def test_mc_oracle_needs_two_samples(ref_moments, ref_channel, ref_receiver, baths):
+    with pytest.raises(ValueError) as err:
+        mc_receiver_statistics(ref_moments, ref_channel, ref_receiver, baths,
+                               Hypothesis.H0, samples=1)
+    assert str(err.value) == "need at least 2 samples"
 
 
 def test_mc_oracle_deterministic(ref_moments, ref_channel, ref_receiver, baths):

@@ -83,6 +83,17 @@ def test_negative_photon_number_rejected():
         standard_form(-0.1, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: two_mode_squeezed_vacuum(-0.1), ValueError, "squeezing parameter must be >= 0"),
+    (lambda: TwoModeGaussianState(0.5, 1.0, 0.0, 0.0), PhysicalityError,
+     "diagonal variance below vacuum level: min=0.5"),
+], ids=["negative-squeezing", "sub-vacuum-variance"])
+def test_invalid_states_are_named(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_cross_phase_is_absorbed():
     mag = standard_form(1.0, 2.0, 0.8)
     rotated = standard_form(1.0, 2.0, 0.8 * np.exp(1j * 0.7))

@@ -85,6 +85,38 @@ def test_parse_error_diagnostics():
         assert f"unknown eom parameter '{key}'" in str(err.value)
 
 
+# every parse error names its line, or the field it checks when no one line holds it
+@pytest.mark.parametrize("text, message", [
+    ("[drive]\ngamma_w = 5 k",
+     "line 2, field 'gamma_w': dimensionless value must not carry a unit: '5 k'"),
+    ("[drive]\ngamma_w = abc", "line 2, field 'gamma_w': not a number: 'abc'"),
+    ("[mc]\nvalidation = yes", "line 2, field 'validation': validation must be 'on' or 'off'"),
+    ("[grid]\naxis = gamma_w log 1 10",
+     "line 2, field 'axis': axis needs '<name> <lin|log> <min> <max> <count>', "
+     "got 'gamma_w log 1 10'"),
+    ("[grid]\naxis = omega_m log 1 10 3",
+     "line 2, field 'axis': unknown axis 'omega_m' "
+     "(known: gamma_w, gamma_o, eta, t_b, t_eom, kappa_i)"),
+    ("[grid]\naxis = gamma_w exp 1 10 3",
+     "line 2, field 'axis': spacing must be lin or log, got 'exp'"),
+    ("[outputs]\nselect = p_qi@0.5",
+     "line 2, field 'select': mode count must be >= 1 in 'p_qi@0.5'"),
+    ("[target]", "line 1: unknown section [target]"),
+    ("[drive]\ngamma_w", "line 2: expected 'key = value', got 'gamma_w'"),
+    ("[grid]\nspan = 3", "line 2, field 'span': grid section accepts only 'axis' entries"),
+    ("[outputs]\nshow = n_w", "line 2, field 'show': outputs section accepts only 'select'"),
+    ("[grid]\naxis = gamma_w log 1 10 3\naxis = gamma_w lin 1 10 3",
+     "line 3, field 'axis': duplicate axis 'gamma_w'"),
+    ("[fig3]\nm_min = 1e6\nm_max = 1e4", "field 'm_min': need m_min <= m_max"),
+], ids=["unit-on-plain", "not-a-number", "switch", "axis-fields", "axis-name",
+        "axis-spacing", "mode-count", "section", "no-equals", "grid-key", "outputs-key",
+        "duplicate-axis", "m-range"])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text + "\n")
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("entry", [
     "[fig3]\nm_min = nan",
     "[fig3]\nm_max = nan",
@@ -236,6 +268,27 @@ axis = eta lin 0.5 1.5 3
     assert "eta must lie in [0; 1]" in bad["error"]
     assert bad["stable"] == "1" and float(bad["margin"]) > 0
     assert bad["fom"] == "" and bad["n_w"] == ""
+
+
+@pytest.mark.parametrize("select", ["fom, log_neg_per_photon", "log_neg_per_photon, fom"])
+def test_row_names_the_report_error_before_the_channel_error(select):
+    # n_w = 0 fails the correlation report at every point, and eta = 1.5 the channel
+    rows = _parse_csv(run_sweep(parse_config(f"""
+[eom]
+t_eom = 0 mk
+[drive]
+gamma_w = 0
+gamma_o = 0
+[channel]
+eta = 0.07
+t_b = 293 k
+[grid]
+axis = eta lin 0.5 1.5 3
+[outputs]
+select = {select}
+""")))
+    errors = [dict(zip(rows[0], r))["error"] for r in rows[1:]]
+    assert errors == ["UndefinedMetricError: normalization undefined at n_w = 0"] * 3
 
 
 def test_sweep_row_major_order_and_masking():
