@@ -1,10 +1,11 @@
 """Validate the closed-form receiver statistics against Monte-Carlo sampling.
 
 The difference-photocount mean and variance have closed forms from Gaussian
-moment factorization.  This script draws one block of standard normals,
-in a fixed order that is part of the seed contract (the return-idler pair
-quadratures, then the receiver's internal noise modes), pushes it through
-the real receiver map, and compares.
+moment factorization.  This script draws standard normals in a fixed order
+that is part of the seed contract (the return-idler pair quadratures, then
+the receiver's internal noise modes), pushes them through the real receiver
+map, and compares.  The sampler reads them in fixed-size blocks, which give
+the same numbers as one unblocked draw.
 
 Run:  python demos/receiver_oracle_check.py
 """

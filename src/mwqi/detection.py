@@ -189,15 +189,12 @@ def snr_per_mode(mu0: float, mu1: float, var0: float, var1: float) -> float:
             return 0.0  # no photons at all: a blind receiver, not an error
         raise ValueError("variances must be > 0")
     dmu, sd = mu1 - mu0, math.sqrt(var0) + math.sqrt(var1)
-    try:  # ** 2, not x * x: the byte-exact fom goldens hold the roundings of pow
-        snr = 4.0 * dmu ** 2 / sd ** 2
-    except OverflowError:  # a bare range error, named below
-        snr = math.inf
-    if snr == math.inf:  # a square of the first form can overflow where the snr does not
-        try:
-            snr = 4.0 * (dmu / sd) ** 2
-        except OverflowError:
-            pass
+    # squares by products, which IEEE rounds alike on every platform; libm pow may not
+    sd2 = sd * sd
+    snr = 4.0 * (dmu * dmu) / sd2
+    if snr == math.inf or sd2 == math.inf:  # a square can overflow where the snr does not
+        q = dmu / sd
+        snr = 4.0 * (q * q)
     # a non-finite mean reaches snr; an infinite variance alone would give a blind snr 0
     if not math.isfinite(snr + sd):
         raise OverflowError("receiver statistics overflow float64: "
@@ -325,21 +322,26 @@ def max_fiber_range(loss_db_per_km: float, speed_fraction: float,
     return (loss_budget_db / loss_db_per_km) / (2.0 * speed_fraction)
 
 
+_MC_BLOCK = 1 << 16  # samples per block of the Monte-Carlo oracle
+
+
 def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
                            rx: ReceiverParams, baths: BathOccupations,
                            hypothesis: Hypothesis, samples: int = 10 ** 6,
                            seed: int = 0) -> McReceiverStatistics:
     """Monte-Carlo oracle for the difference-photocount statistics.
 
-    Draws one block of 10 * samples standard normals and pushes it through
-    the real receiver map, then estimates the mean and variance of the
-    difference count.  Kept independent of the closed forms in
-    :func:`receiver_statistics`: only the input states and the linear
-    receiver map are shared.
+    Reads 10 * samples standard normals from one generator, in blocks of at
+    most ``_MC_BLOCK`` samples (the same numbers as one unblocked draw),
+    pushes them through the real receiver map, then estimates the mean and
+    variance of the difference count.  Memory is one (4, samples) array of
+    32 B per sample plus blocks of fixed size.
+    Kept independent of the closed forms in :func:`receiver_statistics`:
+    only the input states and the linear receiver map are shared.
 
     The draw order is part of the seed contract.  The first 4 * samples
     normals, read as rows of 4, are the return-idler quadratures
-    (x_R, p_R, x_I, p_I); then come blocks of ``samples`` normals for the
+    (x_R, p_R, x_I, p_I); then come runs of ``samples`` normals for the
     real and imaginary parts of the optical bath, the mechanical bath and
     the idler-loss vacuum port, in that order.  Each sample maps linearly to
     (Re d_1, Im d_1, Re d_2, Im d_2), with complex amplitudes
@@ -358,10 +360,6 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     if samples < 2:
         raise ValueError("need at least 2 samples")
     coef, k_i = rx.coef, rx.idler_transmissivity
-    z = np.random.default_rng(seed).standard_normal(10 * samples)
-    z_pair = z[:4 * samples].reshape(samples, 4)
-    z_bath = z[4 * samples:].reshape(6, samples)
-
     pair = return_state(source, ch, hypothesis)
     t_i = math.sqrt(k_i) / 2.0
     pair_map = _gaussian_factor(pair.cm) @ np.diag([coef.b / 2.0, -coef.b / 2.0, t_i, t_i])
@@ -373,23 +371,31 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     opt = coef.a_o * thermal_sd(baths.n_o)
     mech = coef.c_o * thermal_sd(baths.n_b)
     vac = math.sqrt(1.0 - k_i) * thermal_sd(0.0)
-    bath_map = np.array([[opt, 0.0, 0.0, 0.0],
-                         [0.0, opt, 0.0, 0.0],
-                         [-mech, 0.0, 0.0, 0.0],
-                         [0.0, mech, 0.0, 0.0],
-                         [0.0, 0.0, vac, 0.0],
-                         [0.0, 0.0, 0.0, vac]])
 
-    # columns of x: Re d_1, Im d_1, Re d_2, Im d_2
-    x = z_pair @ pair_map
-    x += z_bath.T @ bath_map
-    counts = x[:, 0] * x[:, 2]
-    counts += x[:, 1] * x[:, 3]
+    x = np.empty((4, samples))  # rows: Re d_1, Im d_1, Re d_2, Im d_2
+    rng = np.random.default_rng(seed)
+    cuts = [slice(lo, min(lo + _MC_BLOCK, samples)) for lo in range(0, samples, _MC_BLOCK)]
+    z_pair, z_bath = np.empty((cuts[0].stop, 4)), np.empty(cuts[0].stop)
+    for cut in cuts:
+        z = rng.standard_normal(out=z_pair[:cut.stop - cut.start])
+        x[:, cut] = (z @ pair_map).T
+    # runs of Re/Im of the optical bath, the mechanical bath and the vacuum port
+    for row, scale in ((0, opt), (1, opt), (0, -mech), (1, mech), (2, vac), (3, vac)):
+        for cut in cuts:
+            z = rng.standard_normal(out=z_bath[:cut.stop - cut.start])
+            z *= scale
+            x[row, cut] += z
+
+    counts = x[0]  # 2 (x_0 x_2 + x_1 x_3), in place
+    counts *= x[2]
+    x[1] *= x[3]
+    counts += x[1]
     counts *= 2.0
 
     mu = float(counts.mean())
-    centered = counts - mu
-    sq = centered * centered
+    sq = counts  # the centred squares, in place
+    sq -= mu
+    sq *= sq
     var_sym = float(sq.sum()) / (samples - 1)
     m4 = float(sq @ sq) / samples
     return McReceiverStatistics(

@@ -379,10 +379,11 @@ def _base_point(config: SweepConfig, command: str):
     return needs_channel, coop, params, stability, _source(coop, params)
 
 
-def _point_values(plan, m, baths, report, link) -> tuple[float, ...]:
+def _point_values(plan, m, baths, report, link, stats=None) -> tuple[float, ...]:
     """Metric values of one stable point, one per ``(name, mode count)`` in ``plan``; the
-    correlation ``report`` and the (channel, receiver) ``link`` may be None if unread."""
-    values, stats = [], None
+    correlation ``report`` and the (channel, receiver) ``link`` may be None if unread, and
+    the receiver ``stats`` of ``link`` are built on first use if not given."""
+    values = []
     ch, rx = link or (None, None)
     for token, modes in plan:
         if token in ("n_w", "n_o"):
@@ -552,7 +553,7 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
         mode_counts = (1e4, 1e5, 1e6, 1e7, 1e8)
         fom, *p = _point_values([("fom", None)] + [(name, modes) for modes in mode_counts
                                                    for name in ("p_qi", "p_coh")],
-                                m, baths, None, link)
+                                m, baths, None, link, stats)
         lines.append("")
         lines.append("== target channel ==")
         lines.append(f"eta = {ch.eta:.6g}   n_B = {ch.n_b:.6g}   kappa_I = {config.kappa_i:.6g}")

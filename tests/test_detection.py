@@ -27,6 +27,7 @@ from mwqi import (
     return_state,
     snr_per_mode,
 )
+from mwqi.detection import _MC_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +215,32 @@ def test_snr_convention_anchor():
     # a squared denominator or mean shift that overflows where the snr does not
     ((0.0, 1e154, 1e308, 1e308), 1.0),
     ((0.0, 1.3e154, 1e300, 1e300), 1.69e8),
+    ((0.0, 1e100, 1e308, 1e308), 1e-108),  # else a finite shift over an infinite square gives 0
     ((0.0, 1.0, math.inf, 1.0), None),  # an infinite variance, else a silently blind receiver
     ((0.0, 1e150, 1e-200, 1e-200), None),  # the quotient
     ((math.nan, 1.0, 1.0, 1.0), None),
-], ids=["mean-shift", "denominator", "finite-mean-shift", "variance", "quotient", "nan-mean"])
+], ids=["mean-shift", "denominator", "finite-mean-shift", "small-snr-denominator",
+        "variance", "quotient", "nan-mean"])
 def test_snr_overflow_is_named(stats, snr):
     if snr is not None:
         assert snr_per_mode(*stats) == snr
         return
     with pytest.raises(OverflowError, match="receiver statistics overflow float64: mu0="):
         snr_per_mode(*stats)
+
+
+@pytest.mark.parametrize("stats, snr", [
+    # the statistics of the two advantage_surface.csv points whose fom cells
+    # moved by 1-2 ulp when the squares went from libm pow to products
+    ((0.0, 0.5776868647549083, 956.8702779328079, 890.4291936408976),
+     0.00036142500351904786),
+    ((0.0, 0.015323704553789924, 17.847576157457148, 16.602608455498903),
+     1.3636654758513398e-05),
+], ids=["gamma_w-147", "gamma_w-1778"])
+def test_snr_squares_by_products(stats, snr):
+    mu0, mu1, var0, var1 = stats
+    dmu, sd = mu1 - mu0, math.sqrt(var0) + math.sqrt(var1)
+    assert snr_per_mode(*stats) == 4.0 * (dmu * dmu) / (sd * sd) == snr
 
 
 # ---------------------------------------------------------------------------
@@ -472,22 +489,29 @@ def _reference_mc(source, ch, rx, baths, hypothesis, samples, seed):
             math.sqrt(max(m4 - var_sym ** 2, 0.0) / samples))
 
 
-@pytest.mark.parametrize("seed", [11, 12])
-@pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+@pytest.mark.parametrize("hypothesis, seed, samples", [
+    *(pytest.param(hyp, seed, 50000, id=f"{hyp}-{seed}")
+      for hyp in (Hypothesis.H0, Hypothesis.H1) for seed in (11, 12)),
+    # several blocks and a ragged tail, so a mis-ordered block loop shows
+    *(pytest.param(hyp, 13, 2 * _MC_BLOCK + 3, id=f"{hyp}-blocks-and-tail")
+      for hyp in (Hypothesis.H0, Hypothesis.H1)),
+    pytest.param(Hypothesis.H1, 14, 2, id="two-samples"),
+])
 def test_mc_oracle_pins_draw_order(ref_moments, ref_channel, ref_coefficients, baths,
-                                   hypothesis, seed):
+                                   hypothesis, seed, samples):
     # lossy idler (vacuum port in use), a thermal optical bath and the exact
     # H1 background, so every entry of the receiver map is exercised
     ch = TargetChannelParams(eta=ref_channel.eta, n_b=600.0 / (1.0 - ref_channel.eta))
     rx = ReceiverParams(ref_coefficients, idler_transmissivity=0.6)
     warm = mwqi.BathOccupations(n_w=baths.n_w, n_o=0.4, n_b=baths.n_b)
     mc = mc_receiver_statistics(ref_moments, ch, rx, warm, hypothesis,
-                                samples=50000, seed=seed)
-    ref = _reference_mc(ref_moments, ch, rx, warm, hypothesis, 50000, seed)
+                                samples=samples, seed=seed)
+    ref = _reference_mc(ref_moments, ch, rx, warm, hypothesis, samples, seed)
     assert (mc.mu, mc.var, mc.se_mu, mc.se_var) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_mc_oracle_peak_memory(ref_moments, ref_channel, ref_receiver, baths):
+    # one (4, samples) array of 32 B per sample, plus blocks of fixed size
     tracemalloc.start()
     try:
         mc_receiver_statistics(ref_moments, ref_channel, ref_receiver, baths,
@@ -495,4 +519,4 @@ def test_mc_oracle_peak_memory(ref_moments, ref_channel, ref_receiver, baths):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 150e6
+    assert peak < 50e6

@@ -38,6 +38,12 @@ CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 # relative, which was the error of the old cells; every stable flag is
 # unchanged.  Accuracy is guarded at 2e-13 relative by
 # test_stability_margin_matches_exact_oracle in test_converter.py.
+# Two fom cells of advantage_surface.csv were regenerated when snr_per_mode
+# went from libm pow(x, 2) to x * x, which IEEE rounds alike on every
+# platform: rows 58 and 381 of the file, 9.2270367134665709e-01 ->
+# 9.2270367134665687e-01 and 6.0511055549712645e-01 -> 6.0511055549712656e-01.
+# fom stays byte-exact; test_snr_squares_by_products in test_detection.py pins
+# the product form at the statistics of those two points.
 DECLARED_COLUMNS = {
     "margin": 5e-12,
     "discord_per_photon": 1e-8,

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -665,6 +666,23 @@ def test_report_mc_validation():
     assert ok
     assert "Monte-Carlo validation" in text
     assert "within 3 se" in text
+
+
+def test_report_builds_the_receiver_statistics_twice(monkeypatch):
+    # one build for the mu/var/snr and P_QI lines, one inside figure_of_merit
+    path = Path(__file__).resolve().parents[1] / "demos" / "configs" / "operating_point.cfg"
+    config = dataclasses.replace(parse_config(path.read_text()), mc_validation=False)
+    real, calls = mwqi.detection.receiver_statistics, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mwqi.detection, "receiver_statistics", counted)
+    monkeypatch.setattr(sweep_mod, "receiver_statistics", counted)
+    text, ok = report_point(config)
+    assert ok and "P_QI" in text
+    assert len(calls) == 2
 
 
 def test_report_unstable_point_raises():
