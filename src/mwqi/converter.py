@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .states import TwoModeGaussianState, standard_form
+from .states import TwoModeGaussianState
 
 # exact SI values (2019 redefinition)
 _c_light = 299792458.0
@@ -173,7 +173,9 @@ class EomCoefficients:
     ``sign_w`` carries the sign of the microwave in-band coefficient
     (sign of 1 - 2*Gamma_w - 2*Gamma_o); the relative signs matter for the
     phase-sensitive cross correlation of the outputs.  All other phases drop
-    out of every quantity computed in this package.
+    out of every quantity computed in this package.  ``minor`` is the 2x2
+    minor s_w a_w a_o + b^2 = (1 - 2*Gamma_w + 2*Gamma_o)/d, formed with one
+    rounding in the numerator.
     """
 
     a_w: float
@@ -182,6 +184,7 @@ class EomCoefficients:
     c_w: float
     c_o: float
     sign_w: float
+    minor: float
 
 
 @dataclass(frozen=True)
@@ -190,17 +193,20 @@ class SourceMoments:
 
     ``n_w`` and ``n_o`` are the mean photon numbers of the propagating
     microwave and optical modes; ``cross`` is |<d_w d_o>|, the magnitude of
-    the phase-sensitive cross correlation.
+    the phase-sensitive cross correlation.  ``s`` is ab - c^2 with a = 2 n_w + 1,
+    b = 2 n_o + 1, c = 2 cross; it may overflow to inf where the moments do
+    not, and the state built from them then raises OverflowError.
     """
 
     n_w: float
     n_o: float
     cross: float
+    s: float
 
     def __post_init__(self):
         # negated comparisons, so that NaN fails them
         if not (0.0 <= self.n_w < math.inf and 0.0 <= self.n_o < math.inf
-                and 0.0 <= self.cross < math.inf):
+                and 0.0 <= self.cross < math.inf and 0.0 <= self.s):
             raise ValueError("moments must be finite and >= 0")
 
 
@@ -268,6 +274,7 @@ def coefficients(coop: Cooperativities) -> EomCoefficients:
             f"unstable operating point: 1 + 2*Gamma_w - 2*Gamma_o = {d!r} <= 0"
         )
     t = 1.0 - 2.0 * gw - 2.0 * go
+    dc, dc_err = _two_diff(gw, go)
     return EomCoefficients(
         a_w=abs(t) / d,
         a_o=(1.0 + 2.0 * gw + 2.0 * go) / d,
@@ -275,6 +282,8 @@ def coefficients(coop: Cooperativities) -> EomCoefficients:
         c_w=math.sqrt(8.0 * gw) / d,
         c_o=math.sqrt(8.0 * go) / d,
         sign_w=1.0 if t >= 0 else -1.0,
+        # 0.5 - dc is exact where the numerator is small
+        minor=2.0 * ((0.5 - dc) - dc_err) / d,
     )
 
 
@@ -291,6 +300,10 @@ def source_moments(coef: EomCoefficients, n_w_thermal: float,
     to the in-band term, and the in-band term itself flips sign where
     2*Gamma_w + 2*Gamma_o crosses 1.  This sign structure is what keeps the
     output state physical at every stable operating point.
+
+    s = ab - c^2, which cancels from the rounded moments near a pure state,
+    is the Cauchy-Binet sum of positive terms of the x-block M diag(D) M^T:
+    s = minor^2 D_w D_o + c_o^2 D_w D_b + c_w^2 D_o D_b with D = 2 n^T + 1.
     """
     if min(n_w_thermal, n_o_thermal, n_b_thermal) < 0:
         raise ValueError("occupations must be >= 0")
@@ -303,12 +316,16 @@ def source_moments(coef: EomCoefficients, n_w_thermal: float,
     cross = abs(coef.sign_w * coef.a_w * coef.b * (n_w_thermal + 1.0)
                 - coef.b * coef.a_o * n_o_thermal
                 - coef.c_w * coef.c_o * (n_b_thermal + 1.0))
-    return SourceMoments(n_w=n_w, n_o=n_o, cross=cross)
+    # D / 2 = n^T + 1/2 stays finite for every finite n^T, so a zero coefficient gives 0, not nan
+    h_w, h_o, h_b = n_w_thermal + 0.5, n_o_thermal + 0.5, n_b_thermal + 0.5
+    s = 4.0 * (coef.minor * coef.minor * h_w * h_o + coef.c_o * coef.c_o * h_w * h_b
+               + coef.c_w * coef.c_w * h_o * h_b)
+    return SourceMoments(n_w=n_w, n_o=n_o, cross=cross, s=s)
 
 
 def source_state(m: SourceMoments) -> TwoModeGaussianState:
     """Covariance-matrix state of the transmitter output pair."""
-    return standard_form(m.n_w, m.n_o, m.cross)
+    return TwoModeGaussianState(2.0 * m.n_w + 1.0, 2.0 * m.n_o + 1.0, 2.0 * m.cross, m.s)
 
 
 def entanglement_metric(m: SourceMoments) -> float:
@@ -319,6 +336,13 @@ def entanglement_metric(m: SourceMoments) -> float:
     if m.n_w <= 0 or m.n_o <= 0:
         raise UndefinedMetricError("entanglement metric undefined at zero photon number")
     return m.cross / math.sqrt(m.n_w * m.n_o)
+
+
+def _two_diff(x: float, y: float) -> tuple[float, float]:
+    """(d, err) with d + err = x - y exactly (Knuth's TwoSum)."""
+    d = x - y
+    bv = d - x
+    return d, (x - (d - bv)) - (y + bv)
 
 
 def is_stable(coop: Cooperativities, params: EomParams) -> StabilityReport:
@@ -360,9 +384,7 @@ def is_stable(coop: Cooperativities, params: EomParams) -> StabilityReport:
     a, kw, ko = 0.5 * gm, params.kappa_w, params.kappa_o
     dg = (gw * kw - go * ko) * gm  # G_w^2 - G_o^2
     c0 = 2.0 * a * kw * ko  # gamma_m kappa_w kappa_o
-    dc = gw - go
-    bv = dc - gw  # TwoSum: dc + dc_err = Gamma_w - Gamma_o exactly
-    dc_err = (gw - (dc - bv)) - (go + bv)
+    dc, dc_err = _two_diff(gw, go)
     p0 = c0 * ((dc + 0.5) + dc_err)  # dc + 0.5 is exact where the sum is small
     p2 = a + kw + ko
     # depressed cubic y^3 + 3 P y + 2 Q in y = l + p2/3

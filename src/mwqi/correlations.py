@@ -60,51 +60,28 @@ def coherent_information(state: TwoModeGaussianState) -> float:
     entropy is g(nu_plus) + g(nu_minus).  May be negative.
     """
     data = symplectic_spectrum(state)
-    return entropy(max(state.a, 1.0)) - entropy(data.nu_plus) - entropy(data.nu_minus)
+    return entropy(state.a) - entropy(data.nu_plus) - entropy(data.nu_minus)
 
 
 def gaussian_discord(state: TwoModeGaussianState) -> float:
     """Gaussian quantum discord with the measurement on the second mode.
 
-    discord = g(sqrt(B)) - g(nu_plus) - g(nu_minus) + g(sqrt(E_min)), in the
-    closed form of Adesso & Datta, PRL 105, 030501 (2010) (also Giorda & Paris,
-    PRL 105, 020503 (2010)).  A = det alpha, B = det beta, C = det gamma and
-    D = det sigma are the local symplectic invariants, with beta the measured
-    (second) mode's block, alpha the kept (first) mode's block and gamma their
-    coupling.  E_min is the smallest determinant of the kept mode's covariance
-    after a Gaussian measurement on the measured mode, attained on one of two
-    branches:
-
-    * heterodyne type, when (D - AB)^2 <= (1 + B) C^2 (A + D):
-      sqrt(E_min) = (|C| + sqrt(C^2 + (B - 1)(D - A))) / (B - 1);
-    * homodyne type otherwise, the limit of infinitely squeezed measurements:
-      E_min = (S - sqrt(S^2 - 4ABD)) / (2B) with S = AB + D - C^2, evaluated
-      as 2AD / (S + sqrt(S^2 - 4ABD)) to avoid the cancellation.
+    discord = g(b) - g(nu_plus) - g(nu_minus) + g(sqrt(E_min)), with E_min the
+    smallest determinant of the kept (first) mode's covariance after a
+    Gaussian measurement on the measured (second) mode (Adesso & Datta,
+    PRL 105, 030501 (2010); Giorda & Paris, PRL 105, 020503 (2010)).  On a
+    squeezed thermal state heterodyne detection attains it (Adesso & Datta;
+    Pirandola et al., PRL 113, 140405 (2014)), leaving the kept mode with
+    variance a - c^2/(b + 1), so sqrt(E_min) = (s + a)/(b + 1).
 
     With a source state built as (microwave, optical) this is the discord of
     the microwave arm conditioned on measuring the retained optical idler.
     The other direction is the discord of the mode-swapped state
-    ``TwoModeGaussianState(state.b, state.a, state.c_x, state.c_p)``.
+    ``TwoModeGaussianState(state.b, state.a, state.c, state.s)``.
     """
     data = symplectic_spectrum(state)
-    # a: kept mode, b: measured mode; A = a^2, B = b^2, C = c_x c_p
-    a, b, c_x, c_p = state.a, state.b, state.c_x, state.c_p
-    a2, b2, c = a * a, b * b, c_x * c_p
-    d = (data.nu_plus * data.nu_minus) ** 2
-    if (d - a2 * b2) ** 2 <= (1 + b2) * c * c * (a2 + d):
-        if c == 0.0:
-            # C = 0 on this branch means no coupling at all (and B = 1 gives 0/0)
-            nu_min = a
-        else:
-            b2_m1 = (b - 1) * (b + 1)
-            # C^2 + (B - 1)(D - A) in factored form: it vanishes on pure
-            # states, where the sum of the two terms cancels
-            het = (a * b2_m1 - b * c_x * c_x) * (a * b2_m1 - b * c_p * c_p)
-            nu_min = (abs(c) + math.sqrt(max(het, 0.0))) / b2_m1
-    else:
-        s = a2 * b2 + d - c * c
-        nu_min = math.sqrt(2 * a2 * d / (s + math.sqrt(max(s * s - 4 * a2 * b2 * d, 0.0))))
-    value = (entropy(max(b, 1.0)) - entropy(data.nu_plus)
+    nu_min = (state.s + state.a) / (state.b + 1.0)
+    value = (entropy(state.b) - entropy(data.nu_plus)
              - entropy(data.nu_minus) + entropy(max(nu_min, 1.0)))
     # discord is nonnegative for every physical state; lift rounding noise only
     return 0.0 if -1e-8 < value < 0.0 else value

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .converter import BathOccupations, EomCoefficients, SourceMoments, planck_occupation
-from .states import TwoModeGaussianState, _gaussian_factor, standard_form
+from .states import TwoModeGaussianState, _gaussian_factor
 
 __all__ = [
     "Hypothesis",
@@ -147,10 +147,14 @@ def return_state(source: SourceMoments, ch: TargetChannelParams,
     Under H1 the return carries eta of the signal:
     n_R = eta n_w + (1 - eta) n_B', cross_R = sqrt(eta) |<d_w d_o>|, and the
     idler marginal is unchanged.  cross_R does not depend on the background
-    brightness.
+    brightness.  The pair's invariant follows from the source's as
+    s_R = eta s + (1 - eta)(2 n_B' + 1) b, with eta = 0 under H0.
     """
     n_r, cross_r = _return_moments(source, ch, hypothesis)
-    return standard_form(n_r, source.n_o, cross_r)
+    eta = ch.eta if hypothesis is Hypothesis.H1 else 0.0
+    b = 2.0 * source.n_o + 1.0
+    s_r = eta * source.s + (1.0 - eta) * (2.0 * ch.n_b + 1.0) * b
+    return TwoModeGaussianState(2.0 * n_r + 1.0, b, 2.0 * cross_r, s_r)
 
 
 def _return_moments(source: SourceMoments, ch: TargetChannelParams,

@@ -102,8 +102,8 @@ HUGE_DRIVE_CFG = POINT_CFG.replace("gamma_w = 5181.95", "gamma_w = 1e100") + FIG
 DARK_CFG = (POINT_CFG.replace("5181.95", "0").replace("668.43", "0")
             + "\n[eom]\nt_eom = 0 mk\n")
 
-# a converter so hot that the source state's symplectic invariants overflow float64
-HOT_CFG = POINT_CFG + "\n[eom]\nt_eom = 1e80 k\n"
+# a converter so hot that the source state's ab - c^2 overflows float64 (from ~1e153 k)
+HOT_CFG = POINT_CFG + "\n[eom]\nt_eom = 1e160 k\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -169,6 +169,16 @@ def test_overflowing_source_lands_in_error_column(tmp_path, capsys):
     row = capsys.readouterr().out.splitlines()[-1].split(",")
     assert row[2:5] == ["", "", ""]
     assert row[5] == "OverflowError: symplectic spectrum overflows float64"
+
+
+def test_hot_weakly_driven_report_has_nonnegative_discord(tmp_path, capsys):
+    # at 300 k the idler holds n_o = 7.7e6, where the textbook entropy and the
+    # rounding-picked homodyne branch printed D = -5.2e-8 bits and exited 3
+    path = tmp_path / "hot.cfg"
+    path.write_text("[eom]\nt_eom = 300 k\n[drive]\ngamma_w = 1e-6\ngamma_o = 0.2848\n")
+    assert cli.main(["report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "[ok] discord >= 0" in out and "D = 4.049" in out
 
 
 def test_failed_validation_exits_3(cfg_path, monkeypatch, capsys):

@@ -166,9 +166,22 @@ def test_moments_reject_non_finite(bad):
     # NaN and inf passed the plain `< 0` test
     for field in ("n_w", "n_o", "cross"):
         with pytest.raises(ValueError, match="moments must be finite"):
-            mwqi.SourceMoments(**{"n_w": 0.5, "n_o": 0.5, "cross": 0.1, field: bad})
+            mwqi.SourceMoments(**{"n_w": 0.5, "n_o": 0.5, "cross": 0.1, "s": 3.96, field: bad})
     with pytest.raises(ValueError, match="moments must be finite"):
         source_moments(coefficients(Cooperativities(1.0, 1.0)), bad, 0.0, 0.0)
+
+
+def test_moments_s_overflows_alone():
+    # s ~ 4 n_w n_o overflows where the moments do not; the state built from it names it
+    m = source_moments(coefficients(Cooperativities(1e2, 1e1)), 1e160, 1e156, 1e163)
+    assert m.s == math.inf and math.isfinite(m.n_w) and math.isfinite(m.n_o)
+    with pytest.raises(OverflowError, match="symplectic spectrum overflows float64"):
+        source_state(m)
+    with pytest.raises(ValueError, match="moments must be finite"):
+        mwqi.SourceMoments(n_w=0.5, n_o=0.5, cross=0.1, s=math.nan)
+    # a mechanical occupation whose 2 n + 1 overflows, with c_o = 0: s is not 0 * inf
+    m = source_moments(coefficients(Cooperativities(1e2, 0.0)), 0.0, 0.0, 1e308)
+    assert m.s == pytest.approx((2 * m.n_w + 1) * (2 * m.n_o + 1), rel=1e-15)
 
 
 def test_reference_moments(ref_moments):
@@ -198,14 +211,14 @@ def test_source_physicality_over_grid(params):
 # ---------------------------------------------------------------------------
 
 def test_metric_zero_cross():
-    m = mwqi.SourceMoments(n_w=1.0, n_o=1.0, cross=0.0)
+    m = mwqi.SourceMoments(n_w=1.0, n_o=1.0, cross=0.0, s=9.0)
     assert entanglement_metric(m) == 0.0
 
 
 @pytest.mark.parametrize("r", [0.3, 1.0, 2.5])
 def test_metric_tmsv(r):
     m = mwqi.SourceMoments(n_w=math.sinh(r) ** 2, n_o=math.sinh(r) ** 2,
-                           cross=math.cosh(r) * math.sinh(r))
+                           cross=math.cosh(r) * math.sinh(r), s=1.0)
     assert entanglement_metric(m) == pytest.approx(math.cosh(r) / math.sinh(r), rel=1e-12)
     assert entanglement_metric(m) > 1.0
 
@@ -217,7 +230,7 @@ def test_metric_reference(ref_moments):
 
 def test_metric_undefined():
     with pytest.raises(UndefinedMetricError):
-        entanglement_metric(mwqi.SourceMoments(n_w=0.0, n_o=1.0, cross=0.0))
+        entanglement_metric(mwqi.SourceMoments(n_w=0.0, n_o=1.0, cross=0.0, s=3.0))
 
 
 def test_metric_monotone_in_cooperativities(params):

@@ -46,12 +46,13 @@ def test_return_state_lossless(ref_moments):
     h1 = return_state(ref_moments, ch, Hypothesis.H1)
     src = mwqi.source_state(ref_moments)
     assert np.allclose(np.asarray(h1.cm, float), np.asarray(src.cm, float))
+    assert h1.s == src.s
 
 
 def test_return_state_reference_numbers():
     # published operating point: cross_R = sqrt(0.07) * 1.084, and the
     # return occupation is dominated by the bright background
-    m = SourceMoments(n_w=0.739, n_o=0.681, cross=1.084)
+    m = SourceMoments(n_w=0.739, n_o=0.681, cross=1.084, s=2.478 * 2.362 - 2.168 ** 2)
     ch = TargetChannelParams(eta=0.07, n_b=610.0)
     state = return_state(m, ch, Hypothesis.H1)
     cm = np.asarray(state.cm, float)
@@ -103,7 +104,7 @@ def test_threshold_zero_eta(ref_moments):
 
 
 def test_threshold_separable_source_clamped():
-    m = SourceMoments(n_w=1.0, n_o=1.0, cross=0.5)
+    m = SourceMoments(n_w=1.0, n_o=1.0, cross=0.5, s=8.0)
     assert entanglement_threshold(m, 0.3) == 0.0
 
 
@@ -123,7 +124,7 @@ def test_threshold_separates_entangled_return(ref_moments, ref_channel):
 # ---------------------------------------------------------------------------
 
 def test_receiver_no_correlation_no_signal(ref_channel, ref_receiver, baths):
-    m = SourceMoments(n_w=0.5, n_o=0.5, cross=0.0)
+    m = SourceMoments(n_w=0.5, n_o=0.5, cross=0.0, s=4.0)
     stats = receiver_statistics(m, ref_channel, ref_receiver, baths)
     assert stats.mu1 == stats.mu0 == 0.0
     assert stats.snr_per_m == 0.0
@@ -387,7 +388,7 @@ def test_coherent_benchmark_values(ref_channel):
 # ---------------------------------------------------------------------------
 
 def test_fom_zero_for_uncorrelated(ref_channel, ref_receiver, baths):
-    m = SourceMoments(n_w=0.5, n_o=0.5, cross=0.0)
+    m = SourceMoments(n_w=0.5, n_o=0.5, cross=0.0, s=4.0)
     assert figure_of_merit(m, ref_channel, ref_receiver, baths) == 0.0
 
 
@@ -416,7 +417,7 @@ def test_fiber_range_values():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: entanglement_threshold(SourceMoments(1.0, 0.0, 0.5), 0.1),
+    (lambda: entanglement_threshold(SourceMoments(1.0, 0.0, 0.5, 2.0), 0.1),
      "threshold undefined at n_o = 0"),
     (lambda: snr_per_mode(0.0, 1.0, 0.0, 1.0), "variances must be > 0"),
     (lambda: max_fiber_range(0.2, 0.5, -1.0), "loss budget must be >= 0"),

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ from mwqi import (
     Hypothesis,
     PhysicalityError,
     SourceMoments,
-    SymplecticData,
     TargetChannelParams,
     TwoModeGaussianState,
     entropy,
@@ -22,6 +22,9 @@ from mwqi import (
     two_mode_squeezed_vacuum,
 )
 from mwqi.states import _gaussian_factor
+
+# the published operating point; s = ab - c^2 with a = 2 n_w + 1, b = 2 n_o + 1, c = 2 cross
+REF = SourceMoments(n_w=0.739, n_o=0.681, cross=1.084, s=2.478 * 2.362 - 2.168 ** 2)
 
 
 def test_vacuum_is_identity_cm():
@@ -52,27 +55,29 @@ def test_unphysical_cm_rejected_with_diagnostics():
 
 
 def test_negative_discriminant_rejected():
-    # |c_x| > sqrt(ab): V is not positive definite and disc = -336
-    with pytest.raises(PhysicalityError, match="discriminant"):
-        TwoModeGaussianState(1.0, 3.0, 5.0, -5.0)
+    # |c| > sqrt(ab): s = ab - c^2 < 0, so V is not positive definite, and the
+    # discriminant (a - b)^2 + 4s of nu_plus is -84
+    with pytest.raises(PhysicalityError, match="not positive definite"):
+        TwoModeGaussianState(1.0, 3.0, 5.0, -22.0)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("make,error", [
-    (lambda: TwoModeGaussianState(math.nan, 1.0, 0.0, 0.0), PhysicalityError),
-    (lambda: TwoModeGaussianState(math.inf, 1.0, 0.0, 0.0), PhysicalityError),
-    (lambda: TwoModeGaussianState(1.0, math.nan, 0.0, 0.0), PhysicalityError),
-    (lambda: TwoModeGaussianState(1.0, 1.0, math.nan, 0.0), PhysicalityError),
-    (lambda: TwoModeGaussianState(1.0, 1.0, 0.0, -math.inf), PhysicalityError),
-    (lambda: TwoModeGaussianState(math.nan, 1.0, 0.0, 0.0,
-                                  spectrum=SymplecticData(1.0, 1.0, 1.0)), PhysicalityError),
-    # finite moments whose symplectic invariants overflow float64
-    (lambda: standard_form(1e80, 1e80, 5e79), OverflowError),
-    (lambda: TwoModeGaussianState(2e77, 2e77, 1e77, -1e77), OverflowError),
+    (lambda: TwoModeGaussianState(math.nan, 1.0, 0.0, 1.0), PhysicalityError),
+    (lambda: TwoModeGaussianState(math.inf, 1.0, 0.0, 1.0), PhysicalityError),
+    (lambda: TwoModeGaussianState(1.0, math.nan, 0.0, 1.0), PhysicalityError),
+    # the cross covariances are c_x = <x1 x2> = c and c_p = <p1 p2> = -c
+    (lambda: TwoModeGaussianState(1.0, 1.0, math.nan, 1.0), PhysicalityError),
+    (lambda: TwoModeGaussianState(1.0, 1.0, -math.inf, 1.0), PhysicalityError),
+    (lambda: TwoModeGaussianState(1.0, 1.0, 0.0, math.nan), PhysicalityError),
+    # finite entries whose products overflow float64, from about 1.3e154
+    (lambda: standard_form(1e160, 1e160, 5e159), OverflowError),
+    (lambda: TwoModeGaussianState(2e154, 2e154, 1e154, 3e308), OverflowError),
+    (lambda: TwoModeGaussianState(2e154, 1.0, 0.0, math.inf), OverflowError),
     (lambda: entropy(math.nan), ValueError),
     (lambda: entropy(math.inf), ValueError),
-], ids=["nan-a", "inf-a", "nan-b", "nan-c_x", "inf-c_p", "nan-with-spectrum",
-        "overflow-standard_form", "overflow-direct", "entropy-nan", "entropy-inf"])
+], ids=["nan-a", "inf-a", "nan-b", "nan-c_x", "inf-c_p", "nan-s",
+        "overflow-standard_form", "overflow-direct", "overflow-s", "entropy-nan", "entropy-inf"])
 def test_non_finite_and_overflowing_rejected(make, error):
     with pytest.raises(error):
         make()
@@ -85,9 +90,12 @@ def test_negative_photon_number_rejected():
 
 @pytest.mark.parametrize("make, error, message", [
     (lambda: two_mode_squeezed_vacuum(-0.1), ValueError, "squeezing parameter must be >= 0"),
-    (lambda: TwoModeGaussianState(0.5, 1.0, 0.0, 0.0), PhysicalityError,
+    (lambda: TwoModeGaussianState(0.5, 1.0, 0.0, 0.5), PhysicalityError,
      "diagonal variance below vacuum level: min=0.5"),
-], ids=["negative-squeezing", "sub-vacuum-variance"])
+    # s must be ab - c^2 of the entries, here 5; taken as given, nu_minus = 1/3 would pass
+    (lambda: TwoModeGaussianState(3.0, 3.0, 2.0, 1.0), PhysicalityError,
+     "s = 1.0 does not match ab - c^2 = 5.0"),
+], ids=["negative-squeezing", "sub-vacuum-variance", "mismatched-s"])
 def test_invalid_states_are_named(make, error, message):
     with pytest.raises(error) as err:
         make()
@@ -101,14 +109,13 @@ def test_cross_phase_is_absorbed():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: TwoModeGaussianState(2.0, 3.0, 1.0, -1.0),
-    lambda: TwoModeGaussianState(4.6, 16.1, 5.0, -7.2),
+    lambda: TwoModeGaussianState(2.0, 3.0, 1.0, 5.0),
+    lambda: TwoModeGaussianState(4.6, 16.1, 5.0, 49.06),
     lambda: standard_form(0.739, 0.681, 1.084),
     lambda: two_mode_squeezed_vacuum(1.0),
     lambda: standard_form(1.0, 2.0, 0.0),
-    lambda: source_state(SourceMoments(n_w=0.739, n_o=0.681, cross=1.084)),
-    lambda: return_state(SourceMoments(n_w=0.739, n_o=0.681, cross=1.084),
-                         TargetChannelParams(eta=0.07, n_b=610.0), Hypothesis.H1),
+    lambda: source_state(REF),
+    lambda: return_state(REF, TargetChannelParams(eta=0.07, n_b=610.0), Hypothesis.H1),
 ], ids=["direct", "asymmetric", "standard_form", "tmsv", "thermal_product",
         "source_state", "return_state"])
 def test_cm_is_float64(make):
@@ -210,12 +217,16 @@ def test_spectrum_matches_eigenvalue_oracle(n1, n2, cross):
     assert data.nu_plus == pytest.approx(hi, abs=1e-9)
 
 
+def _state(a, b, c):
+    return TwoModeGaussianState(a, b, c, a * b - c * c)
+
+
 @pytest.mark.parametrize("blocks", [
-    (1.4, 4.7, 1.2, 0.2), (4.6, 16.1, 5.0, -7.2), (2.0, 5.0, -1.5, 0.4),
+    (1.4, 4.7, 1.2), (16.1, 4.6, 7.2), (2.0, 5.0, -1.5),
 ])
 def test_asymmetric_spectrum_matches_eigenvalue_oracle(blocks):
-    # |c_x| != |c_p|: the correction term of the factored margin is nonzero
-    state = TwoModeGaussianState(*blocks)
+    # a != b: nu_plus - nu_minus = |a - b| and nu~_plus + nu~_minus = a + b
+    state = _state(*blocks)
     data = symplectic_spectrum(state)
     lo, hi = _eigvals_oracle(state.cm)
     flip = np.diag([1.0, 1.0, 1.0, -1.0])  # partial transpose: p2 -> -p2
@@ -226,13 +237,21 @@ def test_asymmetric_spectrum_matches_eigenvalue_oracle(blocks):
 
 
 def test_beamsplitter_family_spectrum():
-    # [[a I, c I], [c I, b I]] with a = b: eigenvalues a -+ c
-    state = TwoModeGaussianState(3.0, 3.0, 1.2, 1.2)
+    # the partial transpose of [[a I, c Z], [c Z, a I]] is the beam-splitter
+    # form [[a I, c I], [c I, a I]], with symplectic eigenvalues a -+ c
+    state = _state(3.0, 3.0, 1.2)
     data = symplectic_spectrum(state)
-    assert data.nu_minus == pytest.approx(1.8, abs=1e-12)
-    assert data.nu_plus == pytest.approx(4.2, abs=1e-12)
-    # phase-insensitive correlations are never entangled
-    assert data.nu_ppt_minus >= 1.0 - 1e-12
+    assert data.nu_ppt_minus == pytest.approx(1.8, abs=1e-15)
+    assert (data.nu_minus, data.nu_plus) == pytest.approx((math.sqrt(7.56),) * 2, abs=1e-15)
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])  # partial transpose: p2 -> -p2
+    lo, hi = _eigvals_oracle(flip @ state.cm @ flip)
+    assert (lo, hi) == pytest.approx((1.8, 4.2), abs=1e-12)
+
+
+def test_product_state_is_separable_exactly():
+    # an s one ulp below ab, as the converter can round it, must not give E_N > 0
+    state = TwoModeGaussianState(7.0, 1.0, 0.0, math.nextafter(7.0, 0.0))
+    assert symplectic_spectrum(state).nu_ppt_minus == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +267,16 @@ def test_entropy_values():
 def test_entropy_thermal_identity(n):
     expected = (n + 1) * math.log2(n + 1) - n * math.log2(n)
     assert entropy(2 * n + 1) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("nu", [3.7, 1e6, 1e12, 1e15, 1e300])
+def test_entropy_large_nu_matches_decimal(nu):
+    # the textbook difference of two nu log2 nu terms was 4.5e-2 off at 1e15 and nan at 1e306
+    with localcontext() as ctx:
+        ctx.prec = 340  # xp and xm differ by 1 at 1e300
+        xp, xm = (Decimal(nu) + 1) / 2, (Decimal(nu) - 1) / 2
+        exact = float((xp * xp.ln() - xm * xm.ln()) / Decimal(2).ln())
+    assert entropy(nu) == pytest.approx(exact, rel=4e-16)
 
 
 def test_entropy_domain_error():

@@ -406,9 +406,9 @@ def test_failing_drive_point_fails_each_of_its_rows(monkeypatch):
     monkeypatch.setattr(sweep_mod, "correlation_report",
                         lambda m: calls.append(m) or real(m))
     header, *data = _parse_csv(run_sweep(_grid(
-        "gamma_w log 4e3 6e3 2", "t_eom log 0.03 1e80 2", "eta lin 0.05 0.1 3")))
+        "gamma_w log 4e3 6e3 2", "t_eom log 0.03 1e160 2", "eta lin 0.05 0.1 3")))
     records = [dict(zip(header, r)) for r in data]
-    hot = [r for r in records if r["t_eom"] == "1.0000000000000000e+80"]
+    hot = [r for r in records if r["t_eom"] == "1.0000000000000000e+160"]
     assert len(hot) == 6 and len(calls) == 2 + len(hot)
     for r in hot:
         assert r["error"] == "OverflowError: symplectic spectrum overflows float64"
