@@ -6,6 +6,9 @@ Subcommands::
     mwqi fig3 <config>    error probability versus mode count, CSV
     mwqi report <config>  single-point report with invariant checks
 
+The config file is a run's whole input, the Monte-Carlo switch and seed
+included ([mc] validation, seed); ``--out`` only says where the output goes.
+
 Exit codes: 0 success, 1 config error, 2 physics error (instability, a
 non-physical state, a metric undefined at zero photons, or a quantity that
 overflows float64), 3 validation failure.
@@ -14,7 +17,6 @@ overflows float64), 3 validation failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .converter import InstabilityError, UndefinedMetricError
@@ -42,9 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to the config file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name == "report":
-            p.add_argument("--mc", action="store_true", help="enable Monte-Carlo validation")
     return parser
 
 
@@ -61,20 +60,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = parse_config(fh.read())
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"seed must be an integer >= 0, got {args.seed}",
-                                  field_name="--seed")
-            config = dataclasses.replace(config, seed=args.seed)
-
         if args.command == "sweep":
             _emit(run_sweep(config), args.out)
             return EXIT_OK
         if args.command == "fig3":
             _emit(run_figure3(config), args.out)
             return EXIT_OK
-        if args.mc:
-            config = dataclasses.replace(config, mc_validation=True)
         text, ok = report_point(config)
         _emit(text, args.out)
         return EXIT_OK if ok else EXIT_VALIDATION

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .converter import SourceMoments, UndefinedMetricError, entanglement_metric, source_state
-from .states import TwoModeGaussianState, entropy, symplectic_spectrum
+from .states import TwoModeGaussianState, entropy
 
 __all__ = [
     "CorrelationReport",
@@ -47,10 +47,7 @@ class CorrelationReport:
 
 def log_negativity(state: TwoModeGaussianState) -> float:
     """Logarithmic negativity E_N = max(0, -log2(nu_ppt_minus)) in ebits."""
-    nu = symplectic_spectrum(state).nu_ppt_minus
-    if nu <= 0:
-        raise ValueError(f"degenerate partial-transpose eigenvalue {nu!r}")
-    return max(0.0, -math.log2(nu))
+    return max(0.0, -math.log2(state.nu_ppt_minus))
 
 
 def coherent_information(state: TwoModeGaussianState) -> float:
@@ -59,8 +56,7 @@ def coherent_information(state: TwoModeGaussianState) -> float:
     S(rho_1) is the entropy of the reduced first mode, g(a); the joint
     entropy is g(nu_plus) + g(nu_minus).  May be negative.
     """
-    data = symplectic_spectrum(state)
-    return entropy(state.a) - entropy(data.nu_plus) - entropy(data.nu_minus)
+    return entropy(state.a) - entropy(state.nu_plus) - entropy(state.nu_minus)
 
 
 def gaussian_discord(state: TwoModeGaussianState) -> float:
@@ -79,10 +75,9 @@ def gaussian_discord(state: TwoModeGaussianState) -> float:
     The other direction is the discord of the mode-swapped state
     ``TwoModeGaussianState(state.b, state.a, state.c, state.s)``.
     """
-    data = symplectic_spectrum(state)
     nu_min = (state.s + state.a) / (state.b + 1.0)
-    value = (entropy(state.b) - entropy(data.nu_plus)
-             - entropy(data.nu_minus) + entropy(max(nu_min, 1.0)))
+    value = (entropy(state.b) - entropy(state.nu_plus)
+             - entropy(state.nu_minus) + entropy(max(nu_min, 1.0)))
     # discord is nonnegative for every physical state; lift rounding noise only
     return 0.0 if -1e-8 < value < 0.0 else value
 

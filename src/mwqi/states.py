@@ -9,9 +9,9 @@ return-idler pair, is a two-mode squeezed thermal state with covariance
 matrix [[a I, c Z], [c Z, b I]], Z = diag(1, -1), held as a, b, c and
 s = ab - c^2 = nu_plus nu_minus.  Its maker passes s in: near a pure state
 ab - c^2 of the rounded entries keeps no digit, while the converter forms s
-as a sum of positive terms.  The spectrum, with nu~ that of the partial
-transpose, has closed forms in + - * / and sqrt that subtract nothing nearly
-equal:
+as a sum of positive terms.  The state carries its spectrum, set at build
+from closed forms in + - * / and sqrt that subtract nothing nearly equal,
+with nu~ that of the partial transpose:
 
     nu_plus = (|a - b| + sqrt((a - b)^2 + 4 s)) / 2,       nu_minus = s / nu_plus,
     nu~_plus = (a + b + sqrt((a - b)^2 + 4 c^2)) / 2,      nu~_minus = s / nu~_plus.
@@ -28,10 +28,7 @@ __all__ = [
     "PHYSICALITY_TOL",
     "PhysicalityError",
     "TwoModeGaussianState",
-    "SymplecticData",
-    "standard_form",
     "two_mode_squeezed_vacuum",
-    "symplectic_spectrum",
     "entropy",
 ]
 
@@ -42,21 +39,6 @@ PHYSICALITY_TOL = 1e-9
 
 class PhysicalityError(ValueError):
     """Raised when a covariance matrix violates the uncertainty principle."""
-
-
-@dataclass(frozen=True, eq=False)
-class SymplecticData:
-    """Symplectic spectrum of a two-mode state.
-
-    ``nu_plus >= nu_minus`` are the symplectic eigenvalues (both >= 1 for a
-    physical state); ``nu_ppt_minus`` is the smaller symplectic eigenvalue of
-    the partially transposed state, which drops below 1 exactly when the
-    state is entangled.
-    """
-
-    nu_plus: float
-    nu_minus: float
-    nu_ppt_minus: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +55,11 @@ class TwoModeGaussianState:
         ab - c^2 as exact as the maker can form it; it must match the
         entries to ``PHYSICALITY_TOL`` relative to ab + c^2.
 
+    The symplectic spectrum is set at build: ``nu_plus >= nu_minus`` (both
+    >= 1 for a physical state) and ``nu_ppt_minus``, the smaller eigenvalue
+    of the partial transpose, which drops below 1 exactly when the state is
+    entangled.
+
     Raises
     ------
     PhysicalityError
@@ -88,7 +75,9 @@ class TwoModeGaussianState:
     b: float
     c: float
     s: float
-    spectrum: SymplecticData = field(init=False, repr=False)
+    nu_plus: float = field(init=False, repr=False)
+    nu_minus: float = field(init=False, repr=False)
+    nu_ppt_minus: float = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("a", "b", "c", "s"):
@@ -109,15 +98,16 @@ class TwoModeGaussianState:
                 f"covariance matrix not positive definite: nu_plus nu_minus = s = {s!r}")
         nu_plus = (abs(a - b) + math.sqrt(dd + 4.0 * s)) / 2
         nu_ppt_plus = (a + b + math.sqrt(dd + 4.0 * cc)) / 2
+        nu_minus = s / nu_plus
         # a product state is its own partial transpose: min(a, b) keeps E_N = 0 exact
-        data = SymplecticData(nu_plus, s / nu_plus, s / nu_ppt_plus if c else min(a, b))
-        if data.nu_minus < 1.0 - PHYSICALITY_TOL:
+        nu_ppt_minus = s / nu_ppt_plus if c else min(a, b)
+        if nu_minus < 1.0 - PHYSICALITY_TOL:
             raise PhysicalityError(
                 "state violates the uncertainty principle: "
-                f"nu_plus={data.nu_plus!r}, nu_minus={data.nu_minus!r}, "
-                f"nu_ppt_minus={data.nu_ppt_minus!r}"
-            )
-        object.__setattr__(self, "spectrum", data)
+                f"nu_plus={nu_plus!r}, nu_minus={nu_minus!r}, nu_ppt_minus={nu_ppt_minus!r}")
+        for name, value in zip(("nu_plus", "nu_minus", "nu_ppt_minus"),
+                               (nu_plus, nu_minus, nu_ppt_minus)):
+            object.__setattr__(self, name, value)
 
     @property
     def cm(self) -> np.ndarray:
@@ -129,46 +119,12 @@ class TwoModeGaussianState:
                          [0.0, -c, 0.0, b]])
 
 
-def standard_form(n_1: float, n_2: float, cross: complex) -> TwoModeGaussianState:
-    """Two-mode squeezed thermal state from its second moments.
-
-    Builds the covariance matrix [[a*I, c*Z], [c*Z, b*I]] with a = 2*n_1 + 1,
-    b = 2*n_2 + 1, c = 2*|cross| and Z = diag(1, -1).  The local phase
-    rotation that makes the phase-sensitive cross correlation real and
-    positive is absorbed; no metric computed downstream depends on it.  The
-    moments are taken as exact: s = ab - c^2 of them loses the digits of a
-    near-pure state with large entries, which :func:`mwqi.source_state` keeps.
-
-    Parameters
-    ----------
-    n_1, n_2 : float
-        Mean photon numbers of the two modes.
-    cross : complex
-        Phase-sensitive cross correlation <a_1 a_2>.
-
-    Raises
-    ------
-    PhysicalityError
-        If the resulting matrix is not a valid quantum covariance matrix;
-        the message lists the offending symplectic eigenvalues.
-    """
-    if n_1 < 0 or n_2 < 0:
-        raise ValueError(f"mean photon numbers must be >= 0, got {n_1}, {n_2}")
-    a, b, c = 2.0 * n_1 + 1.0, 2.0 * n_2 + 1.0, 2.0 * abs(cross)
-    return TwoModeGaussianState(a, b, c, a * b - c * c)
-
-
 def two_mode_squeezed_vacuum(r: float) -> TwoModeGaussianState:
     """Pure two-mode squeezed vacuum with squeezing parameter r >= 0, s = 1 exactly."""
     if r < 0:
         raise ValueError("squeezing parameter must be >= 0")
     a, c = math.cosh(2.0 * r), math.sinh(2.0 * r)
     return TwoModeGaussianState(a, a, c, 1.0)
-
-
-def symplectic_spectrum(state: TwoModeGaussianState) -> SymplecticData:
-    """Symplectic eigenvalues of the state and of its partial transpose, computed at build."""
-    return state.spectrum
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,10 @@ Example::
     select = e_metric, n_w, n_o, fom, p_qi@1e6, p_coh@1e6
 
 Omitted [eom] keys fall back to the nominal converter parameters.  A config
-without a [grid] section evaluates a single point at the base values.
+without a [grid] section evaluates a single point at the base values.  The
+[mc] section (validation = on|off, samples, seed) sets the report's
+Monte-Carlo check; its seed is also echoed in each output's ``# seed=`` line.
+The config text is a run's whole input.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from .converter import (
     entanglement_metric,
     is_stable,
     nominal_params,
-    planck_occupation,
     source_moments,
     source_state,
 )
@@ -70,7 +72,7 @@ from .detection import (
     mc_receiver_statistics,
     receiver_statistics,
 )
-from .states import PHYSICALITY_TOL, symplectic_spectrum
+from .states import PHYSICALITY_TOL
 
 __all__ = [
     "ConfigError",
@@ -363,8 +365,9 @@ def _source(coop: Cooperativities, params: EomParams):
 
 def _channel(config: SweepConfig, eta: float, t_b: float | None) -> TargetChannelParams:
     """Channel at eta whose background n_b is given, or the Planck occupation at t_b."""
-    n_b = config.n_b if config.n_b is not None else planck_occupation(config.params.omega_w, t_b)
-    return TargetChannelParams(eta=eta, n_b=n_b)
+    if config.n_b is not None:
+        return TargetChannelParams(eta=eta, n_b=config.n_b)
+    return TargetChannelParams.from_temperature(eta, t_b, config.params.omega_w)
 
 
 def _base_point(config: SweepConfig, command: str):
@@ -415,8 +418,7 @@ def run_sweep(config: SweepConfig) -> str:
     empty; a failure at one point lands in the ``error`` column and never
     aborts the sweep.  A config that leaves a needed value unset raises
     :class:`ConfigError` before the first row.  Output is byte-identical for
-    identical config and seed, and each row is the same whatever the axis
-    order.  Stability and the receiver statistics are evaluated at every point.
+    an identical config, and each row is the same whatever the axis order.  Stability and the receiver statistics are evaluated at every point.
     """
     if not config.outputs:
         raise ConfigError("no outputs selected", field_name="select")
@@ -525,10 +527,10 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
     lines.append("")
     lines.append("== source moments ==")
     lines.append(f"n_w = {m.n_w:.9g}   n_o = {m.n_o:.9g}   |<d_w d_o>| = {m.cross:.9g}")
-    spec_data = symplectic_spectrum(source_state(m))
-    lines.append(f"symplectic spectrum: nu+ = {spec_data.nu_plus:.9g}, "
-                 f"nu- = {spec_data.nu_minus:.9g}, ppt nu- = {spec_data.nu_ppt_minus:.9g}")
-    check("source state physical", spec_data.nu_minus >= 1.0 - PHYSICALITY_TOL)
+    state = source_state(m)
+    lines.append(f"symplectic spectrum: nu+ = {state.nu_plus:.9g}, "
+                 f"nu- = {state.nu_minus:.9g}, ppt nu- = {state.nu_ppt_minus:.9g}")
+    check("source state physical", state.nu_minus >= 1.0 - PHYSICALITY_TOL)
 
     report = correlation_report(m)
     lines.append("")

@@ -36,11 +36,6 @@ def test_sweep_to_file(cfg_path, tmp_path):
     assert out.read_text().startswith("# mwqi")
 
 
-def test_seed_flag_overrides_config(cfg_path, capsys):
-    assert cli.main(["sweep", cfg_path, "--seed", "123"]) == 0
-    assert "# seed=123" in capsys.readouterr().out
-
-
 def test_fig3_subcommand(cfg_path, tmp_path):
     path = tmp_path / "fig3.cfg"
     path.write_text(POINT_CFG + "\n[fig3]\nm_min = 1e5\nm_max = 1e6\nm_points = 3\n")
@@ -68,8 +63,8 @@ def test_report_subcommand(cfg_path, capsys):
 
 def test_report_with_mc_flag(tmp_path, capsys):
     path = tmp_path / "mc.cfg"
-    path.write_text(POINT_CFG + "\n[mc]\nsamples = 20000\nseed = 8\n")
-    assert cli.main(["report", str(path), "--mc"]) == 0
+    path.write_text(POINT_CFG + "\n[mc]\nvalidation = on\nsamples = 20000\nseed = 8\n")
+    assert cli.main(["report", str(path)]) == 0
     assert "Monte-Carlo validation" in capsys.readouterr().out
 
 
@@ -137,17 +132,16 @@ def test_incomplete_config_exits_1_whatever_the_points(tmp_path, capsys):
 DRIVE_ONLY_CFG = "[drive]\ngamma_w = 5181.95\ngamma_o = 668.43\n"
 
 
-@pytest.mark.parametrize("extra, flags, missing", [
-    ("[channel]\neta = 0.07\n", [], "t_b"),
-    ("[channel]\nt_b = 293 k\n", [], "eta"),
-    ("[channel]\nn_b = 600\n", [], "eta"),
-    ("", ["--mc"], "eta"),
-    ("[mc]\nvalidation = on\n", [], "eta"),
-], ids=["eta-only", "t_b-only", "n_b-only", "mc-flag", "mc-config"])
-def test_report_with_part_of_a_channel_exits_1(tmp_path, capsys, extra, flags, missing):
+@pytest.mark.parametrize("extra, missing", [
+    ("[channel]\neta = 0.07\n", "t_b"),
+    ("[channel]\nt_b = 293 k\n", "eta"),
+    ("[channel]\nn_b = 600\n", "eta"),
+    ("[mc]\nvalidation = on\n", "eta"),
+], ids=["eta-only", "t_b-only", "n_b-only", "mc-config"])
+def test_report_with_part_of_a_channel_exits_1(tmp_path, capsys, extra, missing):
     path = tmp_path / "partial.cfg"
     path.write_text(DRIVE_ONLY_CFG + extra)
-    assert cli.main(["report", str(path), *flags]) == 1
+    assert cli.main(["report", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"config error: field '{missing}': missing [channel]")
 
@@ -190,13 +184,8 @@ def test_failed_validation_exits_3(cfg_path, monkeypatch, capsys):
                                    "samples = inf", "seed = -3", "seed = 0.5"])
 def test_bad_mc_entry_exits_1(tmp_path, capsys, entry):
     path = tmp_path / "mc.cfg"
-    path.write_text(POINT_CFG + f"\n[mc]\n{entry}\n")
-    assert cli.main(["report", str(path), "--mc"]) == 1
-    assert "config error" in capsys.readouterr().err
-
-
-def test_negative_seed_flag_exits_1(cfg_path, capsys):
-    assert cli.main(["report", cfg_path, "--seed", "-3"]) == 1
+    path.write_text(POINT_CFG + f"\n[mc]\nvalidation = on\n{entry}\n")
+    assert cli.main(["report", str(path)]) == 1
     assert "config error" in capsys.readouterr().err
 
 
@@ -209,8 +198,8 @@ def test_integral_float_mc_entries_accepted():
 def test_zero_standard_error_fails_validation(tmp_path, capsys):
     # two samples give a clamped variance standard error of exactly 0
     path = tmp_path / "mc.cfg"
-    path.write_text(POINT_CFG + "\n[mc]\nsamples = 2\n")
-    assert cli.main(["report", str(path), "--mc"]) == 3
+    path.write_text(POINT_CFG + "\n[mc]\nvalidation = on\nsamples = 2\n")
+    assert cli.main(["report", str(path)]) == 3
     out = capsys.readouterr().out
     assert "variance delta inf se" in out
     assert "CHECKS FAILED" in out

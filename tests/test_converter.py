@@ -18,7 +18,6 @@ from mwqi import (
     planck_occupation,
     source_moments,
     source_state,
-    symplectic_spectrum,
 )
 
 SOURCE_SURFACES = Path(__file__).resolve().parents[1] / "demos" / "configs" / "source_surfaces.cfg"
@@ -151,8 +150,7 @@ def test_moments_zero_occupation_general():
     m = source_moments(c, 0.0, 0.0, 0.0)
     assert m.n_w == pytest.approx(c.b ** 2, rel=1e-12)
     assert m.n_o == pytest.approx(c.b ** 2 + c.c_o ** 2, rel=1e-12)
-    data = symplectic_spectrum(source_state(m))
-    assert abs(data.nu_minus - 1.0) < 1e-9
+    assert abs(source_state(m).nu_minus - 1.0) < 1e-9
 
 
 def test_moments_negative_occupation_rejected():
@@ -201,8 +199,7 @@ def test_source_physicality_over_grid(params):
                     continue
                 m = source_moments(coefficients(Cooperativities(gw, go)),
                                    n_w_t, 0.0, n_b_t)
-                data = symplectic_spectrum(source_state(m))
-                worst = min(worst, data.nu_minus)
+                worst = min(worst, source_state(m).nu_minus)
     assert worst >= 1.0 - 1e-9
 
 

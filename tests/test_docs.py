@@ -49,12 +49,24 @@ def test_sweep_docstring_example_parses():
 
 
 @pytest.mark.parametrize("argv", [["sweep", "x.cfg", "--threads", "2"],
-                                  ["fig3", "x.cfg", "--mc"]])
+                                  ["fig3", "x.cfg", "--mc"],
+                                  ["report", "x.cfg", "--mc"],
+                                  ["sweep", "x.cfg", "--seed", "1"]])
 def test_undocumented_flags_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "fig3", "report"])
+def test_help_lists_only_config_and_out(command, capsys):
+    # the config file is a run's whole input; --out only places the output
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert re.findall(r"^  (-?-?\w+)", help_text, re.M) == ["config", "-h", "--out"]
 
 
 def test_package_exports_exactly_the_submodule_names():

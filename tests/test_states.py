@@ -17,8 +17,6 @@ from mwqi import (
     entropy,
     return_state,
     source_state,
-    standard_form,
-    symplectic_spectrum,
     two_mode_squeezed_vacuum,
 )
 from mwqi.states import _gaussian_factor
@@ -27,30 +25,33 @@ from mwqi.states import _gaussian_factor
 REF = SourceMoments(n_w=0.739, n_o=0.681, cross=1.084, s=2.478 * 2.362 - 2.168 ** 2)
 
 
+def _state(a, b, c):
+    return TwoModeGaussianState(a, b, c, a * b - c * c)
+
+
 def test_vacuum_is_identity_cm():
-    state = standard_form(0.0, 0.0, 0.0)
+    state = two_mode_squeezed_vacuum(0.0)
     assert np.allclose(np.asarray(state.cm, dtype=float), np.eye(4), atol=0)
 
 
 def test_tmsv_standard_form_is_pure():
+    # the standard form of a two-mode squeezed vacuum, with s formed from its rounded entries
     r = 1.0
-    state = standard_form(math.sinh(r) ** 2, math.sinh(r) ** 2,
-                          math.cosh(r) * math.sinh(r))
-    data = symplectic_spectrum(state)
-    assert abs(data.nu_minus - 1.0) < 1e-10
-    assert abs(data.nu_plus - 1.0) < 1e-10
+    a = 2.0 * math.sinh(r) ** 2 + 1.0
+    state = _state(a, a, 2.0 * math.cosh(r) * math.sinh(r))
+    assert abs(state.nu_minus - 1.0) < 1e-10
+    assert abs(state.nu_plus - 1.0) < 1e-10
 
 
 def test_reference_source_cm_is_physical():
     # published operating point, cross correlation recovered from the
     # separability threshold 0.069 at transmissivity 0.07
-    state = standard_form(0.739, 0.681, 1.084)
-    assert symplectic_spectrum(state).nu_minus >= 1.0 - 1e-10
+    assert source_state(REF).nu_minus >= 1.0 - 1e-10
 
 
 def test_unphysical_cm_rejected_with_diagnostics():
     with pytest.raises(PhysicalityError) as err:
-        standard_form(0.1, 0.1, 5.0)
+        _state(1.2, 1.2, 10.0)
     assert "nu" in str(err.value)
 
 
@@ -71,7 +72,7 @@ def test_negative_discriminant_rejected():
     (lambda: TwoModeGaussianState(1.0, 1.0, -math.inf, 1.0), PhysicalityError),
     (lambda: TwoModeGaussianState(1.0, 1.0, 0.0, math.nan), PhysicalityError),
     # finite entries whose products overflow float64, from about 1.3e154
-    (lambda: standard_form(1e160, 1e160, 5e159), OverflowError),
+    (lambda: _state(2e160, 2e160, 1e160), OverflowError),
     (lambda: TwoModeGaussianState(2e154, 2e154, 1e154, 3e308), OverflowError),
     (lambda: TwoModeGaussianState(2e154, 1.0, 0.0, math.inf), OverflowError),
     (lambda: entropy(math.nan), ValueError),
@@ -85,7 +86,7 @@ def test_non_finite_and_overflowing_rejected(make, error):
 
 def test_negative_photon_number_rejected():
     with pytest.raises(ValueError):
-        standard_form(-0.1, 0.0, 0.0)
+        source_state(SourceMoments(n_w=-0.1, n_o=0.0, cross=0.0, s=0.8))
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -102,18 +103,12 @@ def test_invalid_states_are_named(make, error, message):
     assert str(err.value) == message
 
 
-def test_cross_phase_is_absorbed():
-    mag = standard_form(1.0, 2.0, 0.8)
-    rotated = standard_form(1.0, 2.0, 0.8 * np.exp(1j * 0.7))
-    assert np.allclose(np.asarray(mag.cm, float), np.asarray(rotated.cm, float))
-
-
 @pytest.mark.parametrize("make", [
     lambda: TwoModeGaussianState(2.0, 3.0, 1.0, 5.0),
     lambda: TwoModeGaussianState(4.6, 16.1, 5.0, 49.06),
-    lambda: standard_form(0.739, 0.681, 1.084),
+    lambda: _state(2.478, 2.362, 2.168),
     lambda: two_mode_squeezed_vacuum(1.0),
-    lambda: standard_form(1.0, 2.0, 0.0),
+    lambda: _state(3.0, 5.0, 0.0),
     lambda: source_state(REF),
     lambda: return_state(REF, TargetChannelParams(eta=0.07, n_b=610.0), Hypothesis.H1),
 ], ids=["direct", "asymmetric", "standard_form", "tmsv", "thermal_product",
@@ -172,28 +167,27 @@ def test_demo_configs_run_without_longdouble(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_spectrum_vacuum():
-    data = symplectic_spectrum(standard_form(0.0, 0.0, 0.0))
-    assert data.nu_plus == pytest.approx(1.0, abs=1e-14)
-    assert data.nu_minus == pytest.approx(1.0, abs=1e-14)
-    assert data.nu_ppt_minus == pytest.approx(1.0, abs=1e-14)
+    state = two_mode_squeezed_vacuum(0.0)
+    assert state.nu_plus == pytest.approx(1.0, abs=1e-14)
+    assert state.nu_minus == pytest.approx(1.0, abs=1e-14)
+    assert state.nu_ppt_minus == pytest.approx(1.0, abs=1e-14)
 
 
 def test_spectrum_thermal_product():
-    data = symplectic_spectrum(standard_form(1.0, 1.0, 0.0))
-    assert data.nu_plus == pytest.approx(3.0, abs=1e-12)
-    assert data.nu_minus == pytest.approx(3.0, abs=1e-12)
+    state = _state(3.0, 3.0, 0.0)
+    assert state.nu_plus == pytest.approx(3.0, abs=1e-12)
+    assert state.nu_minus == pytest.approx(3.0, abs=1e-12)
 
 
 def test_spectrum_tmsv_ppt():
-    data = symplectic_spectrum(two_mode_squeezed_vacuum(1.0))
-    assert data.nu_ppt_minus == pytest.approx(math.exp(-2.0), abs=1e-10)
+    assert two_mode_squeezed_vacuum(1.0).nu_ppt_minus == pytest.approx(math.exp(-2.0), abs=1e-10)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0])
 def test_tmsv_purity(r):
-    data = symplectic_spectrum(two_mode_squeezed_vacuum(r))
-    assert abs(data.nu_plus - 1.0) < 1e-10
-    assert abs(data.nu_minus - 1.0) < 1e-10
+    state = two_mode_squeezed_vacuum(r)
+    assert abs(state.nu_plus - 1.0) < 1e-10
+    assert abs(state.nu_minus - 1.0) < 1e-10
 
 
 def _eigvals_oracle(cm):
@@ -210,15 +204,10 @@ def _eigvals_oracle(cm):
     (0.3, 0.2, 0.1), (2.0, 1.0, 1.5), (0.739, 0.681, 1.084), (5.0, 0.5, 1.2),
 ])
 def test_spectrum_matches_eigenvalue_oracle(n1, n2, cross):
-    state = standard_form(n1, n2, cross)
-    data = symplectic_spectrum(state)
+    state = _state(2.0 * n1 + 1.0, 2.0 * n2 + 1.0, 2.0 * cross)
     lo, hi = _eigvals_oracle(state.cm)
-    assert data.nu_minus == pytest.approx(lo, abs=1e-9)
-    assert data.nu_plus == pytest.approx(hi, abs=1e-9)
-
-
-def _state(a, b, c):
-    return TwoModeGaussianState(a, b, c, a * b - c * c)
+    assert state.nu_minus == pytest.approx(lo, abs=1e-9)
+    assert state.nu_plus == pytest.approx(hi, abs=1e-9)
 
 
 @pytest.mark.parametrize("blocks", [
@@ -227,22 +216,20 @@ def _state(a, b, c):
 def test_asymmetric_spectrum_matches_eigenvalue_oracle(blocks):
     # a != b: nu_plus - nu_minus = |a - b| and nu~_plus + nu~_minus = a + b
     state = _state(*blocks)
-    data = symplectic_spectrum(state)
     lo, hi = _eigvals_oracle(state.cm)
     flip = np.diag([1.0, 1.0, 1.0, -1.0])  # partial transpose: p2 -> -p2
     ppt_lo, _ = _eigvals_oracle(flip @ state.cm @ flip)
-    assert data.nu_minus == pytest.approx(lo, abs=1e-12)
-    assert data.nu_plus == pytest.approx(hi, abs=1e-12)
-    assert data.nu_ppt_minus == pytest.approx(ppt_lo, abs=1e-12)
+    assert state.nu_minus == pytest.approx(lo, abs=1e-12)
+    assert state.nu_plus == pytest.approx(hi, abs=1e-12)
+    assert state.nu_ppt_minus == pytest.approx(ppt_lo, abs=1e-12)
 
 
 def test_beamsplitter_family_spectrum():
     # the partial transpose of [[a I, c Z], [c Z, a I]] is the beam-splitter
     # form [[a I, c I], [c I, a I]], with symplectic eigenvalues a -+ c
     state = _state(3.0, 3.0, 1.2)
-    data = symplectic_spectrum(state)
-    assert data.nu_ppt_minus == pytest.approx(1.8, abs=1e-15)
-    assert (data.nu_minus, data.nu_plus) == pytest.approx((math.sqrt(7.56),) * 2, abs=1e-15)
+    assert state.nu_ppt_minus == pytest.approx(1.8, abs=1e-15)
+    assert (state.nu_minus, state.nu_plus) == pytest.approx((math.sqrt(7.56),) * 2, abs=1e-15)
     flip = np.diag([1.0, 1.0, 1.0, -1.0])  # partial transpose: p2 -> -p2
     lo, hi = _eigvals_oracle(flip @ state.cm @ flip)
     assert (lo, hi) == pytest.approx((1.8, 4.2), abs=1e-12)
@@ -251,7 +238,7 @@ def test_beamsplitter_family_spectrum():
 def test_product_state_is_separable_exactly():
     # an s one ulp below ab, as the converter can round it, must not give E_N > 0
     state = TwoModeGaussianState(7.0, 1.0, 0.0, math.nextafter(7.0, 0.0))
-    assert symplectic_spectrum(state).nu_ppt_minus == 1.0
+    assert state.nu_ppt_minus == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +289,7 @@ def sample_quadratures(state, count, seed):
 
 
 def test_sampling_vacuum_variance():
-    q = sample_quadratures(standard_form(0.0, 0.0, 0.0), 10 ** 6, seed=123)
+    q = sample_quadratures(two_mode_squeezed_vacuum(0.0), 10 ** 6, seed=123)
     assert q.shape == (10 ** 6, 4)
     assert np.allclose(q.var(axis=0), 1.0, atol=0.01)
 
@@ -320,7 +307,7 @@ def test_sampling_tmsv_cross_moment():
 
 
 def test_sampling_deterministic():
-    state = standard_form(0.5, 0.3, 0.4)
+    state = _state(2.0, 1.6, 0.8)
     q1 = sample_quadratures(state, 1000, seed=42)
     q2 = sample_quadratures(state, 1000, seed=42)
     assert np.array_equal(q1, q2)
@@ -329,7 +316,7 @@ def test_sampling_deterministic():
 
 
 def test_sampling_covariance_consistency():
-    state = standard_form(0.739, 0.681, 1.084)
+    state = source_state(REF)
     n = 10 ** 6
     q = sample_quadratures(state, n, seed=2024)
     sample_cov = q.T @ q / n
@@ -342,4 +329,4 @@ def test_sampling_covariance_consistency():
 
 def test_sampling_count_validation():
     with pytest.raises(ValueError):
-        sample_quadratures(standard_form(0, 0, 0), 0, seed=1)
+        sample_quadratures(two_mode_squeezed_vacuum(0.0), 0, seed=1)

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import io
 import math
+import random
+import re
 import weakref
 from pathlib import Path
 
@@ -440,8 +442,13 @@ def test_nothing_is_kept_between_sweeps(monkeypatch):
     assert [float(r[n_w]) for r in swapped_rows] == [2.0 * float(r[n_w]) for r in rows]
     # the same for the channels, which rows at one (eta, t_b) share
     real_channel = sweep_mod.TargetChannelParams
-    monkeypatch.setattr(sweep_mod, "TargetChannelParams",
-                        lambda eta, n_b: real_channel(eta=eta, n_b=2.0 * n_b))
+
+    class Brighter(real_channel):
+        # from_temperature builds through cls, so the Planck background doubles too
+        def __init__(self, eta, n_b):
+            super().__init__(eta=eta, n_b=2.0 * n_b)
+
+    monkeypatch.setattr(sweep_mod, "TargetChannelParams", Brighter)
     _, *brighter_rows = _parse_csv(run_sweep(cfg))
     monkeypatch.setattr(sweep_mod, "TargetChannelParams", real_channel)
     assert run_sweep(cfg) == plain
@@ -689,3 +696,46 @@ def test_report_unstable_point_raises():
     with pytest.raises(mwqi.InstabilityError):
         report_point(parse_config(POINT_CFG.replace("gamma_o = 668.43",
                                                     "gamma_o = 9000")))
+
+
+# log ranges each axis may reach: drives to 1e12, temperatures (k) to 1e300,
+# transmissivity and idler storage down to 1e-12
+_AXIS_RANGES = {"gamma_w": (1e-8, 1e12), "gamma_o": (1e-8, 1e12), "eta": (1e-12, 1.0),
+                "t_b": (1e-6, 1e300), "t_eom": (1e-6, 1e300), "kappa_i": (1e-12, 1.0)}
+_ALL_OUTPUTS = ("n_w, n_o, e_metric, log_neg_per_photon, coh_info_per_photon, "
+                "discord_per_photon, fom, p_qi@1e6, p_coh@1e6")
+_PHYSICS_ERROR = re.compile(
+    r"(InstabilityError|PhysicalityError|UndefinedMetricError|OverflowError): \S")
+
+
+def _random_grid(rng):
+    """1-3 log axes over random spans of their ranges, an end pinned to a range edge at times."""
+    axes = []
+    for name in rng.sample(sorted(_AXIS_RANGES), rng.randint(1, 3)):
+        edges = [math.log10(edge) for edge in _AXIS_RANGES[name]]
+        lo, hi = sorted(rng.uniform(*edges) for _ in range(2))
+        lo = edges[0] if rng.random() < 0.3 else lo
+        hi = edges[1] if rng.random() < 0.3 else hi
+        axes.append(f"{name} log {10 ** lo!r} {10 ** hi!r} {rng.randint(2, 4)}")
+    return parse_config(POINT_CFG.replace("n_w, n_o, e_metric, fom", _ALL_OUTPUTS)
+                        + "\n[grid]\n" + "".join(f"axis = {a}\n" for a in axes))
+
+
+def test_random_grids_to_the_range_extremes_give_clean_physical_rows():
+    # every metric cell finite, every error a physics error, and D >= 0 and
+    # I_C <= E_N without slack, on 200 seeded configs with all outputs selected
+    rng = random.Random(2015)
+    rows = 0
+    for _ in range(200):
+        header, *data = _parse_csv(run_sweep(_random_grid(rng)))
+        first = header.index("stable") + 2
+        for row in data:
+            cells = dict(zip(header, row))
+            rows += 1
+            assert all(math.isfinite(float(cell)) for cell in row[first:-1] if cell), row
+            assert not cells["error"] or _PHYSICS_ERROR.match(cells["error"]), row
+            if cells["discord_per_photon"]:
+                assert float(cells["discord_per_photon"]) >= 0.0, row
+                assert float(cells["coh_info_per_photon"]) <= float(
+                    cells["log_neg_per_photon"]), row
+    assert rows > 2000
