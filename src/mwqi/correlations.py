@@ -9,7 +9,7 @@ qubits, discord in bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .converter import SourceMoments, UndefinedMetricError, entanglement_metric, source_state
 from .states import TwoModeGaussianState, entropy
@@ -34,7 +34,8 @@ def __getattr__(name):
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """All correlation measures of a source, with n_w-normalized companions."""
+    """All correlation measures of a source, with n_w-normalized companions, and the
+    source state they were computed from."""
 
     e_metric: float
     log_neg: float
@@ -43,6 +44,7 @@ class CorrelationReport:
     log_neg_per_photon: float
     coh_info_per_photon: float
     discord_per_photon: float
+    state: TwoModeGaussianState = field(repr=False, compare=False)
 
 
 def log_negativity(state: TwoModeGaussianState) -> float:
@@ -53,16 +55,16 @@ def log_negativity(state: TwoModeGaussianState) -> float:
 def coherent_information(state: TwoModeGaussianState) -> float:
     """Coherent information I(2>1) = S(rho_1) - S(rho_12) in qubits.
 
-    S(rho_1) is the entropy of the reduced first mode, g(a); the joint
-    entropy is g(nu_plus) + g(nu_minus).  May be negative.
+    S(rho_1) is the entropy of the reduced first mode, g(a); S(rho_12) is
+    ``state.joint_entropy``.  May be negative.
     """
-    return entropy(state.a) - entropy(state.nu_plus) - entropy(state.nu_minus)
+    return entropy(state.a) - state.joint_entropy
 
 
 def gaussian_discord(state: TwoModeGaussianState) -> float:
     """Gaussian quantum discord with the measurement on the second mode.
 
-    discord = g(b) - g(nu_plus) - g(nu_minus) + g(sqrt(E_min)), with E_min the
+    discord = g(b) - S(rho_12) + g(sqrt(E_min)), with E_min the
     smallest determinant of the kept (first) mode's covariance after a
     Gaussian measurement on the measured (second) mode (Adesso & Datta,
     PRL 105, 030501 (2010); Giorda & Paris, PRL 105, 020503 (2010)).  On a
@@ -76,8 +78,7 @@ def gaussian_discord(state: TwoModeGaussianState) -> float:
     ``TwoModeGaussianState(state.b, state.a, state.c, state.s)``.
     """
     nu_min = (state.s + state.a) / (state.b + 1.0)
-    value = (entropy(state.b) - entropy(state.nu_plus)
-             - entropy(state.nu_minus) + entropy(max(nu_min, 1.0)))
+    value = entropy(state.b) - state.joint_entropy + entropy(max(nu_min, 1.0))
     # discord is nonnegative for every physical state; lift rounding noise only
     return 0.0 if -1e-8 < value < 0.0 else value
 
@@ -100,4 +101,5 @@ def correlation_report(m: SourceMoments) -> CorrelationReport:
         log_neg_per_photon=en / m.n_w,
         coh_info_per_photon=info / m.n_w,
         discord_per_photon=disc / m.n_w,
+        state=state,
     )

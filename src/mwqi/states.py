@@ -19,6 +19,7 @@ with nu~ that of the partial transpose:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -108,6 +109,13 @@ class TwoModeGaussianState:
         for name, value in zip(("nu_plus", "nu_minus", "nu_ppt_minus"),
                                (nu_plus, nu_minus, nu_ppt_minus)):
             object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def joint_entropy(self) -> float:
+        """Entropy S(rho_12) = g(nu_plus) + g(nu_minus) in bits, computed on first
+        read, so that a state no entropic measure reads, such as a Monte-Carlo
+        return, never pays for it."""
+        return entropy(self.nu_plus) + entropy(self.nu_minus)
 
     @property
     def cm(self) -> np.ndarray:

@@ -29,11 +29,12 @@ Example::
     [outputs]
     select = e_metric, n_w, n_o, fom, p_qi@1e6, p_coh@1e6
 
-Omitted [eom] keys fall back to the nominal converter parameters.  A config
-without a [grid] section evaluates a single point at the base values.  The
-[mc] section (validation = on|off, samples, seed) sets the report's
-Monte-Carlo check; its seed is also echoed in each output's ``# seed=`` line.
-The config text is a run's whole input.
+Omitted keys take their :class:`SweepConfig` defaults, and [eom] keys those of
+the nominal converter; a key given twice is an error.  A config without a
+[grid] section evaluates a single point at the base values.  The [mc] section
+(validation = on|off, samples, seed) sets the report's Monte-Carlo check; its
+seed is also echoed in each output's ``# seed=`` line.  The config text is a
+run's whole input.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .converter import (
     is_stable,
     nominal_params,
     source_moments,
-    source_state,
 )
 from .correlations import correlation_report
 from .detection import (
@@ -79,7 +79,6 @@ __all__ = [
     "GridAxis",
     "SweepConfig",
     "parse_config",
-    "config_sha256",
     "run_sweep",
     "run_figure3",
     "report_point",
@@ -108,7 +107,6 @@ _KEYS = {
     ("drive", "gamma_o"): ("plain", ">= 0"),
     ("channel", "eta"): ("plain", "in [0, 1]"),
     ("channel", "t_b"): ("temp", ">= 0"),
-    ("channel", "n_b"): ("plain", ">= 0"),
     ("channel", "kappa_i"): ("plain", "in (0, 1]"),
     ("fig3", "m_min"): ("plain", ">= 1"),
     ("fig3", "m_max"): ("plain", ">= 1"),
@@ -119,8 +117,8 @@ _KEYS = {
 }
 _SECTIONS = {section for section, _ in _KEYS} | {"grid", "outputs"}
 _AXIS_NAMES = ("gamma_w", "gamma_o", "eta", "t_b", "t_eom", "kappa_i")
-_NEEDED = {"gamma_w": "[drive] gamma_w", "gamma_o": "[drive] gamma_o",
-           "eta": "[channel] eta", "t_b": "[channel] t_b or n_b"}
+_NEEDED = {key: f"[{section}] {key}" for section, key in _KEYS}  # as error messages name it
+_MC_FIELDS = {"validation": "mc_validation", "samples": "mc_samples"}  # [mc] key -> field
 _CORRELATION_OUTPUTS = ("log_neg_per_photon", "coh_info_per_photon", "discord_per_photon")
 _PLAIN_OUTPUTS = ("n_w", "n_o", "e_metric", *_CORRELATION_OUTPUTS, "fom")
 
@@ -155,26 +153,21 @@ class GridAxis:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    params: EomParams
-    gamma_w: float | None
-    gamma_o: float | None
-    eta: float | None
-    t_b: float | None
-    n_b: float | None
-    kappa_i: float
-    axes: tuple[GridAxis, ...]
-    outputs: tuple[str, ...]
-    m_min: float
-    m_max: float
-    m_points: int
-    seed: int
-    mc_validation: bool
-    mc_samples: int
+    params: EomParams = field(default_factory=nominal_params)
+    gamma_w: float | None = None
+    gamma_o: float | None = None
+    eta: float | None = None
+    t_b: float | None = None
+    kappa_i: float = 1.0
+    axes: tuple[GridAxis, ...] = ()
+    outputs: tuple[str, ...] = ()
+    m_min: float = 1e4
+    m_max: float = 1e8
+    m_points: int = 41
+    seed: int = 0
+    mc_validation: bool = False
+    mc_samples: int = 10 ** 6
     sha256: str = field(default="", compare=False)
-
-
-def config_sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _parse_quantity(raw: str, kind: str, line: int, key: str) -> float:
@@ -288,41 +281,24 @@ def parse_config(text: str) -> SweepConfig:
             outputs += [_parse_output_token(token, lineno)
                         for token in (t.strip() for t in raw.split(",")) if token]
         elif (section, key) in _KEYS:
-            values[section, key] = _parse_value(raw, *_KEYS[section, key], lineno, key)
+            value = _parse_value(raw, *_KEYS[section, key], lineno, key)
+            if (section, key) in values:
+                raise ConfigError(f"duplicate {section} parameter {key!r}", lineno, key)
+            values[section, key] = value
         else:
             raise ConfigError(f"unknown {section} parameter {key!r}", lineno, key)
 
-    def get(section, key, default=None):
-        return values.get((section, key), default)
-
     eom = {key: value for (sec, key), value in values.items() if sec == "eom"}
-    params = dataclasses.replace(nominal_params(), **eom)
-    axis_names = [a.name for a in axes]
-    if ("channel", "n_b") in values and (("channel", "t_b") in values or "t_b" in axis_names):
-        raise ConfigError("give either t_b (a value or a grid axis) or n_b, not both",
-                          field_name="t_b")
-    m_min, m_max = get("fig3", "m_min", 1e4), get("fig3", "m_max", 1e8)
-    if m_max < m_min:
-        raise ConfigError("need m_min <= m_max", field_name="m_min")
-
-    return SweepConfig(
-        params=params,
-        gamma_w=get("drive", "gamma_w"),
-        gamma_o=get("drive", "gamma_o"),
-        eta=get("channel", "eta"),
-        t_b=get("channel", "t_b"),
-        n_b=get("channel", "n_b"),
-        kappa_i=get("channel", "kappa_i", 1.0),
+    config = SweepConfig(
+        params=dataclasses.replace(nominal_params(), **eom),
         axes=tuple(axes),
         outputs=tuple(outputs),
-        m_min=m_min,
-        m_max=m_max,
-        m_points=get("fig3", "m_points", 41),
-        seed=get("mc", "seed", 0),
-        mc_validation=get("mc", "validation", False),
-        mc_samples=get("mc", "samples", 10 ** 6),
-        sha256=config_sha256(text),
-    )
+        sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        **{_MC_FIELDS.get(key, key): value for (sec, key), value in values.items()
+           if sec != "eom"})
+    if config.m_max < config.m_min:
+        raise ConfigError("need m_min <= m_max", field_name="m_min")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +308,17 @@ def parse_config(text: str) -> SweepConfig:
 def _check_config(config: SweepConfig, command: str) -> bool:
     """Raise :class:`ConfigError` naming the first missing needed value; return whether
     the run needs a channel: a sweep for ``fom`` or ``p_*@M`` (axes count as values),
-    ``fig3`` always, ``report`` once ``eta``, ``t_b`` or ``n_b`` is given or MC is on."""
+    ``fig3`` always, ``report`` once ``eta`` or ``t_b`` is given or MC is on."""
     sweep = command == "sweep"
     if sweep:
         needs_channel = any(token == "fom" or token.startswith("p_") for token in config.outputs)
     else:
         needs_channel = command == "fig3" or config.mc_validation or any(
-            getattr(config, key) is not None for key in ("eta", "t_b", "n_b"))
+            getattr(config, key) is not None for key in ("eta", "t_b"))
     given = {axis.name for axis in config.axes if sweep} | {
         key for key in ("gamma_w", "gamma_o", "eta", "t_b") if getattr(config, key) is not None}
     for key in ("gamma_w", "gamma_o") + (("eta", "t_b") if needs_channel else ()):
-        if key not in given and not (key == "t_b" and config.n_b is not None):
+        if key not in given:
             where = " (a value or a grid axis)" if sweep else ""
             raise ConfigError(f"missing {_NEEDED[key]}{where}", field_name=key)
     return needs_channel
@@ -363,10 +339,8 @@ def _source(coop: Cooperativities, params: EomParams):
     return coef, baths, source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
 
 
-def _channel(config: SweepConfig, eta: float, t_b: float | None) -> TargetChannelParams:
-    """Channel at eta whose background n_b is given, or the Planck occupation at t_b."""
-    if config.n_b is not None:
-        return TargetChannelParams(eta=eta, n_b=config.n_b)
+def _channel(config: SweepConfig, eta: float, t_b: float) -> TargetChannelParams:
+    """Channel at eta whose background is the Planck occupation at t_b."""
     return TargetChannelParams.from_temperature(eta, t_b, config.params.omega_w)
 
 
@@ -527,12 +501,12 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
     lines.append("")
     lines.append("== source moments ==")
     lines.append(f"n_w = {m.n_w:.9g}   n_o = {m.n_o:.9g}   |<d_w d_o>| = {m.cross:.9g}")
-    state = source_state(m)
+    report = correlation_report(m)
+    state = report.state
     lines.append(f"symplectic spectrum: nu+ = {state.nu_plus:.9g}, "
                  f"nu- = {state.nu_minus:.9g}, ppt nu- = {state.nu_ppt_minus:.9g}")
     check("source state physical", state.nu_minus >= 1.0 - PHYSICALITY_TOL)
 
-    report = correlation_report(m)
     lines.append("")
     lines.append("== correlations ==")
     lines.append(f"E-metric = {report.e_metric:.9g}")

@@ -132,18 +132,19 @@ def test_incomplete_config_exits_1_whatever_the_points(tmp_path, capsys):
 DRIVE_ONLY_CFG = "[drive]\ngamma_w = 5181.95\ngamma_o = 668.43\n"
 
 
-@pytest.mark.parametrize("extra, missing", [
-    ("[channel]\neta = 0.07\n", "t_b"),
-    ("[channel]\nt_b = 293 k\n", "eta"),
-    ("[channel]\nn_b = 600\n", "eta"),
-    ("[mc]\nvalidation = on\n", "eta"),
+# a background given as a photon number is no channel key: only t_b sets it
+@pytest.mark.parametrize("extra, error", [
+    ("[channel]\neta = 0.07\n", "field 't_b': missing [channel] t_b"),
+    ("[channel]\nt_b = 293 k\n", "field 'eta': missing [channel] eta"),
+    ("[channel]\nn_b = 600\n", "line 5, field 'n_b': unknown channel parameter 'n_b'"),
+    ("[mc]\nvalidation = on\n", "field 'eta': missing [channel] eta"),
 ], ids=["eta-only", "t_b-only", "n_b-only", "mc-config"])
-def test_report_with_part_of_a_channel_exits_1(tmp_path, capsys, extra, missing):
+def test_report_with_part_of_a_channel_exits_1(tmp_path, capsys, extra, error):
     path = tmp_path / "partial.cfg"
     path.write_text(DRIVE_ONLY_CFG + extra)
     assert cli.main(["report", str(path)]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"config error: field '{missing}': missing [channel]")
+    assert out == "" and err == f"config error: {error}\n"
 
 
 def test_report_without_channel_exits_0(tmp_path, capsys):

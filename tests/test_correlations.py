@@ -462,6 +462,26 @@ def test_report_reference_consistency(ref_moments):
     assert rep.log_neg_per_photon == pytest.approx(rep.log_neg / ref_moments.n_w, rel=1e-12)
 
 
+def test_report_evaluates_the_joint_entropy_once(monkeypatch, ref_moments):
+    # g(a) and g(b) of the marginals, g(nu+) + g(nu-) once, and g of the heterodyne
+    # conditional state, counted through both module bindings as perfbench counts them
+    calls = []
+    real = mwqi.states.entropy
+
+    def counted(nu):
+        calls.append(nu)
+        return real(nu)
+
+    monkeypatch.setattr(mwqi.states, "entropy", counted)
+    monkeypatch.setattr(mwqi.correlations, "entropy", counted)
+    rep = correlation_report(ref_moments)
+    assert len(calls) == 5
+    state = rep.state
+    assert state.joint_entropy == real(state.nu_plus) + real(state.nu_minus)
+    assert rep.coh_info == pytest.approx(
+        real(state.a) - real(state.nu_plus) - real(state.nu_minus), rel=1e-12)
+
+
 def test_report_zero_photon_error():
     with pytest.raises(UndefinedMetricError):
         correlation_report(SourceMoments(n_w=0.0, n_o=0.5, cross=0.0, s=2.0))

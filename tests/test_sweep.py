@@ -50,6 +50,13 @@ def test_parse_defaults_and_units():
     assert cfg.t_b == 293.0
     # nominal converter baseline fills the rest
     assert cfg.params.omega_m == pytest.approx(2 * math.pi * 10e6)
+    # an omitted key takes its SweepConfig default; base values stay unset
+    empty = parse_config("")
+    assert empty == mwqi.SweepConfig() and empty.params == mwqi.nominal_params()
+    assert (empty.gamma_w, empty.gamma_o, empty.eta, empty.t_b) == (None,) * 4
+    assert (empty.kappa_i, empty.m_min, empty.m_max, empty.m_points) == (1.0, 1e4, 1e8, 41)
+    assert (empty.seed, empty.mc_validation, empty.mc_samples) == (0, False, 10 ** 6)
+    assert empty.axes == empty.outputs == ()
 
 
 def test_parse_unit_conversion():
@@ -71,12 +78,12 @@ def test_parse_error_diagnostics():
         parse_config("[grid]\naxis = gamma_w log 10 1 5\n")  # unordered bounds
     with pytest.raises(ConfigError):
         parse_config("[grid]\naxis = gamma_w log 1 10 1\n")  # count < 2
-    with pytest.raises(ConfigError):
-        parse_config(POINT_CFG + "[channel]\nn_b = 5\n")  # both t_b and n_b
-    with pytest.raises(ConfigError) as err:
-        # n_b would override every t_b axis value
-        parse_config("[channel]\nn_b = 600\n[grid]\naxis = t_b lin 1 300 3\n")
-    assert "t_b" in str(err.value)
+    # the background is given by its temperature t_b only
+    for text in (POINT_CFG + "[channel]\nn_b = 5\n",
+                 "[channel]\nn_b = 600\n[grid]\naxis = t_b lin 1 300 3\n"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert "field 'n_b': unknown channel parameter 'n_b'" in str(err.value)
     with pytest.raises(ConfigError):
         parse_config("[outputs]\nselect = nonsense\n")
     with pytest.raises(ConfigError) as err:
@@ -110,10 +117,12 @@ def test_parse_error_diagnostics():
     ("[outputs]\nshow = n_w", "line 2, field 'show': outputs section accepts only 'select'"),
     ("[grid]\naxis = gamma_w log 1 10 3\naxis = gamma_w lin 1 10 3",
      "line 3, field 'axis': duplicate axis 'gamma_w'"),
+    ("[channel]\nt_b = 293 k\nt_b = 4 k",
+     "line 3, field 't_b': duplicate channel parameter 't_b'"),
     ("[fig3]\nm_min = 1e6\nm_max = 1e4", "field 'm_min': need m_min <= m_max"),
 ], ids=["unit-on-plain", "not-a-number", "switch", "axis-fields", "axis-name",
         "axis-spacing", "mode-count", "section", "no-equals", "grid-key", "outputs-key",
-        "duplicate-axis", "m-range"])
+        "duplicate-axis", "duplicate-key", "m-range"])
 def test_parse_error_messages(text, message):
     with pytest.raises(ConfigError) as err:
         parse_config(text + "\n")
@@ -675,10 +684,14 @@ def test_report_mc_validation():
     assert "within 3 se" in text
 
 
+def _operating_point_without_mc():
+    path = Path(__file__).resolve().parents[1] / "demos" / "configs" / "operating_point.cfg"
+    return dataclasses.replace(parse_config(path.read_text()), mc_validation=False)
+
+
 def test_report_builds_the_receiver_statistics_twice(monkeypatch):
     # one build for the mu/var/snr and P_QI lines, one inside figure_of_merit
-    path = Path(__file__).resolve().parents[1] / "demos" / "configs" / "operating_point.cfg"
-    config = dataclasses.replace(parse_config(path.read_text()), mc_validation=False)
+    config = _operating_point_without_mc()
     real, calls = mwqi.detection.receiver_statistics, []
 
     def counted(*args):
@@ -690,6 +703,20 @@ def test_report_builds_the_receiver_statistics_twice(monkeypatch):
     text, ok = report_point(config)
     assert ok and "P_QI" in text
     assert len(calls) == 2
+
+
+def test_report_builds_the_source_state_once(monkeypatch):
+    # the spectrum line reads the state the correlation report was computed from
+    real, states = mwqi.TwoModeGaussianState.__post_init__, []
+
+    def counted(self):
+        states.append(self)
+        real(self)
+
+    monkeypatch.setattr(mwqi.TwoModeGaussianState, "__post_init__", counted)
+    text, ok = report_point(_operating_point_without_mc())
+    assert ok and "symplectic spectrum" in text
+    assert len(states) == 1
 
 
 def test_report_unstable_point_raises():
