@@ -335,7 +335,8 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
                            seed: int = 0) -> McReceiverStatistics:
     """Monte-Carlo oracle for the difference-photocount statistics.
 
-    Reads 10 * samples standard normals from one generator, in blocks of at
+    Reads 10 * samples standard normals from one generator, or 8 * samples
+    at kappa_I = 1, where the vacuum runs are not drawn, in blocks of at
     most ``_MC_BLOCK`` samples (the same numbers as one unblocked draw),
     pushes them through the real receiver map, then estimates the mean and
     variance of the difference count.  Memory is one (4, samples) array of
@@ -347,7 +348,9 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     normals, read as rows of 4, are the return-idler quadratures
     (x_R, p_R, x_I, p_I); then come runs of ``samples`` normals for the
     real and imaginary parts of the optical bath, the mechanical bath and
-    the idler-loss vacuum port, in that order.  Each sample maps linearly to
+    the idler-loss vacuum port, in that order.  At kappa_I = 1 the vacuum
+    port has zero weight and the stream ends before its runs, so every
+    other normal is unchanged.  Each sample maps linearly to
     (Re d_1, Im d_1, Re d_2, Im d_2), with complex amplitudes
     alpha = (x + i p) / 2 and
 
@@ -382,9 +385,12 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     z_pair, z_bath = np.empty((cuts[0].stop, 4)), np.empty(cuts[0].stop)
     for cut in cuts:
         z = rng.standard_normal(out=z_pair[:cut.stop - cut.start])
-        x[:, cut] = (z @ pair_map).T
+        np.matmul(pair_map.T, z.T, out=x[:, cut])
     # runs of Re/Im of the optical bath, the mechanical bath and the vacuum port
-    for row, scale in ((0, opt), (1, opt), (0, -mech), (1, mech), (2, vac), (3, vac)):
+    runs = [(0, opt), (1, opt), (0, -mech), (1, mech)]
+    if vac:  # 0.0 at kappa_I = 1, where the vacuum runs would add exact zeros
+        runs += [(2, vac), (3, vac)]
+    for row, scale in runs:
         for cut in cuts:
             z = rng.standard_normal(out=z_bath[:cut.stop - cut.start])
             z *= scale

@@ -490,20 +490,25 @@ def _reference_mc(source, ch, rx, baths, hypothesis, samples, seed):
             math.sqrt(max(m4 - var_sym ** 2, 0.0) / samples))
 
 
-@pytest.mark.parametrize("hypothesis, seed, samples", [
-    *(pytest.param(hyp, seed, 50000, id=f"{hyp}-{seed}")
+@pytest.mark.parametrize("hypothesis, seed, samples, kappa_i", [
+    *(pytest.param(hyp, seed, 50000, 0.6, id=f"{hyp}-{seed}")
       for hyp in (Hypothesis.H0, Hypothesis.H1) for seed in (11, 12)),
     # several blocks and a ragged tail, so a mis-ordered block loop shows
-    *(pytest.param(hyp, 13, 2 * _MC_BLOCK + 3, id=f"{hyp}-blocks-and-tail")
+    *(pytest.param(hyp, 13, 2 * _MC_BLOCK + 3, 0.6, id=f"{hyp}-blocks-and-tail")
       for hyp in (Hypothesis.H0, Hypothesis.H1)),
-    pytest.param(Hypothesis.H1, 14, 2, id="two-samples"),
+    # lossless idler: the oracle stops before the vacuum runs, while the
+    # reference still draws them and scales them by zero
+    *(pytest.param(hyp, 13, 2 * _MC_BLOCK + 3, 1.0, id=f"{hyp}-blocks-and-tail-lossless")
+      for hyp in (Hypothesis.H0, Hypothesis.H1)),
+    pytest.param(Hypothesis.H1, 14, 2, 0.6, id="two-samples"),
 ])
 def test_mc_oracle_pins_draw_order(ref_moments, ref_channel, ref_coefficients, baths,
-                                   hypothesis, seed, samples):
-    # lossy idler (vacuum port in use), a thermal optical bath and the exact
-    # H1 background, so every entry of the receiver map is exercised
+                                   hypothesis, seed, samples, kappa_i):
+    # a thermal optical bath and the exact H1 background, and at kappa_i < 1
+    # a lossy idler (vacuum port in use), so every entry of the receiver map
+    # is exercised
     ch = TargetChannelParams(eta=ref_channel.eta, n_b=600.0 / (1.0 - ref_channel.eta))
-    rx = ReceiverParams(ref_coefficients, idler_transmissivity=0.6)
+    rx = ReceiverParams(ref_coefficients, idler_transmissivity=kappa_i)
     warm = mwqi.BathOccupations(n_w=baths.n_w, n_o=0.4, n_b=baths.n_b)
     mc = mc_receiver_statistics(ref_moments, ch, rx, warm, hypothesis,
                                 samples=samples, seed=seed)
@@ -511,8 +516,32 @@ def test_mc_oracle_pins_draw_order(ref_moments, ref_channel, ref_coefficients, b
     assert (mc.mu, mc.var, mc.se_mu, mc.se_var) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("kappa_i, runs", [(1.0, 8), (0.6, 10)],
+                         ids=["lossless-idler", "lossy-idler"])
+def test_mc_oracle_reads_exactly_the_normals_it_needs(monkeypatch, ref_moments, ref_channel,
+                                                      ref_coefficients, baths, kappa_i, runs):
+    # 4 quadratures and 4 bath runs per sample, plus the 2 vacuum-port runs
+    # only when the idler is lossy: the stream ends where the draws end
+    default_rng, built = np.random.default_rng, []
+
+    def recording_rng(seed):
+        built.append(default_rng(seed))
+        return built[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    samples = 2 * _MC_BLOCK + 3
+    rx = ReceiverParams(ref_coefficients, idler_transmissivity=kappa_i)
+    mc_receiver_statistics(ref_moments, ref_channel, rx, baths, Hypothesis.H1,
+                           samples=samples, seed=7)
+    expected = default_rng(7)
+    expected.standard_normal(runs * samples)
+    assert len(built) == 1
+    assert built[0].bit_generator.state == expected.bit_generator.state
+
+
 def test_mc_oracle_peak_memory(ref_moments, ref_channel, ref_receiver, baths):
-    # one (4, samples) array of 32 B per sample, plus blocks of fixed size
+    # one (4, samples) array of 32 B per sample, plus blocks of fixed size;
+    # the pair blocks are written in place, with no (block, 4) temporary
     tracemalloc.start()
     try:
         mc_receiver_statistics(ref_moments, ref_channel, ref_receiver, baths,
@@ -520,4 +549,4 @@ def test_mc_oracle_peak_memory(ref_moments, ref_channel, ref_receiver, baths):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50e6
+    assert peak < 36e6
