@@ -18,7 +18,7 @@ d = 1 + 2*Gamma_w - 2*Gamma_o:
 
     a_w = |1 - 2*Gamma_w - 2*Gamma_o| / d      (microwave in-band gain)
     a_o = (1 + 2*Gamma_w + 2*Gamma_o) / d      (optical in-band gain)
-    b   = 4*sqrt(Gamma_w*Gamma_o) / d          (two-mode-squeezing weight)
+    b   = 4*sqrt(Gamma_w*Gamma_o) / d          (two-mode-squeezing gain)
     c_w = sqrt(8*Gamma_w) / d                  (mechanical noise, microwave)
     c_o = sqrt(8*Gamma_o) / d                  (mechanical noise, optical)
 

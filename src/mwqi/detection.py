@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .converter import BathOccupations, EomCoefficients, SourceMoments, planck_occupation
-from .states import TwoModeGaussianState, _gaussian_factor
+from .states import TwoModeGaussianState
 
 __all__ = [
     "Hypothesis",
@@ -329,6 +329,21 @@ def max_fiber_range(loss_db_per_km: float, speed_fraction: float,
 _MC_BLOCK = 1 << 16  # samples per block of the Monte-Carlo oracle
 
 
+def _pair_factor(pair: TwoModeGaussianState) -> np.ndarray:
+    """Triangular F, F.T @ F the pair's covariance, from a, c and s in + - * / and sqrt.
+
+    A row z of 4 standard normals maps to z @ F = (x_R, p_R, x_I, p_I), with
+    x_R = sqrt(a) z_1, x_I = (c / sqrt(a)) z_1 + sqrt(s / a) z_3 and p alike
+    with -c.  The maker's s keeps det F = s exact even near a pure state.
+    """
+    ra, cond = math.sqrt(pair.a), math.sqrt(pair.s / pair.a)
+    cross = pair.c / ra
+    return np.array([[ra, 0.0, cross, 0.0],
+                     [0.0, ra, 0.0, -cross],
+                     [0.0, 0.0, cond, 0.0],
+                     [0.0, 0.0, 0.0, cond]])
+
+
 def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
                            rx: ReceiverParams, baths: BathOccupations,
                            hypothesis: Hypothesis, samples: int = 10 ** 6,
@@ -345,14 +360,16 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     only the input states and the linear receiver map are shared.
 
     The draw order is part of the seed contract.  The first 4 * samples
-    normals, read as rows of 4, are the return-idler quadratures
+    normals, read as rows of 4, map through the pair's triangular factor
+    (:func:`_pair_factor`) to the return-idler quadratures
     (x_R, p_R, x_I, p_I); then come runs of ``samples`` normals for the
     real and imaginary parts of the optical bath, the mechanical bath and
     the idler-loss vacuum port, in that order.  At kappa_I = 1 the vacuum
-    port has zero weight and the stream ends before its runs, so every
-    other normal is unchanged.  Each sample maps linearly to
-    (Re d_1, Im d_1, Re d_2, Im d_2), with complex amplitudes
-    alpha = (x + i p) / 2 and
+    port is uncoupled and the stream ends before its runs, so every
+    other normal is unchanged.  So is the factor: another factor of the
+    same covariance, an eigendecomposition say, gives other samples.  Each
+    sample maps linearly to (Re d_1, Im d_1, Re d_2, Im d_2), with complex
+    amplitudes alpha = (x + i p) / 2 and
 
         d_1 = b alpha_R* + a_o alpha_o - c_o alpha_b*
         d_2 = sqrt(kappa_I) alpha_I + sqrt(1 - kappa_I) alpha_vac
@@ -369,7 +386,7 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     coef, k_i = rx.coef, rx.idler_transmissivity
     pair = return_state(source, ch, hypothesis)
     t_i = math.sqrt(k_i) / 2.0
-    pair_map = _gaussian_factor(pair.cm) @ np.diag([coef.b / 2.0, -coef.b / 2.0, t_i, t_i])
+    pair_map = _pair_factor(pair) * [coef.b / 2.0, -coef.b / 2.0, t_i, t_i]
 
     def thermal_sd(n):
         # Re/Im of a thermal mode's complex amplitude: variance (2n+1)/4 each

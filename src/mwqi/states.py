@@ -9,21 +9,21 @@ return-idler pair, is a two-mode squeezed thermal state with covariance
 matrix [[a I, c Z], [c Z, b I]], Z = diag(1, -1), held as a, b, c and
 s = ab - c^2 = nu_plus nu_minus.  Its maker passes s in: near a pure state
 ab - c^2 of the rounded entries keeps no digit, while the converter forms s
-as a sum of positive terms.  The state carries its spectrum, set at build
-from closed forms in + - * / and sqrt that subtract nothing nearly equal,
-with nu~ that of the partial transpose:
+as a sum of positive terms.  A state is floats only, all set at build: no
+matrix is formed.  It carries its spectrum, from closed forms in + - * / and
+sqrt that subtract nothing nearly equal, with nu~ that of the partial
+transpose:
 
     nu_plus = (|a - b| + sqrt((a - b)^2 + 4 s)) / 2,       nu_minus = s / nu_plus,
-    nu~_plus = (a + b + sqrt((a - b)^2 + 4 c^2)) / 2,      nu~_minus = s / nu~_plus.
+    nu~_plus = (a + b + sqrt((a - b)^2 + 4 c^2)) / 2,      nu~_minus = s / nu~_plus,
+
+and its joint entropy g(nu_plus) + g(nu_minus).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 __all__ = [
     "PHYSICALITY_TOL",
@@ -59,7 +59,8 @@ class TwoModeGaussianState:
     The symplectic spectrum is set at build: ``nu_plus >= nu_minus`` (both
     >= 1 for a physical state) and ``nu_ppt_minus``, the smaller eigenvalue
     of the partial transpose, which drops below 1 exactly when the state is
-    entangled.
+    entangled.  So is ``joint_entropy``, S(rho_12) = g(nu_plus) + g(nu_minus)
+    in bits.
 
     Raises
     ------
@@ -79,6 +80,7 @@ class TwoModeGaussianState:
     nu_plus: float = field(init=False, repr=False)
     nu_minus: float = field(init=False, repr=False)
     nu_ppt_minus: float = field(init=False, repr=False)
+    joint_entropy: float = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("a", "b", "c", "s"):
@@ -106,25 +108,10 @@ class TwoModeGaussianState:
             raise PhysicalityError(
                 "state violates the uncertainty principle: "
                 f"nu_plus={nu_plus!r}, nu_minus={nu_minus!r}, nu_ppt_minus={nu_ppt_minus!r}")
-        for name, value in zip(("nu_plus", "nu_minus", "nu_ppt_minus"),
-                               (nu_plus, nu_minus, nu_ppt_minus)):
+        joint_entropy = entropy(nu_plus) + entropy(nu_minus)
+        for name, value in zip(("nu_plus", "nu_minus", "nu_ppt_minus", "joint_entropy"),
+                               (nu_plus, nu_minus, nu_ppt_minus, joint_entropy)):
             object.__setattr__(self, name, value)
-
-    @functools.cached_property
-    def joint_entropy(self) -> float:
-        """Entropy S(rho_12) = g(nu_plus) + g(nu_minus) in bits, computed on first
-        read, so that a state no entropic measure reads, such as a Monte-Carlo
-        return, never pays for it."""
-        return entropy(self.nu_plus) + entropy(self.nu_minus)
-
-    @property
-    def cm(self) -> np.ndarray:
-        """4x4 float64 covariance matrix in (x1, p1, x2, p2) ordering."""
-        a, b, c = self.a, self.b, self.c
-        return np.array([[a, 0.0, c, 0.0],
-                         [0.0, a, 0.0, -c],
-                         [c, 0.0, b, 0.0],
-                         [0.0, -c, 0.0, b]])
 
 
 def two_mode_squeezed_vacuum(r: float) -> TwoModeGaussianState:
@@ -136,7 +123,7 @@ def two_mode_squeezed_vacuum(r: float) -> TwoModeGaussianState:
 
 
 # ---------------------------------------------------------------------------
-# entropy and sampling
+# entropy
 # ---------------------------------------------------------------------------
 
 _LN2 = math.log(2.0)
@@ -157,12 +144,3 @@ def entropy(nu: float) -> float:
         return 0.0
     xm = (nu - 1.0) / 2
     return math.log2((nu + 1.0) / 2) + xm * math.log1p(1.0 / xm) / _LN2
-
-
-def _gaussian_factor(cm) -> np.ndarray:
-    """Factor F with F.T @ F = cm, via an eigendecomposition.
-
-    Rows z of standard normals map to z @ F, zero-mean with covariance cm.
-    """
-    w, u = np.linalg.eigh(np.asarray(cm, dtype=float))
-    return (u * np.sqrt(np.clip(w, 0.0, None))).T

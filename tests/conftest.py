@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import mwqi
@@ -42,3 +43,18 @@ def ref_channel(params):
 @pytest.fixture(scope="session")
 def ref_receiver(ref_coefficients):
     return mwqi.ReceiverParams(ref_coefficients)
+
+
+@pytest.fixture(scope="session")
+def cm():
+    """The 4x4 float64 covariance matrix [[a I, c Z], [c Z, b I]] of a state, in
+    (x1, p1, x2, p2) ordering: the matrix form the tests use as an oracle.  A
+    fixture, since test modules cannot import this conftest by name while
+    ``perfbench/tests`` has one too."""
+    def matrix(state):
+        a, b, c = state.a, state.b, state.c
+        return np.array([[a, 0.0, c, 0.0],
+                         [0.0, a, 0.0, -c],
+                         [c, 0.0, b, 0.0],
+                         [0.0, -c, 0.0, b]])
+    return matrix

@@ -115,19 +115,20 @@ def _oracle_conditional_entropy(kept, coupling, measured, log_s, theta):
     return entropy(math.sqrt(max(det_post, 1.0)))
 
 
-def _oracle_discord(state, measured_mode=1, extra_starts=0, seed=0):
+def _oracle_discord(state, cm, measured_mode=1, extra_starts=0, seed=0):
     """Discord by explicit measurement optimization: (value, optimal log s).
 
     A coarse scan over the log squeezing and angle of the measurement seed,
     plus ``extra_starts`` seeded random starts, is polished with bounded
     Nelder-Mead from the three best starts.  An optimum on a log-s bound is a
-    homodyne-type measurement, an interior one heterodyne-type.
+    homodyne-type measurement, an interior one heterodyne-type.  ``cm`` is the
+    conftest fixture that forms the state's covariance matrix.
     """
-    cm = np.asarray(state.cm, dtype=float)
+    v = cm(state)
     if measured_mode == 1:
-        kept, measured, coupling = cm[:2, :2], cm[2:, 2:], cm[:2, 2:]
+        kept, measured, coupling = v[:2, :2], v[2:, 2:], v[:2, 2:]
     else:
-        kept, measured, coupling = cm[2:, 2:], cm[:2, :2], cm[2:, :2]
+        kept, measured, coupling = v[2:, 2:], v[:2, :2], v[2:, :2]
     det_meas = measured[0, 0] * measured[1, 1] - measured[0, 1] * measured[1, 0]
     base = (entropy(math.sqrt(max(det_meas, 1.0)))
             - entropy(state.nu_plus) - entropy(state.nu_minus))
@@ -174,20 +175,20 @@ def test_discord_reference_state(ref_moments):
     assert log_negativity(state) > 0.0
 
 
-def test_discord_restart_robustness(ref_moments):
+def test_discord_restart_robustness(ref_moments, cm):
     # the oracle's minimum must not depend on where the search starts
     state = source_state(ref_moments)
-    values = [_oracle_discord(state, extra_starts=10, seed=s)[0] for s in range(10)]
+    values = [_oracle_discord(state, cm, extra_starts=10, seed=s)[0] for s in range(10)]
     assert max(values) - min(values) < 1e-7
 
 
-def test_discord_both_directions():
+def test_discord_both_directions(cm):
     state = two_mode_squeezed_vacuum(0.8)
     # symmetric state: both conditioning directions coincide
     assert gaussian_discord(_swapped(state)) == pytest.approx(
         gaussian_discord(state), abs=1e-7)
     assert gaussian_discord(_swapped(state)) == pytest.approx(
-        _oracle_discord(state, measured_mode=0)[0], abs=1e-6)
+        _oracle_discord(state, cm, measured_mode=0)[0], abs=1e-6)
 
 
 def test_discord_nonnegative_on_random_states():
@@ -205,27 +206,27 @@ def test_discord_nonnegative_on_random_states():
     pytest.param((1.0, 9.0, 0.6), id="pure-and-hot"),
     pytest.param((2.5, 1.2, 0.3), id="near-separable"),
 ])
-def test_discord_asymmetric_states_match_oracle(spectrum, measured_mode):
+def test_discord_asymmetric_states_match_oracle(spectrum, measured_mode, cm):
     # heterodyne attains the optimum over all Gaussian measurements
     state = _squeezed_thermal(*spectrum)
-    expected, log_s = _oracle_discord(state, measured_mode=measured_mode)
+    expected, log_s = _oracle_discord(state, cm, measured_mode=measured_mode)
     assert _is_heterodyne(log_s)
     value = gaussian_discord(state if measured_mode == 1 else _swapped(state))
     assert value >= 0.0
     assert value == pytest.approx(expected, abs=1e-6)
 
 
-def test_discord_random_asymmetric_states_match_oracle():
+def test_discord_random_asymmetric_states_match_oracle(cm):
     rng = np.random.default_rng(3)
     for _ in range(6):
         nu_1, nu_2 = rng.uniform(1.0, 7.0, 2)
         state = _squeezed_thermal(nu_1, nu_2, rng.uniform(0.0, 1.5))
-        expected, log_s = _oracle_discord(state)
+        expected, log_s = _oracle_discord(state, cm)
         assert _is_heterodyne(log_s)
         assert gaussian_discord(state) == pytest.approx(expected, abs=1e-6)
 
 
-def test_discord_demo_grid_matches_oracle(params, baths):
+def test_discord_demo_grid_matches_oracle(params, baths, cm):
     # every sixth value of each axis of demos/configs/source_surfaces.cfg
     checked = 0
     for gw in np.geomspace(1e2, 1e4, 5):
@@ -235,7 +236,7 @@ def test_discord_demo_grid_matches_oracle(params, baths):
                 continue
             state = source_state(source_moments(mwqi.coefficients(coop),
                                                 baths.n_w, baths.n_o, baths.n_b))
-            expected, log_s = _oracle_discord(state)
+            expected, log_s = _oracle_discord(state, cm)
             assert _is_heterodyne(log_s)
             assert gaussian_discord(state) == pytest.approx(expected, abs=1e-6)
             checked += 1

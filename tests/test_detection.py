@@ -27,50 +27,48 @@ from mwqi import (
     return_state,
     snr_per_mode,
 )
-from mwqi.detection import _MC_BLOCK
+from mwqi.detection import _MC_BLOCK, _pair_factor
 
 
 # ---------------------------------------------------------------------------
 # return channel
 # ---------------------------------------------------------------------------
 
-def test_return_state_vanishing_transmissivity(ref_moments):
+def test_return_state_vanishing_transmissivity(ref_moments, cm):
     ch = TargetChannelParams(eta=0.0, n_b=50.0)
     h0 = return_state(ref_moments, ch, Hypothesis.H0)
     h1 = return_state(ref_moments, ch, Hypothesis.H1)
-    assert np.allclose(np.asarray(h0.cm, float), np.asarray(h1.cm, float))
+    assert np.allclose(cm(h0), cm(h1))
 
 
-def test_return_state_lossless(ref_moments):
+def test_return_state_lossless(ref_moments, cm):
     ch = TargetChannelParams(eta=1.0, n_b=777.0)
     h1 = return_state(ref_moments, ch, Hypothesis.H1)
     src = mwqi.source_state(ref_moments)
-    assert np.allclose(np.asarray(h1.cm, float), np.asarray(src.cm, float))
+    assert np.allclose(cm(h1), cm(src))
     assert h1.s == src.s
 
 
-def test_return_state_reference_numbers():
+def test_return_state_reference_numbers(cm):
     # published operating point: cross_R = sqrt(0.07) * 1.084, and the
     # return occupation is dominated by the bright background
     m = SourceMoments(n_w=0.739, n_o=0.681, cross=1.084, s=2.478 * 2.362 - 2.168 ** 2)
     ch = TargetChannelParams(eta=0.07, n_b=610.0)
-    state = return_state(m, ch, Hypothesis.H1)
-    cm = np.asarray(state.cm, float)
-    n_r = (cm[0, 0] - 1.0) / 2
-    cross_r = cm[0, 2] / 2
+    v = cm(return_state(m, ch, Hypothesis.H1))
+    n_r = (v[0, 0] - 1.0) / 2
+    cross_r = v[0, 2] / 2
     assert cross_r == pytest.approx(math.sqrt(0.07) * 1.084, rel=1e-12)
     assert cross_r == pytest.approx(0.2868, abs=5e-4)
     assert n_r == pytest.approx(567.4, abs=0.1)
 
 
-def test_return_cross_independent_of_background(ref_moments):
+def test_return_cross_independent_of_background(ref_moments, cm):
     cross = []
     occ = []
     for n_b in (10.0, 100.0, 1000.0):
-        cm = np.asarray(return_state(
-            ref_moments, TargetChannelParams(eta=0.05, n_b=n_b), Hypothesis.H1).cm, float)
-        cross.append(cm[0, 2])
-        occ.append(cm[0, 0])
+        v = cm(return_state(ref_moments, TargetChannelParams(eta=0.05, n_b=n_b), Hypothesis.H1))
+        cross.append(v[0, 2])
+        occ.append(v[0, 0])
     assert cross[0] == cross[1] == cross[2]
     assert occ[0] < occ[1] < occ[2]
 
@@ -459,17 +457,20 @@ def test_mc_oracle_deterministic(ref_moments, ref_channel, ref_receiver, baths):
     assert a == b
 
 
-def _reference_mc(source, ch, rx, baths, hypothesis, samples, seed):
+def _reference_mc(source, ch, rx, baths, hypothesis, samples, seed, cm):
     """Per-mode complex-amplitude sampler that pins the oracle's draw order.
 
-    Draws the return-idler quadratures as rows of 4, then Re/Im of the
-    optical bath, the mechanical bath and the vacuum port, and applies the
-    receiver map to complex amplitudes mode by mode.
+    Draws the return-idler quadratures as rows of 4 through the pair's
+    triangular factor, then Re/Im of the optical bath, the mechanical bath
+    and the vacuum port, and applies the receiver map to complex amplitudes
+    mode by mode.
     """
     coef, k_i = rx.coef, rx.idler_transmissivity
     rng = np.random.default_rng(seed)
-    w, u = np.linalg.eigh(np.asarray(return_state(source, ch, hypothesis).cm, float))
-    q = rng.standard_normal((samples, 4)) @ (u * np.sqrt(np.clip(w, 0.0, None))).T
+    pair = return_state(source, ch, hypothesis)
+    factor = _pair_factor(pair)
+    np.testing.assert_array_max_ulp(factor.T @ factor, cm(pair), maxulp=4)
+    q = rng.standard_normal((samples, 4)) @ factor
     alpha_r = (q[:, 0] + 1j * q[:, 1]) / 2.0
     alpha_i = (q[:, 2] + 1j * q[:, 3]) / 2.0
 
@@ -502,7 +503,7 @@ def _reference_mc(source, ch, rx, baths, hypothesis, samples, seed):
       for hyp in (Hypothesis.H0, Hypothesis.H1)),
     pytest.param(Hypothesis.H1, 14, 2, 0.6, id="two-samples"),
 ])
-def test_mc_oracle_pins_draw_order(ref_moments, ref_channel, ref_coefficients, baths,
+def test_mc_oracle_pins_draw_order(ref_moments, ref_channel, ref_coefficients, baths, cm,
                                    hypothesis, seed, samples, kappa_i):
     # a thermal optical bath and the exact H1 background, and at kappa_i < 1
     # a lossy idler (vacuum port in use), so every entry of the receiver map
@@ -512,8 +513,22 @@ def test_mc_oracle_pins_draw_order(ref_moments, ref_channel, ref_coefficients, b
     warm = mwqi.BathOccupations(n_w=baths.n_w, n_o=0.4, n_b=baths.n_b)
     mc = mc_receiver_statistics(ref_moments, ch, rx, warm, hypothesis,
                                 samples=samples, seed=seed)
-    ref = _reference_mc(ref_moments, ch, rx, warm, hypothesis, samples, seed)
+    ref = _reference_mc(ref_moments, ch, rx, warm, hypothesis, samples, seed, cm)
     assert (mc.mu, mc.var, mc.se_mu, mc.se_var) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda m, ch, r=r: mwqi.two_mode_squeezed_vacuum(r), id=f"tmsv-{r}")
+      for r in (0.5, 3.0, 6.0, 9.0)),
+    *(pytest.param(lambda m, ch, hyp=hyp: return_state(m, ch, hyp), id=f"return-{hyp}")
+      for hyp in (Hypothesis.H0, Hypothesis.H1)),
+])
+def test_pair_factor_determinant_is_s(make, ref_moments, ref_channel):
+    # det cm = s^2 and the factor is triangular with diagonal sqrt(a), sqrt(a),
+    # sqrt(s/a), sqrt(s/a), so det F = s even near a pure state, where an
+    # eigendecomposition's clipped eigenvalues are off (0.978 for 1 at r = 9)
+    pair = make(ref_moments, ref_channel)
+    assert abs(np.linalg.det(_pair_factor(pair))) == pytest.approx(pair.s, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("kappa_i, runs", [(1.0, 8), (0.6, 10)],

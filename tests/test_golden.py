@@ -11,6 +11,7 @@ import math
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mwqi
@@ -46,6 +47,14 @@ CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 # 9.2270367134665687e-01 and 6.0511055549712645e-01 -> 6.0511055549712656e-01.
 # fom stays byte-exact; test_snr_squares_by_products in test_detection.py pins
 # the product form at the statistics of those two points.
+# The two Monte-Carlo lines of operating_point.txt were regenerated when the
+# oracle's return-idler factor went from numpy's eigh, whose basis within each
+# doubly degenerate eigenspace of [[a I, c Z], [c Z, b I]] is the LAPACK
+# build's choice, to the pair's closed-form triangular factor.  The normals,
+# their order and the seeds are the same; the mean/variance deltas moved from
+# 0.13/0.36 se to 0.07/0.27 se (h0) and from 1.80/1.52 se to 1.83/1.45 se (h1).
+# test_report_makes_no_linalg_call below keeps every LAPACK routine off the
+# report path.
 DECLARED_COLUMNS = {
     "margin": 5e-12,
     "discord_per_photon": 1e-12,
@@ -126,3 +135,16 @@ def test_correlation_columns_survive_libm_ulps(monkeypatch, tmp_path, direction)
     assert main(["sweep", str(CONFIGS / "source_surfaces.cfg"), "--out", str(out)]) == 0
     _compare_csv(out.read_text(encoding="utf-8").splitlines(),
                  (GOLDEN / "source_surfaces.csv").read_text(encoding="utf-8").splitlines())
+
+
+def test_report_makes_no_linalg_call(monkeypatch):
+    # a LAPACK routine may pick another basis or round otherwise on another
+    # build, and the report's lines are compared byte for byte
+    def banned(*args, **kwargs):
+        raise AssertionError("numpy.linalg called on the report path")
+
+    for name in ("eigh", "eig", "eigvalsh", "cholesky", "svd"):
+        monkeypatch.setattr(np.linalg, name, banned)
+    config = mwqi.parse_config((CONFIGS / "operating_point.cfg").read_text(encoding="utf-8"))
+    text, ok = mwqi.report_point(dataclasses.replace(config, mc_samples=1000))
+    assert ok and "== Monte-Carlo validation (1000 samples) ==" in text

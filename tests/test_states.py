@@ -19,7 +19,7 @@ from mwqi import (
     source_state,
     two_mode_squeezed_vacuum,
 )
-from mwqi.states import _gaussian_factor
+from mwqi.detection import _pair_factor
 
 # the published operating point; s = ab - c^2 with a = 2 n_w + 1, b = 2 n_o + 1, c = 2 cross
 REF = SourceMoments(n_w=0.739, n_o=0.681, cross=1.084, s=2.478 * 2.362 - 2.168 ** 2)
@@ -29,9 +29,8 @@ def _state(a, b, c):
     return TwoModeGaussianState(a, b, c, a * b - c * c)
 
 
-def test_vacuum_is_identity_cm():
-    state = two_mode_squeezed_vacuum(0.0)
-    assert np.allclose(np.asarray(state.cm, dtype=float), np.eye(4), atol=0)
+def test_vacuum_is_identity_cm(cm):
+    assert np.allclose(cm(two_mode_squeezed_vacuum(0.0)), np.eye(4), atol=0)
 
 
 def test_tmsv_standard_form_is_pure():
@@ -113,8 +112,12 @@ def test_invalid_states_are_named(make, error, message):
     lambda: return_state(REF, TargetChannelParams(eta=0.07, n_b=610.0), Hypothesis.H1),
 ], ids=["direct", "asymmetric", "standard_form", "tmsv", "thermal_product",
         "source_state", "return_state"])
-def test_cm_is_float64(make):
-    assert make().cm.dtype == np.float64
+def test_cm_is_float64(make, cm):
+    # and the factor the Monte-Carlo oracle samples through reproduces it
+    state = make()
+    factor = _pair_factor(state)
+    assert cm(state).dtype == factor.dtype == np.float64
+    np.testing.assert_array_max_ulp(factor.T @ factor, cm(state), maxulp=4)
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -203,9 +206,9 @@ def _eigvals_oracle(cm):
 @pytest.mark.parametrize("n1,n2,cross", [
     (0.3, 0.2, 0.1), (2.0, 1.0, 1.5), (0.739, 0.681, 1.084), (5.0, 0.5, 1.2),
 ])
-def test_spectrum_matches_eigenvalue_oracle(n1, n2, cross):
+def test_spectrum_matches_eigenvalue_oracle(n1, n2, cross, cm):
     state = _state(2.0 * n1 + 1.0, 2.0 * n2 + 1.0, 2.0 * cross)
-    lo, hi = _eigvals_oracle(state.cm)
+    lo, hi = _eigvals_oracle(cm(state))
     assert state.nu_minus == pytest.approx(lo, abs=1e-9)
     assert state.nu_plus == pytest.approx(hi, abs=1e-9)
 
@@ -213,25 +216,25 @@ def test_spectrum_matches_eigenvalue_oracle(n1, n2, cross):
 @pytest.mark.parametrize("blocks", [
     (1.4, 4.7, 1.2), (16.1, 4.6, 7.2), (2.0, 5.0, -1.5),
 ])
-def test_asymmetric_spectrum_matches_eigenvalue_oracle(blocks):
+def test_asymmetric_spectrum_matches_eigenvalue_oracle(blocks, cm):
     # a != b: nu_plus - nu_minus = |a - b| and nu~_plus + nu~_minus = a + b
     state = _state(*blocks)
-    lo, hi = _eigvals_oracle(state.cm)
+    lo, hi = _eigvals_oracle(cm(state))
     flip = np.diag([1.0, 1.0, 1.0, -1.0])  # partial transpose: p2 -> -p2
-    ppt_lo, _ = _eigvals_oracle(flip @ state.cm @ flip)
+    ppt_lo, _ = _eigvals_oracle(flip @ cm(state) @ flip)
     assert state.nu_minus == pytest.approx(lo, abs=1e-12)
     assert state.nu_plus == pytest.approx(hi, abs=1e-12)
     assert state.nu_ppt_minus == pytest.approx(ppt_lo, abs=1e-12)
 
 
-def test_beamsplitter_family_spectrum():
+def test_beamsplitter_family_spectrum(cm):
     # the partial transpose of [[a I, c Z], [c Z, a I]] is the beam-splitter
     # form [[a I, c I], [c I, a I]], with symplectic eigenvalues a -+ c
     state = _state(3.0, 3.0, 1.2)
     assert state.nu_ppt_minus == pytest.approx(1.8, abs=1e-15)
     assert (state.nu_minus, state.nu_plus) == pytest.approx((math.sqrt(7.56),) * 2, abs=1e-15)
     flip = np.diag([1.0, 1.0, 1.0, -1.0])  # partial transpose: p2 -> -p2
-    lo, hi = _eigvals_oracle(flip @ state.cm @ flip)
+    lo, hi = _eigvals_oracle(flip @ cm(state) @ flip)
     assert (lo, hi) == pytest.approx((1.8, 4.2), abs=1e-12)
 
 
@@ -280,12 +283,12 @@ def sample_quadratures(state, count, seed):
     """Draw i.i.d. quadrature 4-vectors (x1, p1, x2, p2) from the state.
 
     The stream is deterministic for a fixed seed.  The sample covariance
-    converges to ``state.cm`` entrywise as the count grows.
+    converges to the state's covariance matrix entrywise as the count grows.
     """
     if count < 1:
         raise ValueError("sample count must be >= 1")
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((count, 4)) @ _gaussian_factor(state.cm)
+    return rng.standard_normal((count, 4)) @ _pair_factor(state)
 
 
 def test_sampling_vacuum_variance():
@@ -315,16 +318,16 @@ def test_sampling_deterministic():
     assert not np.array_equal(q1, q3)
 
 
-def test_sampling_covariance_consistency():
+def test_sampling_covariance_consistency(cm):
     state = source_state(REF)
     n = 10 ** 6
     q = sample_quadratures(state, n, seed=2024)
     sample_cov = q.T @ q / n
-    cm = np.asarray(state.cm, float)
+    v = cm(state)
     for i in range(4):
         for j in range(4):
-            se = math.sqrt((cm[i, i] * cm[j, j] + cm[i, j] ** 2) / n)
-            assert abs(sample_cov[i, j] - cm[i, j]) < 5 * se
+            se = math.sqrt((v[i, i] * v[j, j] + v[i, j] ** 2) / n)
+            assert abs(sample_cov[i, j] - v[i, j]) < 5 * se
 
 
 def test_sampling_count_validation():
