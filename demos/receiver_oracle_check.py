@@ -24,11 +24,13 @@ stats = mwqi.receiver_statistics(source, channel, receiver, baths)
 samples = 10 ** 6
 
 print(f"{samples} samples per hypothesis\n")
-for hyp, mu_cf, var_cf in ((mwqi.Hypothesis.H0, stats.mu0, stats.var0),
-                           (mwqi.Hypothesis.H1, stats.mu1, stats.var1)):
-    mc = mwqi.mc_receiver_statistics(source, channel, receiver, baths, hyp,
+# no target (h0) is the same channel at eta = 0
+no_target = mwqi.TargetChannelParams(0.0, channel.n_b)
+for hyp, ch, mu_cf, var_cf in (("h0", no_target, stats.mu0, stats.var0),
+                               ("h1", channel, stats.mu1, stats.var1)):
+    mc = mwqi.mc_receiver_statistics(source, ch, receiver, baths,
                                      samples=samples, seed=2718)
-    print(f"hypothesis {hyp.value}:")
+    print(f"hypothesis {hyp}:")
     print(f"  mean: closed form {mu_cf:+.5f}, sampled {mc.mu:+.5f} "
           f"(delta {abs(mc.mu - mu_cf) / mc.se_mu:.2f} standard errors)")
     print(f"  variance: closed form {var_cf:.3f}, sampled {mc.var:.3f} "

@@ -233,9 +233,10 @@ def planck_occupation(omega: float, temp: float) -> float:
         raise ValueError("omega must be finite and > 0")
     if not 0.0 <= temp < math.inf:
         raise ValueError("temp must be finite and >= 0")
-    if temp == 0.0:
+    kt = _k_b * temp
+    if kt == 0.0:  # T = 0, or a kT that underflows
         return 0.0
-    x = _hbar * omega / (_k_b * temp)
+    x = _hbar * omega / kt
     if x > 700.0:
         return 0.0
     n = 1.0 / math.expm1(x) if x else math.inf  # x underflows to 0 only past the overflow

@@ -6,10 +6,10 @@ Detection model
 ---------------
 The microwave signal interrogates a region that either contains a weakly
 reflecting object (hypothesis H1) or not (H0).  The returned mode is
-c_R = c_B under H0 and c_R = sqrt(eta) d_w + sqrt(1 - eta) c_B under H1,
-with c_B a bright thermal background.  A second, identical converter feeds
-the return into its microwave port and emits the phase-conjugated,
-upconverted optical mode
+c_R = sqrt(eta) d_w + sqrt(1 - eta) c_B, with c_B a bright thermal
+background; H0 is the same channel at eta = 0, where c_R = c_B.  A second,
+identical converter feeds the return into its microwave port and emits the
+phase-conjugated, upconverted optical mode
 
     d_1 = b c_R* + a_o c_o,in' - c_o b_int'*
 
@@ -36,7 +36,6 @@ classical benchmark 4 eta M n_w / (2 n_B + 1), which anchors the convention.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -47,7 +46,6 @@ from .converter import BathOccupations, EomCoefficients, SourceMoments, planck_o
 from .states import TwoModeGaussianState
 
 __all__ = [
-    "Hypothesis",
     "TargetChannelParams",
     "ReceiverParams",
     "DetectionStatistics",
@@ -67,21 +65,16 @@ __all__ = [
 ]
 
 
-class Hypothesis(enum.Enum):
-    H0 = "h0"
-    H1 = "h1"
-
-
 @dataclass(frozen=True)
 class TargetChannelParams:
-    """Roundtrip target channel.
+    """Roundtrip target channel; the no-target hypothesis H0 is this channel at eta = 0.
 
     Attributes
     ----------
     eta : float
         Roundtrip transmitter-to-target-to-receiver transmissivity, including
         propagation loss and target reflectivity; the physical regime is
-        0 < eta << 1.
+        0 < eta << 1, and eta = 0 under H0.
     n_b : float
         Mean background photon number per mode, under both hypotheses.  For
         the background that leaves exactly n_b in the return under H1
@@ -118,6 +111,8 @@ class ReceiverParams:
 class DetectionStatistics(NamedTuple):
     """Per-mode-pair difference-photocount statistics under both hypotheses.
 
+    ``mu0`` and ``var0`` are those of the channel at eta = 0 (H0), ``mu1``
+    and ``var1`` those of the channel as given (H1).
     ``snr_per_m`` is the coefficient such that SNR(M) = M * snr_per_m.
     """
 
@@ -139,35 +134,22 @@ class McReceiverStatistics:
     samples: int
 
 
-def return_state(source: SourceMoments, ch: TargetChannelParams,
-                 hypothesis: Hypothesis) -> TwoModeGaussianState:
+def return_state(source: SourceMoments, ch: TargetChannelParams) -> TwoModeGaussianState:
     """Joint state of the returned microwave mode and the retained idler.
 
-    Under H0 the return is the bare background, uncorrelated with the idler.
-    Under H1 the return carries eta of the signal:
+    The return carries eta of the signal:
     n_R = eta n_w + (1 - eta) n_B', cross_R = sqrt(eta) |<d_w d_o>|, and the
     idler marginal is unchanged.  cross_R does not depend on the background
     brightness.  The pair's invariant follows from the source's as
-    s_R = eta s + (1 - eta)(2 n_B' + 1) b, with eta = 0 under H0.
+    s_R = eta s + (1 - eta)(2 n_B' + 1) b.  For H0 pass the channel at
+    eta = 0, ``TargetChannelParams(0.0, ch.n_b)``: the bare background,
+    uncorrelated with the idler.
     """
-    n_r, cross_r = _return_moments(source, ch, hypothesis)
-    eta = ch.eta if hypothesis is Hypothesis.H1 else 0.0
+    n_r = ch.eta * source.n_w + (1.0 - ch.eta) * ch.n_b
     b = 2.0 * source.n_o + 1.0
-    s_r = eta * source.s + (1.0 - eta) * (2.0 * ch.n_b + 1.0) * b
+    s_r = ch.eta * source.s + (1.0 - ch.eta) * (2.0 * ch.n_b + 1.0) * b
+    cross_r = math.sqrt(ch.eta) * source.cross
     return TwoModeGaussianState(2.0 * n_r + 1.0, b, 2.0 * cross_r, s_r)
-
-
-def _return_moments(source: SourceMoments, ch: TargetChannelParams,
-                    hypothesis: Hypothesis) -> tuple[float, float]:
-    """(n_R, cross_R): occupation of the returned mode and its correlation with the idler.
-
-    Shared by :func:`return_state`, :func:`receiver_statistics` and the
-    Monte-Carlo oracle.
-    """
-    if hypothesis is Hypothesis.H0:
-        return ch.n_b, 0.0
-    return (ch.eta * source.n_w + (1.0 - ch.eta) * ch.n_b,
-            math.sqrt(ch.eta) * source.cross)
 
 
 def entanglement_threshold(source: SourceMoments, eta: float) -> float:
@@ -213,8 +195,9 @@ def receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     The receiver's internal baths carry the occupations of the transmitter's
     converter (``baths``); the retained idler passes a beam splitter of
     transmissivity kappa_I = ``rx.idler_transmissivity`` mixing in vacuum
-    before detection.  Under each hypothesis, with (n_R, cross_R) from the
-    return channel, the conjugated return and the lossy idler carry
+    before detection.  For the channel at eta = 0 (H0) and as given (H1),
+    with n_R = eta n_w + (1 - eta) n_B and cross_R = sqrt(eta) |<d_w d_o>|
+    from the return channel, the conjugated return and the lossy idler carry
 
         N_1 = b^2 (n_R + 1) + a_o^2 n_o^T + c_o^2 (n_b^T + 1)
         N_2 = kappa_I n_o,    S = b sqrt(kappa_I) cross_R
@@ -226,10 +209,10 @@ def receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     optical = coef.a_o ** 2 * baths.n_o
     mechanical = coef.c_o ** 2 * (baths.n_b + 1.0)
     moments = []
-    for hyp in (Hypothesis.H0, Hypothesis.H1):
-        n_r, cross_r = _return_moments(source, ch, hyp)
+    for eta in (0.0, ch.eta):
+        n_r = eta * source.n_w + (1.0 - eta) * ch.n_b
         n_1 = coef.b ** 2 * (n_r + 1.0) + optical + mechanical
-        s = coef.b * math.sqrt(k_i) * cross_r
+        s = coef.b * math.sqrt(k_i) * (math.sqrt(eta) * source.cross)
         moments += [2.0 * s, 2.0 * s * s + 2.0 * n_1 * n_2 + n_1 + n_2]
     mu0, var0, mu1, var1 = moments
     return DetectionStatistics(mu0, mu1, var0, var1, snr_per_mode(mu0, mu1, var0, var1))
@@ -346,9 +329,10 @@ def _pair_factor(pair: TwoModeGaussianState) -> np.ndarray:
 
 def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
                            rx: ReceiverParams, baths: BathOccupations,
-                           hypothesis: Hypothesis, samples: int = 10 ** 6,
-                           seed: int = 0) -> McReceiverStatistics:
-    """Monte-Carlo oracle for the difference-photocount statistics.
+                           samples: int = 10 ** 6, seed: int = 0) -> McReceiverStatistics:
+    """Monte-Carlo oracle for the difference-photocount statistics of channel ``ch``.
+
+    Sample H0 by passing the channel at eta = 0, ``TargetChannelParams(0.0, ch.n_b)``.
 
     Reads 10 * samples standard normals from one generator, or 8 * samples
     at kappa_I = 1, where the vacuum runs are not drawn, in blocks of at
@@ -384,7 +368,7 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     if samples < 2:
         raise ValueError("need at least 2 samples")
     coef, k_i = rx.coef, rx.idler_transmissivity
-    pair = return_state(source, ch, hypothesis)
+    pair = return_state(source, ch)
     t_i = math.sqrt(k_i) / 2.0
     pair_map = _pair_factor(pair) * [coef.b / 2.0, -coef.b / 2.0, t_i, t_i]
 

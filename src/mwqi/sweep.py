@@ -62,7 +62,6 @@ from .converter import (
 )
 from .correlations import correlation_report
 from .detection import (
-    Hypothesis,
     ReceiverParams,
     TargetChannelParams,
     entanglement_threshold,
@@ -193,6 +192,8 @@ def _parse_quantity(raw: str, kind: str, line: int, key: str) -> float:
     scaled = value * units[parts[1].lower()]
     if kind == "freq":
         scaled *= 2.0 * math.pi  # stored angular
+    if not math.isfinite(scaled):
+        raise ConfigError(f"not a finite number in SI units: {raw!r}", line, key)
     return scaled
 
 
@@ -392,7 +393,8 @@ def run_sweep(config: SweepConfig) -> str:
     empty; a failure at one point lands in the ``error`` column and never
     aborts the sweep.  A config that leaves a needed value unset raises
     :class:`ConfigError` before the first row.  Output is byte-identical for
-    an identical config, and each row is the same whatever the axis order.  Stability and the receiver statistics are evaluated at every point.
+    an identical config, and each row is the same whatever the axis order.
+    Stability and the receiver statistics are evaluated at every point.
     """
     if not config.outputs:
         raise ConfigError("no outputs selected", field_name="select")
@@ -549,17 +551,17 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
         if config.mc_validation:
             lines.append("")
             lines.append(f"== Monte-Carlo validation ({config.mc_samples} samples) ==")
-            for hyp in (Hypothesis.H0, Hypothesis.H1):
-                mc_stats = mc_receiver_statistics(
-                    m, ch, rx, baths, hyp,
-                    samples=config.mc_samples, seed=config.seed + (hyp is Hypothesis.H1))
-                mu_cf = stats.mu1 if hyp is Hypothesis.H1 else stats.mu0
-                var_cf = stats.var1 if hyp is Hypothesis.H1 else stats.var0
+            # H0 is the channel at eta = 0
+            for hyp, channel, seed, mu_cf, var_cf in (
+                    ("h0", TargetChannelParams(0.0, ch.n_b), config.seed, stats.mu0, stats.var0),
+                    ("h1", ch, config.seed + 1, stats.mu1, stats.var1)):
+                mc_stats = mc_receiver_statistics(m, channel, rx, baths,
+                                                  samples=config.mc_samples, seed=seed)
                 dmu = _se_delta(mc_stats.mu, mu_cf, mc_stats.se_mu)
                 dvar = _se_delta(mc_stats.var, var_cf, mc_stats.se_var)
-                lines.append(f"{hyp.value}: mean delta {dmu:.2f} se, variance delta {dvar:.2f} se")
-                check(f"mc {hyp.value} mean within 3 se", dmu <= 3.0)
-                check(f"mc {hyp.value} variance within 3 se", dvar <= 3.0)
+                lines.append(f"{hyp}: mean delta {dmu:.2f} se, variance delta {dvar:.2f} se")
+                check(f"mc {hyp} mean within 3 se", dmu <= 3.0)
+                check(f"mc {hyp} variance within 3 se", dvar <= 3.0)
 
     ok = all(flag for _, flag in checks)
     lines.append("")

@@ -12,7 +12,6 @@ import numpy as np
 
 from mwqi import (
     Cooperativities,
-    Hypothesis,
     ReceiverParams,
     TargetChannelParams,
     bath_occupations,
@@ -159,9 +158,10 @@ def test_criterion_08_monte_carlo_oracle_agreement():
         ch = TargetChannelParams(eta=eta, n_b=n_b)
         rx = ReceiverParams(coef, k_i)
         stats = receiver_statistics(m, ch, rx, baths)
-        for hyp, mu_cf, var_cf in ((Hypothesis.H0, stats.mu0, stats.var0),
-                                   (Hypothesis.H1, stats.mu1, stats.var1)):
-            mc = mc_receiver_statistics(m, ch, rx, baths, hyp, samples=10 ** 6,
+        # H0 is the channel at eta = 0
+        for channel, mu_cf, var_cf in ((TargetChannelParams(0.0, n_b), stats.mu0, stats.var0),
+                                       (ch, stats.mu1, stats.var1)):
+            mc = mc_receiver_statistics(m, channel, rx, baths, samples=10 ** 6,
                                         seed=int(rng.integers(2 ** 32)))
             worst = max(worst,
                         abs(mc.mu - mu_cf) / mc.se_mu,

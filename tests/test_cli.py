@@ -176,6 +176,14 @@ def test_hot_weakly_driven_report_has_nonnegative_discord(tmp_path, capsys):
     assert "[ok] discord >= 0" in out and "D = 4.049" in out
 
 
+def test_report_at_an_underflowing_temperature_exits_0(tmp_path, capsys):
+    # k_B T underflows to 0, which divided by zero in the Planck occupation
+    path = tmp_path / "cold.cfg"
+    path.write_text(POINT_CFG + "\n[eom]\nt_eom = 1e-320 k\n")
+    assert cli.main(["report", str(path)]) == 0
+    assert "result: all checks passed" in capsys.readouterr().out
+
+
 def test_failed_validation_exits_3(cfg_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "report_point", lambda cfg: ("forced failure\n", False))
     assert cli.main(["report", cfg_path]) == 3

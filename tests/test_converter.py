@@ -38,7 +38,9 @@ def test_planck_mechanical_occupation():
 
 
 def test_planck_zero_temperature():
-    assert planck_occupation(2 * math.pi * 5e9, 0.0) == 0.0
+    # k_B T underflows to 0 below about 1.8e-301 K, where 1/kT divided by zero
+    for temp in (0.0, 1e-310, 5e-324):
+        assert planck_occupation(2 * math.pi * 5e9, temp) == 0.0
 
 
 def test_planck_optical_underflows():

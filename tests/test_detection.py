@@ -9,10 +9,10 @@ from scipy.special import erfc
 import mwqi
 from mwqi import (
     DetectionStatistics,
-    Hypothesis,
     ReceiverParams,
     SourceMoments,
     TargetChannelParams,
+    TwoModeGaussianState,
     coherent_snr_per_mode,
     entanglement_threshold,
     error_probability,
@@ -34,16 +34,18 @@ from mwqi.detection import _MC_BLOCK, _pair_factor
 # return channel
 # ---------------------------------------------------------------------------
 
-def test_return_state_vanishing_transmissivity(ref_moments, cm):
-    ch = TargetChannelParams(eta=0.0, n_b=50.0)
-    h0 = return_state(ref_moments, ch, Hypothesis.H0)
-    h1 = return_state(ref_moments, ch, Hypothesis.H1)
-    assert np.allclose(cm(h0), cm(h1))
+def test_return_state_vanishing_transmissivity(ref_moments):
+    # H0 is the channel at eta = 0: the bare background, uncorrelated with the
+    # idler, bit for bit
+    pair = return_state(ref_moments, TargetChannelParams(eta=0.0, n_b=50.0))
+    b = 2.0 * ref_moments.n_o + 1.0
+    h0 = TwoModeGaussianState(101.0, b, 0.0, 101.0 * b)
+    assert (pair.a, pair.b, pair.c, pair.s) == (h0.a, h0.b, h0.c, h0.s)
 
 
 def test_return_state_lossless(ref_moments, cm):
     ch = TargetChannelParams(eta=1.0, n_b=777.0)
-    h1 = return_state(ref_moments, ch, Hypothesis.H1)
+    h1 = return_state(ref_moments, ch)
     src = mwqi.source_state(ref_moments)
     assert np.allclose(cm(h1), cm(src))
     assert h1.s == src.s
@@ -54,7 +56,7 @@ def test_return_state_reference_numbers(cm):
     # return occupation is dominated by the bright background
     m = SourceMoments(n_w=0.739, n_o=0.681, cross=1.084, s=2.478 * 2.362 - 2.168 ** 2)
     ch = TargetChannelParams(eta=0.07, n_b=610.0)
-    v = cm(return_state(m, ch, Hypothesis.H1))
+    v = cm(return_state(m, ch))
     n_r = (v[0, 0] - 1.0) / 2
     cross_r = v[0, 2] / 2
     assert cross_r == pytest.approx(math.sqrt(0.07) * 1.084, rel=1e-12)
@@ -66,7 +68,7 @@ def test_return_cross_independent_of_background(ref_moments, cm):
     cross = []
     occ = []
     for n_b in (10.0, 100.0, 1000.0):
-        v = cm(return_state(ref_moments, TargetChannelParams(eta=0.05, n_b=n_b), Hypothesis.H1))
+        v = cm(return_state(ref_moments, TargetChannelParams(eta=0.05, n_b=n_b)))
         cross.append(v[0, 2])
         occ.append(v[0, 0])
     assert cross[0] == cross[1] == cross[2]
@@ -113,7 +115,7 @@ def test_threshold_separates_entangled_return(ref_moments, ref_channel):
     thresh = entanglement_threshold(ref_moments, eta)
     for factor, entangled in ((0.8, True), (1.2, False)):
         ch = TargetChannelParams(eta=eta, n_b=factor * thresh / (1.0 - eta))
-        state = return_state(ref_moments, ch, Hypothesis.H1)
+        state = return_state(ref_moments, ch)
         assert (log_negativity(state) > 0.0) is entangled
 
 
@@ -177,6 +179,9 @@ def test_receiver_statistics_match_pair_formula(ref_moments, ref_coefficients, b
     stats = receiver_statistics(ref_moments, ch, rx, warm)
     assert (stats.mu0, stats.var0, stats.mu1, stats.var1) == _pair_formula(
         ref_moments, ch, rx, warm)
+    if eta == 0.0:  # H0 is the channel at eta = 0: both hypotheses coincide
+        assert stats.mu1 == stats.mu0 == 0.0
+        assert stats.var1 == stats.var0
 
 
 def test_receiver_idler_loss_kills_signal(ref_moments, ref_channel, ref_coefficients, baths):
@@ -430,34 +435,40 @@ def test_invalid_inputs_are_named(call, message):
 # Monte-Carlo oracle
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+def _hypothesis_channel(hyp, ch):
+    """The channel sampled under ``hyp``: ``ch`` for H1, ``ch`` at eta = 0 for H0."""
+    return ch if hyp == "H1" else TargetChannelParams(eta=0.0, n_b=ch.n_b)
+
+
+# the test ids keep their established names, Hypothesis.H0 and Hypothesis.H1
+@pytest.mark.parametrize("hyp", ["H0", "H1"], ids=lambda hyp: f"Hypothesis.{hyp}")
 def test_mc_oracle_agrees_with_closed_form(ref_moments, ref_channel, ref_receiver,
-                                           baths, hypothesis):
+                                           baths, hyp):
     stats = receiver_statistics(ref_moments, ref_channel, ref_receiver, baths)
-    mc = mc_receiver_statistics(ref_moments, ref_channel, ref_receiver, baths,
-                                hypothesis, samples=300000, seed=99)
-    mu_cf = stats.mu1 if hypothesis is Hypothesis.H1 else stats.mu0
-    var_cf = stats.var1 if hypothesis is Hypothesis.H1 else stats.var0
+    mc = mc_receiver_statistics(ref_moments, _hypothesis_channel(hyp, ref_channel),
+                                ref_receiver, baths, samples=300000, seed=99)
+    mu_cf = stats.mu1 if hyp == "H1" else stats.mu0
+    var_cf = stats.var1 if hyp == "H1" else stats.var0
     assert abs(mc.mu - mu_cf) <= 3 * mc.se_mu
     assert abs(mc.var - var_cf) <= 3 * mc.se_var
 
 
 def test_mc_oracle_needs_two_samples(ref_moments, ref_channel, ref_receiver, baths):
     with pytest.raises(ValueError) as err:
-        mc_receiver_statistics(ref_moments, ref_channel, ref_receiver, baths,
-                               Hypothesis.H0, samples=1)
+        mc_receiver_statistics(ref_moments, _hypothesis_channel("H0", ref_channel),
+                               ref_receiver, baths, samples=1)
     assert str(err.value) == "need at least 2 samples"
 
 
 def test_mc_oracle_deterministic(ref_moments, ref_channel, ref_receiver, baths):
     a = mc_receiver_statistics(ref_moments, ref_channel, ref_receiver, baths,
-                               Hypothesis.H1, samples=10000, seed=5)
+                               samples=10000, seed=5)
     b = mc_receiver_statistics(ref_moments, ref_channel, ref_receiver, baths,
-                               Hypothesis.H1, samples=10000, seed=5)
+                               samples=10000, seed=5)
     assert a == b
 
 
-def _reference_mc(source, ch, rx, baths, hypothesis, samples, seed, cm):
+def _reference_mc(source, ch, rx, baths, samples, seed, cm):
     """Per-mode complex-amplitude sampler that pins the oracle's draw order.
 
     Draws the return-idler quadratures as rows of 4 through the pair's
@@ -467,7 +478,7 @@ def _reference_mc(source, ch, rx, baths, hypothesis, samples, seed, cm):
     """
     coef, k_i = rx.coef, rx.idler_transmissivity
     rng = np.random.default_rng(seed)
-    pair = return_state(source, ch, hypothesis)
+    pair = return_state(source, ch)
     factor = _pair_factor(pair)
     np.testing.assert_array_max_ulp(factor.T @ factor, cm(pair), maxulp=4)
     q = rng.standard_normal((samples, 4)) @ factor
@@ -491,37 +502,39 @@ def _reference_mc(source, ch, rx, baths, hypothesis, samples, seed, cm):
             math.sqrt(max(m4 - var_sym ** 2, 0.0) / samples))
 
 
-@pytest.mark.parametrize("hypothesis, seed, samples, kappa_i", [
-    *(pytest.param(hyp, seed, 50000, 0.6, id=f"{hyp}-{seed}")
-      for hyp in (Hypothesis.H0, Hypothesis.H1) for seed in (11, 12)),
+@pytest.mark.parametrize("hyp, seed, samples, kappa_i", [
+    *(pytest.param(hyp, seed, 50000, 0.6, id=f"Hypothesis.{hyp}-{seed}")
+      for hyp in ("H0", "H1") for seed in (11, 12)),
     # several blocks and a ragged tail, so a mis-ordered block loop shows
-    *(pytest.param(hyp, 13, 2 * _MC_BLOCK + 3, 0.6, id=f"{hyp}-blocks-and-tail")
-      for hyp in (Hypothesis.H0, Hypothesis.H1)),
+    *(pytest.param(hyp, 13, 2 * _MC_BLOCK + 3, 0.6, id=f"Hypothesis.{hyp}-blocks-and-tail")
+      for hyp in ("H0", "H1")),
     # lossless idler: the oracle stops before the vacuum runs, while the
     # reference still draws them and scales them by zero
-    *(pytest.param(hyp, 13, 2 * _MC_BLOCK + 3, 1.0, id=f"{hyp}-blocks-and-tail-lossless")
-      for hyp in (Hypothesis.H0, Hypothesis.H1)),
-    pytest.param(Hypothesis.H1, 14, 2, 0.6, id="two-samples"),
+    *(pytest.param(hyp, 13, 2 * _MC_BLOCK + 3, 1.0,
+                   id=f"Hypothesis.{hyp}-blocks-and-tail-lossless")
+      for hyp in ("H0", "H1")),
+    pytest.param("H1", 14, 2, 0.6, id="two-samples"),
 ])
 def test_mc_oracle_pins_draw_order(ref_moments, ref_channel, ref_coefficients, baths, cm,
-                                   hypothesis, seed, samples, kappa_i):
+                                   hyp, seed, samples, kappa_i):
     # a thermal optical bath and the exact H1 background, and at kappa_i < 1
     # a lossy idler (vacuum port in use), so every entry of the receiver map
     # is exercised
     ch = TargetChannelParams(eta=ref_channel.eta, n_b=600.0 / (1.0 - ref_channel.eta))
     rx = ReceiverParams(ref_coefficients, idler_transmissivity=kappa_i)
     warm = mwqi.BathOccupations(n_w=baths.n_w, n_o=0.4, n_b=baths.n_b)
-    mc = mc_receiver_statistics(ref_moments, ch, rx, warm, hypothesis,
-                                samples=samples, seed=seed)
-    ref = _reference_mc(ref_moments, ch, rx, warm, hypothesis, samples, seed, cm)
+    ch = _hypothesis_channel(hyp, ch)
+    mc = mc_receiver_statistics(ref_moments, ch, rx, warm, samples=samples, seed=seed)
+    ref = _reference_mc(ref_moments, ch, rx, warm, samples, seed, cm)
     assert (mc.mu, mc.var, mc.se_mu, mc.se_var) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("make", [
     *(pytest.param(lambda m, ch, r=r: mwqi.two_mode_squeezed_vacuum(r), id=f"tmsv-{r}")
       for r in (0.5, 3.0, 6.0, 9.0)),
-    *(pytest.param(lambda m, ch, hyp=hyp: return_state(m, ch, hyp), id=f"return-{hyp}")
-      for hyp in (Hypothesis.H0, Hypothesis.H1)),
+    *(pytest.param(lambda m, ch, hyp=hyp: return_state(m, _hypothesis_channel(hyp, ch)),
+                   id=f"return-Hypothesis.{hyp}")
+      for hyp in ("H0", "H1")),
 ])
 def test_pair_factor_determinant_is_s(make, ref_moments, ref_channel):
     # det cm = s^2 and the factor is triangular with diagonal sqrt(a), sqrt(a),
@@ -546,8 +559,7 @@ def test_mc_oracle_reads_exactly_the_normals_it_needs(monkeypatch, ref_moments, 
     monkeypatch.setattr(np.random, "default_rng", recording_rng)
     samples = 2 * _MC_BLOCK + 3
     rx = ReceiverParams(ref_coefficients, idler_transmissivity=kappa_i)
-    mc_receiver_statistics(ref_moments, ref_channel, rx, baths, Hypothesis.H1,
-                           samples=samples, seed=7)
+    mc_receiver_statistics(ref_moments, ref_channel, rx, baths, samples=samples, seed=7)
     expected = default_rng(7)
     expected.standard_normal(runs * samples)
     assert len(built) == 1
@@ -560,7 +572,7 @@ def test_mc_oracle_peak_memory(ref_moments, ref_channel, ref_receiver, baths):
     tracemalloc.start()
     try:
         mc_receiver_statistics(ref_moments, ref_channel, ref_receiver, baths,
-                               Hypothesis.H1, samples=10 ** 6, seed=1)
+                               samples=10 ** 6, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from mwqi import (
-    Hypothesis,
     PhysicalityError,
     SourceMoments,
     TargetChannelParams,
@@ -109,7 +108,7 @@ def test_invalid_states_are_named(make, error, message):
     lambda: two_mode_squeezed_vacuum(1.0),
     lambda: _state(3.0, 5.0, 0.0),
     lambda: source_state(REF),
-    lambda: return_state(REF, TargetChannelParams(eta=0.07, n_b=610.0), Hypothesis.H1),
+    lambda: return_state(REF, TargetChannelParams(eta=0.07, n_b=610.0)),
 ], ids=["direct", "asymmetric", "standard_form", "tmsv", "thermal_product",
         "source_state", "return_state"])
 def test_cm_is_float64(make, cm):

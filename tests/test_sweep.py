@@ -139,6 +139,7 @@ def test_parse_error_messages(text, message):
     "[drive]\ngamma_w = nan",
     "[channel]\nt_b = inf k",
     "[eom]\nomega_m = nan mhz",
+    "[eom]\nomega_m = 1e308 ghz",  # finite as written, not once scaled to rad/s
 ])
 def test_non_finite_numbers_rejected(entry):
     with pytest.raises(ConfigError) as err:
