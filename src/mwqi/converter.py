@@ -16,7 +16,7 @@ d_out = sqrt(2*kappa)*c - c_in) and mechanical amplitude decay at gamma_m/2
 Gamma_j = G_j^2/(kappa_j*gamma_m) and the denominator
 d = 1 + 2*Gamma_w - 2*Gamma_o:
 
-    a_w = |1 - 2*Gamma_w - 2*Gamma_o| / d      (microwave in-band gain)
+    a_w = (1 - 2*Gamma_w - 2*Gamma_o) / d      (microwave in-band gain, signed)
     a_o = (1 + 2*Gamma_w + 2*Gamma_o) / d      (optical in-band gain)
     b   = 4*sqrt(Gamma_w*Gamma_o) / d          (two-mode-squeezing gain)
     c_w = sqrt(8*Gamma_w) / d                  (mechanical noise, microwave)
@@ -109,7 +109,8 @@ class EomParams:
 
     def __post_init__(self):
         # written so that NaN fails too
-        for name in ("omega_m", "q_factor", "kappa_w", "kappa_o", "omega_w", "lambda_o"):
+        for name in ("omega_m", "q_factor", "kappa_w", "kappa_o", "omega_w", "lambda_o",
+                     "omega_o"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
         if not 0.0 <= self.t_eom < math.inf:
@@ -168,14 +169,13 @@ class BathOccupations:
 
 @dataclass(frozen=True)
 class EomCoefficients:
-    """Magnitudes of the converter's input-output coefficients.
+    """The converter's input-output coefficients.
 
-    ``sign_w`` carries the sign of the microwave in-band coefficient
-    (sign of 1 - 2*Gamma_w - 2*Gamma_o); the relative signs matter for the
-    phase-sensitive cross correlation of the outputs.  All other phases drop
-    out of every quantity computed in this package.  ``minor`` is the 2x2
-    minor s_w a_w a_o + b^2 = (1 - 2*Gamma_w + 2*Gamma_o)/d, formed with one
-    rounding in the numerator.
+    ``a_w`` keeps the sign of 1 - 2*Gamma_w - 2*Gamma_o, which matters for the
+    phase-sensitive cross correlation of the outputs; every other coefficient is
+    non-negative, and all other phases drop out of every quantity computed in this
+    package.  ``minor`` is the 2x2 minor a_w a_o + b^2 = (1 - 2*Gamma_w +
+    2*Gamma_o)/d, formed with one rounding in the numerator.
     """
 
     a_w: float
@@ -183,7 +183,6 @@ class EomCoefficients:
     b: float
     c_w: float
     c_o: float
-    sign_w: float
     minor: float
 
 
@@ -277,12 +276,11 @@ def coefficients(coop: Cooperativities) -> EomCoefficients:
     t = 1.0 - 2.0 * gw - 2.0 * go
     dc, dc_err = _two_diff(gw, go)
     return EomCoefficients(
-        a_w=abs(t) / d,
+        a_w=t / d,
         a_o=(1.0 + 2.0 * gw + 2.0 * go) / d,
         b=4.0 * math.sqrt(gw * go) / d,
         c_w=math.sqrt(8.0 * gw) / d,
         c_o=math.sqrt(8.0 * go) / d,
-        sign_w=1.0 if t >= 0 else -1.0,
         # 0.5 - dc is exact where the numerator is small
         minor=2.0 * ((0.5 - dc) - dc_err) / d,
     )
@@ -294,11 +292,11 @@ def source_moments(coef: EomCoefficients, n_w_thermal: float,
 
     n_w    = a_w^2 n_w^T + b^2 (n_o^T + 1) + c_w^2 n_b^T
     n_o    = b^2 (n_w^T + 1) + a_o^2 n_o^T + c_o^2 (n_b^T + 1)
-    cross  = |s_w a_w b (n_w^T + 1) - b a_o n_o^T - c_w c_o (n_b^T + 1)|
+    cross  = |a_w b (n_w^T + 1) - b a_o n_o^T - c_w c_o (n_b^T + 1)|
 
     The relative signs in ``cross`` follow the phases of the Langevin
     solution: the mechanical-noise contribution enters with the sign opposite
-    to the in-band term, and the in-band term itself flips sign where
+    to the in-band term, and the in-band term itself flips sign with a_w where
     2*Gamma_w + 2*Gamma_o crosses 1.  This sign structure is what keeps the
     output state physical at every stable operating point.
 
@@ -314,7 +312,7 @@ def source_moments(coef: EomCoefficients, n_w_thermal: float,
     n_o = (coef.b ** 2 * (n_w_thermal + 1.0)
            + coef.a_o ** 2 * n_o_thermal
            + coef.c_o ** 2 * (n_b_thermal + 1.0))
-    cross = abs(coef.sign_w * coef.a_w * coef.b * (n_w_thermal + 1.0)
+    cross = abs(coef.a_w * coef.b * (n_w_thermal + 1.0)
                 - coef.b * coef.a_o * n_o_thermal
                 - coef.c_w * coef.c_o * (n_b_thermal + 1.0))
     # D / 2 = n^T + 1/2 stays finite for every finite n^T, so a zero coefficient gives 0, not nan
@@ -332,8 +330,12 @@ def source_state(m: SourceMoments) -> TwoModeGaussianState:
 def entanglement_metric(m: SourceMoments) -> float:
     """Correlation metric |<d_w d_o>| / sqrt(n_w * n_o).
 
-    Exceeds 1 exactly when the two output modes are entangled.
+    Exceeds 1 exactly when the two output modes are entangled.  An uncorrelated
+    source (cross = 0) gives 0 even when a mode is empty; otherwise an empty mode
+    raises UndefinedMetricError.
     """
+    if m.cross == 0.0:
+        return 0.0
     if m.n_w <= 0 or m.n_o <= 0:
         raise UndefinedMetricError("entanglement metric undefined at zero photon number")
     return m.cross / math.sqrt(m.n_w * m.n_o)

@@ -23,13 +23,7 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # the benchmark tracer hooks this name; lazy so `import mwqi` never loads scipy,
-    # which only the tests and the benchmark need
-    if name == "minimize":
-        from scipy.optimize import minimize
-        return minimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+minimize = None  # discord is a closed form, so no solver; perfbench's tracer reads this name
 
 
 @dataclass(frozen=True)
@@ -88,13 +82,11 @@ def correlation_report(m: SourceMoments) -> CorrelationReport:
     if m.n_w <= 0:
         raise UndefinedMetricError("normalization undefined at n_w = 0")
     state = source_state(m)
-    # an uncorrelated source has metric 0 even when one marginal is empty
-    e = 0.0 if m.cross == 0.0 else entanglement_metric(m)
     en = log_negativity(state)
     info = coherent_information(state)
     disc = gaussian_discord(state)
     return CorrelationReport(
-        e_metric=e,
+        e_metric=entanglement_metric(m),
         log_neg=en,
         coh_info=info,
         discord=disc,

@@ -2,10 +2,10 @@
 and single-point reports, all emitted as deterministic CSV or text.
 
 Config format: flat ``key = value`` lines under ``[section]`` headers, with
-``#`` comments.  Every physical quantity carries an explicit unit suffix
-(hz/khz/mhz/ghz for frequencies, mk/k for temperatures, nm/um/m for lengths)
-so that ordinary-frequency inputs are converted to angular rates exactly
-once, inside the parser.  Dimensionless values must not carry a suffix.
+``#`` comments.  Every physical key carries a unit suffix (hz/khz/mhz/ghz,
+mk/k, nm/um/m), so ordinary-frequency inputs become angular rates exactly
+once, inside the parser.  Dimensionless values and grid-axis bounds carry no
+suffix: axis bounds are plain numbers, in kelvin on t_b and t_eom axes.
 
 Example::
 
@@ -290,8 +290,12 @@ def parse_config(text: str) -> SweepConfig:
             raise ConfigError(f"unknown {section} parameter {key!r}", lineno, key)
 
     eom = {key: value for (sec, key), value in values.items() if sec == "eom"}
+    try:
+        params = dataclasses.replace(nominal_params(), **eom)
+    except ValueError as exc:  # each key is in range, so only omega_o = 2*pi*c/lambda_o fails
+        raise ConfigError(str(exc), field_name="lambda_o") from None
     config = SweepConfig(
-        params=dataclasses.replace(nominal_params(), **eom),
+        params=params,
         axes=tuple(axes),
         outputs=tuple(outputs),
         sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
@@ -367,7 +371,7 @@ def _point_values(plan, m, baths, report, link, stats=None) -> tuple[float, ...]
         if token in ("n_w", "n_o"):
             value = getattr(m, token)
         elif token == "e_metric":
-            value = 0.0 if m.cross == 0.0 else entanglement_metric(m)
+            value = entanglement_metric(m)
         elif token in _CORRELATION_OUTPUTS:
             value = getattr(report, token)
         elif token == "fom":
@@ -454,7 +458,7 @@ def run_figure3(config: SweepConfig) -> str:
     """
     *_, (coef, baths, m) = _base_point(config, "fig3")
     link = _channel(config, config.eta, config.t_b), ReceiverParams(coef, config.kappa_i)
-    m_grid = np.geomspace(config.m_min, config.m_max, config.m_points).tolist()
+    m_grid = GridAxis("m", "log", config.m_min, config.m_max, config.m_points).values().tolist()
     fom, *p = _point_values([("fom", None)] + [(name, modes) for modes in m_grid
                                                for name in ("p_qi", "p_coh")],
                             m, baths, None, link)
@@ -491,7 +495,8 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
                  f"adiabatic criterion {'holds' if stability.adiabatic_stable else 'violated'})")
     lines.append("")
     lines.append("== converter coefficients ==")
-    lines.append(f"a_w = {coef.a_w:.9g} (sign {coef.sign_w:+.0f})   a_o = {coef.a_o:.9g}")
+    lines.append(f"a_w = {abs(coef.a_w):.9g} (sign {math.copysign(1.0, coef.a_w):+.0f})   "
+                 f"a_o = {coef.a_o:.9g}")
     lines.append(f"b = {coef.b:.9g}   c_w = {coef.c_w:.9g}   c_o = {coef.c_o:.9g}")
     res_w = coef.a_w ** 2 - coef.b ** 2 + coef.c_w ** 2 - 1.0
     res_o = coef.a_o ** 2 - coef.b ** 2 - coef.c_o ** 2 - 1.0

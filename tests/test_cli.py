@@ -1,6 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import mwqi.cli as cli
+
+SRC = pathlib.Path(cli.__file__).resolve().parents[1]  # the mwqi under test, installed or src/
 
 POINT_CFG = """
 [drive]
@@ -184,6 +191,23 @@ def test_report_at_an_underflowing_temperature_exits_0(tmp_path, capsys):
     assert "result: all checks passed" in capsys.readouterr().out
 
 
+def test_module_entry_point_runs(tmp_path):
+    # `python -m mwqi.cli`, in a fresh interpreter, as the `mwqi` script runs it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    path = tmp_path / "fig3.cfg"
+    path.write_text(POINT_CFG + FIG3_CFG)
+    proc = subprocess.run([sys.executable, "-m", "mwqi.cli", "fig3", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == cli.run_figure3(cli.parse_config(POINT_CFG + FIG3_CFG))
+    path.write_text("[eom]\nomega_m = ten\n")
+    proc = subprocess.run([sys.executable, "-m", "mwqi.cli", "report", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("config error: ") and len(proc.stderr.splitlines()) == 1
+
+
 def test_failed_validation_exits_3(cfg_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "report_point", lambda cfg: ("forced failure\n", False))
     assert cli.main(["report", cfg_path]) == 3
@@ -219,6 +243,7 @@ def test_zero_standard_error_fails_validation(tmp_path, capsys):
     "[channel]\neta = 2", "[channel]\nkappa_i = 0", "[channel]\nkappa_i = 2",
     "[channel]\nt_b = -1 k", "[drive]\ngamma_w = -1",
     "[eom]\nt_eom = -1 mk", "[eom]\nomega_m = 0 mhz",
+    "[eom]\nlambda_o = 1e-320 m",  # omega_o = 2*pi*c / lambda_o overflows
 ])
 def test_out_of_range_base_value_exits_1(tmp_path, capsys, command, entry):
     path = tmp_path / "range.cfg"

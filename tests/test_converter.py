@@ -86,12 +86,11 @@ def test_planck_largest_finite_occupation():
 
 def test_coefficients_unit_cooperativities():
     c = coefficients(Cooperativities(1.0, 1.0))
-    assert c.a_w == pytest.approx(3.0, abs=1e-14)
+    assert c.a_w == pytest.approx(-3.0, abs=1e-14)  # 1 - 2*Gamma_w - 2*Gamma_o < 0
     assert c.a_o == pytest.approx(5.0, abs=1e-14)
     assert c.b == pytest.approx(4.0, abs=1e-14)
     assert c.c_w == pytest.approx(math.sqrt(8.0), abs=1e-14)
     assert c.c_o == pytest.approx(math.sqrt(8.0), abs=1e-14)
-    assert c.sign_w == -1.0
     assert c.a_w ** 2 - c.b ** 2 + c.c_w ** 2 == pytest.approx(1.0, abs=1e-12)
     assert c.a_o ** 2 - c.b ** 2 - c.c_o ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -106,8 +105,7 @@ def test_coefficients_decoupled_optical():
 def test_coefficients_reference_point(ref_coefficients):
     # denominator 1 + 2*5181.95 - 2*668.43 = 9028.04
     assert ref_coefficients.b == pytest.approx(0.8246, abs=5e-5)
-    assert ref_coefficients.a_w == pytest.approx(1.2958, abs=2e-4)
-    assert ref_coefficients.sign_w == -1.0
+    assert ref_coefficients.a_w == pytest.approx(-1.2958, abs=2e-4)
 
 
 def test_coefficients_instability():
@@ -228,8 +226,17 @@ def test_metric_reference(ref_moments):
 
 
 def test_metric_undefined():
+    # a correlated source with an empty mode has no metric
     with pytest.raises(UndefinedMetricError):
-        entanglement_metric(mwqi.SourceMoments(n_w=0.0, n_o=1.0, cross=0.0, s=3.0))
+        entanglement_metric(mwqi.SourceMoments(n_w=0.0, n_o=1.0, cross=0.5, s=2.0))
+    with pytest.raises(UndefinedMetricError):
+        entanglement_metric(mwqi.SourceMoments(n_w=1.0, n_o=0.0, cross=0.5, s=2.0))
+
+
+def test_metric_zero_for_uncorrelated_source():
+    # cross = 0 gives 0 even when a mode is empty, as entanglement_threshold does
+    assert entanglement_metric(mwqi.SourceMoments(0.0, 1.0, 0.0, 3.0)) == 0.0
+    assert entanglement_metric(mwqi.SourceMoments(0.0, 0.0, 0.0, 1.0)) == 0.0
 
 
 def test_metric_monotone_in_cooperativities(params):

@@ -94,7 +94,11 @@ def test_negative_photon_number_rejected():
     # s must be ab - c^2 of the entries, here 5; taken as given, nu_minus = 1/3 would pass
     (lambda: TwoModeGaussianState(3.0, 3.0, 2.0, 1.0), PhysicalityError,
      "s = 1.0 does not match ab - c^2 = 5.0"),
-], ids=["negative-squeezing", "sub-vacuum-variance", "mismatched-s"])
+    # a, b >= 1 and s > 0, yet nu_minus = 0.76 / sqrt(0.76) < 1
+    (lambda: TwoModeGaussianState(2.0, 2.0, 1.8, 0.76), PhysicalityError,
+     "state violates the uncertainty principle: nu_plus=0.8717797887081347, "
+     "nu_minus=0.8717797887081348, nu_ppt_minus=0.2"),
+], ids=["negative-squeezing", "sub-vacuum-variance", "mismatched-s", "uncertainty-principle"])
 def test_invalid_states_are_named(make, error, message):
     with pytest.raises(error) as err:
         make()

@@ -120,9 +120,11 @@ def test_parse_error_diagnostics():
     ("[channel]\nt_b = 293 k\nt_b = 4 k",
      "line 3, field 't_b': duplicate channel parameter 't_b'"),
     ("[fig3]\nm_min = 1e6\nm_max = 1e4", "field 'm_min': need m_min <= m_max"),
+    # in range as written, but omega_o = 2*pi*c / lambda_o overflows
+    ("[eom]\nlambda_o = 1e-320 m", "field 'lambda_o': omega_o must be finite and > 0"),
 ], ids=["unit-on-plain", "not-a-number", "switch", "axis-fields", "axis-name",
         "axis-spacing", "mode-count", "section", "no-equals", "grid-key", "outputs-key",
-        "duplicate-axis", "duplicate-key", "m-range"])
+        "duplicate-axis", "duplicate-key", "m-range", "optical-frequency-overflow"])
 def test_parse_error_messages(text, message):
     with pytest.raises(ConfigError) as err:
         parse_config(text + "\n")
