@@ -17,6 +17,7 @@ overflows float64), 3 validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .converter import InstabilityError, UndefinedMetricError
@@ -29,6 +30,7 @@ EXIT_PHYSICS = 2
 EXIT_VALIDATION = 3
 
 
+@functools.cache  # one parser per process: main() called in-process reuses it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mwqi",

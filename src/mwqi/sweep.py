@@ -50,6 +50,7 @@ import numpy as np
 
 from . import __version__
 from .converter import (
+    BathOccupations,
     Cooperativities,
     EomParams,
     InstabilityError,
@@ -337,10 +338,9 @@ def _drive_point(config: SweepConfig, t_eom: float | None = None, gamma_w: float
                            config.gamma_o if gamma_o is None else gamma_o), params
 
 
-def _source(coop: Cooperativities, params: EomParams):
+def _source(coop: Cooperativities, baths: BathOccupations):
     """(coefficients, bath occupations, source moments); the point must be stable."""
     coef = coefficients(coop)
-    baths = bath_occupations(params)
     return coef, baths, source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
 
 
@@ -358,7 +358,7 @@ def _base_point(config: SweepConfig, command: str):
     if not stability.stable:
         raise InstabilityError(
             f"operating point unstable, margin {stability.margin!r} rad/s")
-    return needs_channel, coop, params, stability, _source(coop, params)
+    return needs_channel, coop, params, stability, _source(coop, bath_occupations(params))
 
 
 def _point_values(plan, m, baths, report, link, stats=None) -> tuple[float, ...]:
@@ -415,15 +415,19 @@ def run_sweep(config: SweepConfig) -> str:
 
     # Work shared between rows, kept for this call only.  The drive key is
     # (t_eom, gamma_w, gamma_o), so consecutive rows at one drive point share
-    # its source.  A stable row builds its source, then its correlation report
-    # if an output reads one, then its channel and receiver if an output reads
-    # them.  A cache stores a value only once its build returns, so a failing
-    # build raises again, with the same text, at each row that asks.
-    kappa_count = next((axis.count for axis in config.axes if axis.name == "kappa_i"), 1)
+    # its source, and every drive point at one t_eom its bath occupations.  A
+    # stable row builds its source, then its correlation report if an output
+    # reads one, then its channel and receiver if an output reads them.  A
+    # cache stores a value only once its build returns, so a failing build
+    # raises again, with the same text, at each row that asks.
+    axis_counts = {axis.name: axis.count for axis in config.axes}
     drive = functools.lru_cache(maxsize=1)(lambda key: _drive_point(config, *key))
-    source = functools.lru_cache(maxsize=1)(lambda key: _source(*drive(key)))
+    occupations = functools.lru_cache(maxsize=axis_counts.get("t_eom", 1))(
+        lambda t_eom: bath_occupations(_drive_point(config, t_eom)[1]))
+    source = functools.lru_cache(maxsize=1)(
+        lambda key: _source(drive(key)[0], occupations(key[0])))
     report = functools.lru_cache(maxsize=1)(lambda key: correlation_report(source(key)[2]))
-    receiver = functools.lru_cache(maxsize=kappa_count)(
+    receiver = functools.lru_cache(maxsize=axis_counts.get("kappa_i", 1))(
         lambda key, kappa_i: ReceiverParams(source(key)[0], kappa_i))
     channel = functools.lru_cache(maxsize=None)(lambda eta, t_b: _channel(config, eta, t_b))
 

@@ -208,6 +208,23 @@ def test_module_entry_point_runs(tmp_path):
     assert proc.stderr.startswith("config error: ") and len(proc.stderr.splitlines()) == 1
 
 
+def test_in_process_calls_match_separate_processes(cfg_path, tmp_path, capsys):
+    # main() reuses one parser per process; each call must still read only its own argv
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[eom]\nomega_m = ten\n")
+    runs = [["report", cfg_path], ["sweep", cfg_path], ["fig3", str(bad)], ["report", cfg_path]]
+    separate = [subprocess.run([sys.executable, "-m", "mwqi.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+                for argv in runs]
+    for argv, proc in zip(runs, separate):
+        code = cli.main(argv)
+        assert (code, *capsys.readouterr()) == (proc.returncode, proc.stdout, proc.stderr)
+    assert [proc.returncode for proc in separate] == [0, 0, 1, 0]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_failed_validation_exits_3(cfg_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "report_point", lambda cfg: ("forced failure\n", False))
     assert cli.main(["report", cfg_path]) == 3

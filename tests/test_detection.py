@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal, getcontext, localcontext
 
@@ -566,14 +570,62 @@ def test_mc_oracle_reads_exactly_the_normals_it_needs(monkeypatch, ref_moments, 
     assert built[0].bit_generator.state == expected.bit_generator.state
 
 
-def test_mc_oracle_peak_memory(ref_moments, ref_channel, ref_receiver, baths):
-    # one (4, samples) array of 32 B per sample, plus blocks of fixed size;
-    # the pair blocks are written in place, with no (block, 4) temporary
+def _mc_peak_bytes(source, ch, rx, baths):
     tracemalloc.start()
     try:
-        mc_receiver_statistics(ref_moments, ref_channel, ref_receiver, baths,
-                               samples=10 ** 6, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        mc_receiver_statistics(source, ch, rx, baths, samples=10 ** 6, seed=1)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 36e6
+
+
+def test_mc_oracle_peak_memory(ref_moments, ref_channel, ref_receiver, baths):
+    # at kappa_I = 1 three float64 rows, 24 B per sample (Re d_2, Im d_2 and
+    # the running count), plus blocks of fixed size; the pair blocks are
+    # written in place, with no (block, 4) temporary
+    assert _mc_peak_bytes(ref_moments, ref_channel, ref_receiver, baths) < 26e6
+
+
+def test_mc_oracle_peak_memory_lossy_idler(ref_moments, ref_channel, ref_coefficients, baths):
+    # below kappa_I = 1 d_2 is final only after the vacuum runs: four rows, 32 B per sample
+    rx = ReceiverParams(ref_coefficients, idler_transmissivity=0.6)
+    assert _mc_peak_bytes(ref_moments, ref_channel, rx, baths) < 36e6
+
+
+_CORETYPE_CHILD = """
+import sys
+import mwqi
+from mwqi.detection import _MC_BLOCK
+gamma_w, gamma_o, eta, n_b = map(float, sys.argv[1:])
+coef = mwqi.coefficients(mwqi.Cooperativities(gamma_w, gamma_o))
+baths = mwqi.bath_occupations(mwqi.nominal_params())
+source = mwqi.source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
+for kappa_i in (1.0, 0.6):
+    mc = mwqi.mc_receiver_statistics(source, mwqi.TargetChannelParams(eta, n_b),
+                                     mwqi.ReceiverParams(coef, kappa_i), baths,
+                                     samples=2 * _MC_BLOCK + 3, seed=3)
+    print(mc.mu.hex(), mc.var.hex(), mc.se_mu.hex(), mc.se_var.hex())
+"""
+
+
+def test_mc_oracle_does_not_depend_on_the_blas_kernel(ref_coop, ref_channel):
+    """The same seed gives the same bits whichever CPU kernel OpenBLAS picks.
+
+    OpenBLAS built with DYNAMIC_ARCH, as numpy's wheels are, picks its kernels
+    for the CPU at run time, and ``OPENBLAS_CORETYPE`` overrides the pick;
+    kernels differ in summation order and fused multiply-adds, so any BLAS
+    call on the samples (a matrix product, a dot) moves the last bits.  An
+    OpenBLAS built without DYNAMIC_ARCH ignores the variable, and then both
+    runs use one kernel and agree whatever the oracle calls.
+    """
+    src = pathlib.Path(mwqi.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    args = [repr(value) for value in (ref_coop.gamma_w, ref_coop.gamma_o,
+                                      ref_channel.eta, ref_channel.n_b)]
+    outputs = [subprocess.run([sys.executable, "-c", _CORETYPE_CHILD, *args],
+                              env=dict(env, **extra), capture_output=True, text=True,
+                              timeout=120, check=True).stdout
+               for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"})]
+    assert len(outputs[0].split()) == 8
+    assert outputs[0] == outputs[1]

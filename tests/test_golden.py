@@ -5,6 +5,7 @@ and report line must match byte for byte, except the CSV columns a change has
 declared numerically changed below; those must match at the stated rtol.
 """
 
+import ast
 import csv
 import dataclasses
 import math
@@ -148,3 +149,15 @@ def test_report_makes_no_linalg_call(monkeypatch):
     config = mwqi.parse_config((CONFIGS / "operating_point.cfg").read_text(encoding="utf-8"))
     text, ok = mwqi.report_point(dataclasses.replace(config, mc_samples=1000))
     assert ok and "== Monte-Carlo validation (1000 samples) ==" in text
+
+
+def test_sources_form_no_matrix_product():
+    # numpy hands matrix products and dots to BLAS, whose kernel, picked per
+    # CPU at run time, sets the rounding; the seeded lines must not follow it
+    blas = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
+    for path in sorted(Path(mwqi.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not isinstance(node, ast.BinOp) or not isinstance(node.op, ast.MatMult), \
+                f"{path.name}:{node.lineno}: @"
+            assert not isinstance(node, ast.Attribute) or node.attr not in blas, \
+                f"{path.name}:{node.lineno}: {node.attr}"

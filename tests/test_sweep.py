@@ -491,6 +491,28 @@ def test_channel_and_receiver_are_built_once_per_key(monkeypatch):
     assert len(receivers) == len({(r["gamma_w"], r["kappa_i"]) for r in records}) == 4
 
 
+_HOT_ERROR = "OverflowError: Planck occupation overflows float64 at 1e+308 K"
+
+
+@pytest.mark.parametrize("axes, t_eom_calls", [
+    ((_GAMMA_W, _GAMMA_O, _ETA), [0.03]),  # the base t_eom, 30 mk
+    # t_eom changes between consecutive drive points, and each value keeps its occupations
+    (("gamma_w log 4e3 6e3 2", "t_eom log 0.03 3 3", _ETA), [0.03, 0.3, 3.0]),
+    # a failed build is not kept: each of the 8 rows asks again and records the same error
+    (("t_eom log 0.03 1e308 2", "gamma_w log 4e3 6e3 2", _ETA), [0.03] + [1e308] * 8),
+], ids=["drive-plane", "t_eom-axis", "overflowing-t_eom"])
+def test_bath_occupations_are_evaluated_once_per_t_eom(monkeypatch, axes, t_eom_calls):
+    calls = _counting(monkeypatch, "bath_occupations")
+    header, *data = _parse_csv(run_sweep(_grid(*axes)))
+    stable = [record for record in (dict(zip(header, r)) for r in data)
+              if record["stable"] == "1"]
+    assert [params.t_eom for params, in calls] == pytest.approx(t_eom_calls, rel=1e-15)
+    hot = [r for r in stable if r.get("t_eom") == "1.0000000000000000e+308"]
+    assert len(hot) == t_eom_calls.count(1e308) and len(stable) > len(hot)
+    assert all(r["error"] == _HOT_ERROR and r["n_w"] == "" for r in hot)
+    assert all(r["error"] == "" for r in stable if r not in hot)
+
+
 def test_sweep_memo_stays_bounded(monkeypatch):
     # the caches keep the last source and report, and one receiver per kappa_i
     # value; with the value being built, that is the peak whatever the grid size
