@@ -71,7 +71,8 @@ def gaussian_discord(state: TwoModeGaussianState) -> float:
     The other direction is the discord of the mode-swapped state
     ``TwoModeGaussianState(state.b, state.a, state.c, state.s)``.
     """
-    nu_min = (state.s + state.a) / (state.b + 1.0)
+    # in halves, exactly, so that s + a does not overflow for a state near the float64 limit
+    nu_min = (0.5 * state.s + 0.5 * state.a) / (0.5 * state.b + 0.5)
     value = entropy(state.b) - state.joint_entropy + entropy(max(nu_min, 1.0))
     # discord is nonnegative for every physical state; lift rounding noise only
     return 0.0 if -1e-8 < value < 0.0 else value

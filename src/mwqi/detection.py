@@ -204,18 +204,16 @@ def receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
 
     and the per-pair count has mean 2 S and variance 2 S^2 + 2 N_1 N_2 + N_1 + N_2.
     """
-    coef, k_i = rx.coef, rx.idler_transmissivity
-    n_2 = k_i * source.n_o
-    optical = coef.a_o ** 2 * baths.n_o
-    mechanical = coef.c_o ** 2 * (baths.n_b + 1.0)
-    moments = []
-    for eta in (0.0, ch.eta):
-        n_r = eta * source.n_w + (1.0 - eta) * ch.n_b
-        n_1 = coef.b ** 2 * (n_r + 1.0) + optical + mechanical
-        s = coef.b * math.sqrt(k_i) * (math.sqrt(eta) * source.cross)
-        moments += [2.0 * s, 2.0 * s * s + 2.0 * n_1 * n_2 + n_1 + n_2]
-    mu0, var0, mu1, var1 = moments
-    return DetectionStatistics(mu0, mu1, var0, var1, snr_per_mode(mu0, mu1, var0, var1))
+    coef, k_i, eta = rx.coef, rx.idler_transmissivity, ch.eta
+    n_2, b2 = k_i * source.n_o, coef.b ** 2
+    optical, mechanical = coef.a_o ** 2 * baths.n_o, coef.c_o ** 2 * (baths.n_b + 1.0)
+    # H0: n_R = n_B and S = 0 exactly, so the mean is 0
+    n_1 = b2 * (ch.n_b + 1.0) + optical + mechanical
+    var0 = 2.0 * n_1 * n_2 + n_1 + n_2
+    n_1 = b2 * (eta * source.n_w + (1.0 - eta) * ch.n_b + 1.0) + optical + mechanical
+    s = coef.b * math.sqrt(k_i) * (math.sqrt(eta) * source.cross)
+    mu1, var1 = 2.0 * s, 2.0 * s * s + 2.0 * n_1 * n_2 + n_1 + n_2
+    return DetectionStatistics(0.0, mu1, var0, var1, snr_per_mode(0.0, mu1, var0, var1))
 
 
 def _erfc_argument(snr_per_m: float, modes: float) -> float:

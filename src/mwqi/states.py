@@ -70,7 +70,8 @@ class TwoModeGaussianState:
         definite, or the state violates the uncertainty principle, each by
         more than ``PHYSICALITY_TOL``; the message lists the offending values.
     OverflowError
-        If ab, c^2, (a - b)^2 or s overflows float64, from entries near 1e154.
+        If ab + c^2 or s overflows float64.  (a - b)^2 does not: from
+        max(a, b) = 2^500 on, the spectrum is formed at a scale of 2^-k.
     """
 
     a: float
@@ -90,8 +91,8 @@ class TwoModeGaussianState:
             raise PhysicalityError(f"non-finite covariance entry: {self!r}")
         if min(a, b) < 1.0 - PHYSICALITY_TOL:
             raise PhysicalityError(f"diagonal variance below vacuum level: min={min(a, b)!r}")
-        ab, cc, dd = a * b, c * c, (a - b) * (a - b)
-        if not math.isfinite(ab + cc + dd) or s == math.inf:
+        ab, cc = a * b, c * c
+        if not math.isfinite(ab + cc) or s == math.inf:
             raise OverflowError("symplectic spectrum overflows float64")
         # negated, so that a NaN s fails it
         if not abs(s - (ab - cc)) <= PHYSICALITY_TOL * (ab + cc):
@@ -99,11 +100,21 @@ class TwoModeGaussianState:
         if s <= 0.0:
             raise PhysicalityError(
                 f"covariance matrix not positive definite: nu_plus nu_minus = s = {s!r}")
+        # (a - b)^2 overflows from |a - b| ~ 1.3e154, so from max(a, b) = 2^500 on the spectrum
+        # comes from a, b, c scaled by 2^-k and s by 2^-2k, then is scaled back: exactly
+        k = math.frexp(max(a, b))[1] - 500 if max(a, b) >= 2.0 ** 500 else 0
+        if k:
+            a, b, c, s = (math.ldexp(x, -k) for x in (a, b, c, math.ldexp(s, -k)))
+            cc = c * c
+        dd = (a - b) * (a - b)
         nu_plus = (abs(a - b) + math.sqrt(dd + 4.0 * s)) / 2
         nu_ppt_plus = (a + b + math.sqrt(dd + 4.0 * cc)) / 2
         nu_minus = s / nu_plus
         # a product state is its own partial transpose: min(a, b) keeps E_N = 0 exact
-        nu_ppt_minus = s / nu_ppt_plus if c else min(a, b)
+        nu_ppt_minus = s / nu_ppt_plus if self.c else min(a, b)
+        if k:
+            nu_plus, nu_minus, nu_ppt_minus = (
+                math.ldexp(nu, k) for nu in (nu_plus, nu_minus, nu_ppt_minus))
         if nu_minus < 1.0 - PHYSICALITY_TOL:
             raise PhysicalityError(
                 "state violates the uncertainty principle: "

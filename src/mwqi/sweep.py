@@ -398,7 +398,20 @@ def run_sweep(config: SweepConfig) -> str:
     aborts the sweep.  A config that leaves a needed value unset raises
     :class:`ConfigError` before the first row.  Output is byte-identical for
     an identical config, and each row is the same whatever the axis order.
-    Stability and the receiver statistics are evaluated at every point.
+
+    What a call builds, and how often:
+
+    - per row: its six inputs, each an axis value or else the base value; the
+      stability test; at a stable row the receiver statistics (once for
+      ``fom``, once for any ``p_qi@M``) and the metric cells;
+    - per run of consecutive rows at one drive point (t_eom, gamma_w,
+      gamma_o): the source (coefficients and moments), its correlation report
+      if an output reads one, and the receiver once per kappa_i value;
+    - per key: the bath occupations once per t_eom value, and the channel
+      once per (eta, t_b).
+
+    A build that raises is not kept: each row that needs it raises again,
+    with the same text.
     """
     if not config.outputs:
         raise ConfigError("no outputs selected", field_name="select")
@@ -413,13 +426,8 @@ def run_sweep(config: SweepConfig) -> str:
     template = ",".join(["%.16e"] * len(config.outputs))
     no_metrics = "," * (len(config.outputs) - 1)
 
-    # Work shared between rows, kept for this call only.  The drive key is
-    # (t_eom, gamma_w, gamma_o), so consecutive rows at one drive point share
-    # its source, and every drive point at one t_eom its bath occupations.  A
-    # stable row builds its source, then its correlation report if an output
-    # reads one, then its channel and receiver if an output reads them.  A
-    # cache stores a value only once its build returns, so a failing build
-    # raises again, with the same text, at each row that asks.
+    # the shared builds of the docstring, kept for this call only; a cache stores a
+    # value only once its build returns
     axis_counts = {axis.name: axis.count for axis in config.axes}
     drive = functools.lru_cache(maxsize=1)(lambda key: _drive_point(config, *key))
     occupations = functools.lru_cache(maxsize=axis_counts.get("t_eom", 1))(
@@ -430,21 +438,23 @@ def run_sweep(config: SweepConfig) -> str:
     receiver = functools.lru_cache(maxsize=axis_counts.get("kappa_i", 1))(
         lambda key, kappa_i: ReceiverParams(source(key)[0], kappa_i))
     channel = functools.lru_cache(maxsize=None)(lambda eta, t_b: _channel(config, eta, t_b))
+    # a row's inputs by position in combo + base: the axis value, else the base value
+    base = tuple(getattr(config, name, None) for name in _AXIS_NAMES)  # t_eom None: params.t_eom
+    i_w, i_o, i_eta, i_tb, i_t, i_k = map([*names, *_AXIS_NAMES].index, _AXIS_NAMES)
 
     rows = []
     for combo, cells in zip(itertools.product(*columns), itertools.product(*texts)):
-        overrides = dict(zip(names, combo))
+        row = combo + base
         stability_cells, metrics, error = ",", no_metrics, ""
         try:
-            key = (overrides.get("t_eom"), overrides.get("gamma_w"), overrides.get("gamma_o"))
+            key = (row[i_t], row[i_w], row[i_o])
             stability = is_stable(*drive(key))
             stability_cells = "%d,%.16e" % (stability.stable, stability.margin)
             if stability.stable:
                 _, baths, m = source(key)
                 metrics = template % _point_values(
                     plan, m, baths, report(key) if needs_report else None,
-                    (channel(overrides.get("eta", config.eta), overrides.get("t_b", config.t_b)),
-                     receiver(key, overrides.get("kappa_i", config.kappa_i)))
+                    (channel(row[i_eta], row[i_tb]), receiver(key, row[i_k]))
                     if needs_link else None)
         except Exception as exc:  # recorded per point, sweep continues
             error = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")

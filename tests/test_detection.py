@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -186,6 +188,52 @@ def test_receiver_statistics_match_pair_formula(ref_moments, ref_coefficients, b
     if eta == 0.0:  # H0 is the channel at eta = 0: both hypotheses coincide
         assert stats.mu1 == stats.mu0 == 0.0
         assert stats.var1 == stats.var0
+
+
+def _two_pass_statistics(source, ch, rx, baths):
+    """The five statistics as one loop over eta = 0 (H0) and ch.eta (H1) writes them."""
+    coef, k_i = rx.coef, rx.idler_transmissivity
+    n_2 = k_i * source.n_o
+    optical = coef.a_o ** 2 * baths.n_o
+    mechanical = coef.c_o ** 2 * (baths.n_b + 1.0)
+    moments = []
+    for eta in (0.0, ch.eta):
+        n_r = eta * source.n_w + (1.0 - eta) * ch.n_b
+        n_1 = coef.b ** 2 * (n_r + 1.0) + optical + mechanical
+        s = coef.b * math.sqrt(k_i) * (math.sqrt(eta) * source.cross)
+        moments += [2.0 * s, 2.0 * s * s + 2.0 * n_1 * n_2 + n_1 + n_2]
+    mu0, var0, mu1, var1 = moments
+    return mu0, mu1, var0, var1, snr_per_mode(mu0, mu1, var0, var1)
+
+
+def test_receiver_statistics_match_the_two_pass_loop_bit_for_bit():
+    # H0's closed form (n_R = n_B, S = 0) must round like the loop at eta = 0, on a
+    # seeded sample of drives, baths, channels and idler losses with their edge values
+    rng = random.Random(2015)
+
+    def draw(edge, value):
+        return edge if rng.random() < 0.1 else value
+
+    seen = set()
+    for _ in range(2000):
+        gamma_w, gamma_o = 10 ** rng.uniform(-2, 4), draw(0.0, 10 ** rng.uniform(-2, 4))
+        if 1.0 + 2.0 * gamma_w - 2.0 * gamma_o <= 0.0:
+            continue  # no steady state, no coefficients
+        coef = mwqi.coefficients(mwqi.Cooperativities(gamma_w, gamma_o))
+        baths = mwqi.BathOccupations(*(draw(0.0, 10 ** rng.uniform(-2, 3)) for _ in range(3)))
+        source = mwqi.source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
+        source = draw(dataclasses.replace(source, cross=0.0), source)
+        ch = TargetChannelParams(draw(0.0, draw(1.0, rng.random())),
+                                 draw(0.0, 10 ** rng.uniform(-2, 3)))
+        rx = ReceiverParams(coef, draw(0.6, draw(1.0, rng.random())))
+        stats = receiver_statistics(source, ch, rx, baths)
+        assert [value.hex() for value in stats] == [
+            value.hex() for value in _two_pass_statistics(source, ch, rx, baths)]
+        seen |= {name for name, hit in (
+            ("n_b = 0", ch.n_b == 0.0), ("kappa_I = 0.6", rx.idler_transmissivity == 0.6),
+            ("cross = 0", source.cross == 0.0), ("eta = 0", ch.eta == 0.0),
+            ("eta = 1", ch.eta == 1.0), ("signal", stats.snr_per_m > 0.0)) if hit}
+    assert seen == {"n_b = 0", "kappa_I = 0.6", "cross = 0", "eta = 0", "eta = 1", "signal"}
 
 
 def test_receiver_idler_loss_kills_signal(ref_moments, ref_channel, ref_coefficients, baths):

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mwqi
 from mwqi import (
     PhysicalityError,
     SourceMoments,
@@ -80,6 +82,43 @@ def test_negative_discriminant_rejected():
 def test_non_finite_and_overflowing_rejected(make, error):
     with pytest.raises(error):
         make()
+
+
+@pytest.mark.parametrize("coop, n_b", [
+    ((1e2, 0.0), 1e308),  # a = s ~ 3.96e306
+    ((0.5, 0.0), 8.9e307),  # a = s ~ 1.78e308, where s + a overflows too
+], ids=["a-4e306", "a-1.8e308"])
+def test_state_whose_a_minus_b_squared_overflows_builds(coop, n_b):
+    # b = 1 and c = 0: (a - b)^2 overflows float64, the spectrum does not
+    source = mwqi.source_moments(mwqi.coefficients(mwqi.Cooperativities(*coop)), 0.0, 0.0, n_b)
+    state = source_state(source)
+    assert (state.b, state.c) == (1.0, 0.0) and state.a == state.s
+    assert state.a > 3.9e306 and (state.a - state.b) * (state.a - state.b) == math.inf
+    assert state.nu_plus == pytest.approx(state.a, rel=1e-15)
+    assert state.nu_minus == pytest.approx(1.0, rel=1e-15)
+    assert state.nu_ppt_minus == 1.0
+    # a product state: every correlation is 0, the discord's (s + a)/(b + 1) included
+    report = mwqi.correlation_report(source)
+    assert (report.log_neg, report.coh_info, report.discord) == (0.0, 0.0, 0.0)
+
+
+def test_states_from_2_to_the_500_keep_the_unscaled_spectrum_bits():
+    # from max(a, b) = 2^500 the spectrum is formed at a power-of-two scale; wherever the
+    # unscaled closed forms stay finite, that must round exactly as they do
+    rng = random.Random(2015)
+    for _ in range(500):
+        a = 2.0 ** rng.uniform(500, 509)
+        b = rng.choice([rng.uniform(2.0, 1e3), a * rng.uniform(0.5, 2.0)])
+        c = rng.choice([0.0, rng.uniform(0.0, 0.5) * math.sqrt(a * b)])
+        s = a * b - c * c
+        dd = (a - b) * (a - b)
+        assert math.isfinite(dd + 4.0 * (s + c * c))
+        nu_plus = (abs(a - b) + math.sqrt(dd + 4.0 * s)) / 2
+        nu_ppt_plus = (a + b + math.sqrt(dd + 4.0 * c * c)) / 2
+        expected = nu_plus, s / nu_plus, s / nu_ppt_plus if c else min(a, b)
+        state = TwoModeGaussianState(a, b, c, s)
+        assert [nu.hex() for nu in (state.nu_plus, state.nu_minus, state.nu_ppt_minus)] == [
+            nu.hex() for nu in expected]
 
 
 def test_negative_photon_number_rejected():

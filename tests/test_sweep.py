@@ -253,21 +253,41 @@ def test_sweep_deterministic_and_paths_agree():
                 "kappa_i lin 0.5 1 2", select="fom, p_qi@1e6, p_coh@1e6")
     header, *data = _parse_csv(run_sweep(cfg))
     assert len(data) == 24
-    params = cfg.params
-    baths = mwqi.bath_occupations(params)
     for row in data:
         gamma_w, eta, t_b, kappa_i = map(float, row[:4])
-        coop = mwqi.Cooperativities(gamma_w, cfg.gamma_o)
-        coef = mwqi.coefficients(coop)
-        m = mwqi.source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
-        ch = mwqi.TargetChannelParams(eta, mwqi.planck_occupation(params.omega_w, t_b))
-        rx = mwqi.ReceiverParams(coef, kappa_i)
-        values = (mwqi.figure_of_merit(m, ch, rx, baths),
-                  mwqi.error_probability(mwqi.receiver_statistics(m, ch, rx, baths).snr_per_m,
-                                         1e6),
-                  mwqi.error_probability(mwqi.coherent_snr_per_mode(m.n_w, ch), 1e6))
-        assert row[4:] == ["1", f"{mwqi.is_stable(coop, params).margin:.16e}",
-                           *(f"{value:.16e}" for value in values), ""]
+        assert row[4:] == _public_row(cfg, gamma_w=gamma_w, eta=eta, t_b=t_b, kappa_i=kappa_i)
+
+
+def _public_row(cfg, t_eom=None, gamma_w=None, eta=None, t_b=None, kappa_i=None):
+    """The stable, margin, fom, p_qi@1e6, p_coh@1e6 and error cells of one stable row, built
+    afresh from the public functions; an input left None takes the config's base value."""
+    params = cfg.params if t_eom is None else dataclasses.replace(cfg.params, t_eom=t_eom)
+    baths = mwqi.bath_occupations(params)
+    coop = mwqi.Cooperativities(cfg.gamma_w if gamma_w is None else gamma_w, cfg.gamma_o)
+    coef = mwqi.coefficients(coop)
+    m = mwqi.source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
+    ch = mwqi.TargetChannelParams(cfg.eta if eta is None else eta, mwqi.planck_occupation(
+        params.omega_w, cfg.t_b if t_b is None else t_b))
+    rx = mwqi.ReceiverParams(coef, cfg.kappa_i if kappa_i is None else kappa_i)
+    values = (mwqi.figure_of_merit(m, ch, rx, baths),
+              mwqi.error_probability(mwqi.receiver_statistics(m, ch, rx, baths).snr_per_m, 1e6),
+              mwqi.error_probability(mwqi.coherent_snr_per_mode(m.n_w, ch), 1e6))
+    return ["1", f"{mwqi.is_stable(coop, params).margin:.16e}",
+            *(f"{value:.16e}" for value in values), ""]
+
+
+def test_sweep_rows_from_base_values_match_the_public_functions():
+    # eta, t_b and kappa_i come from [channel], t_eom and gamma_w from axes: each row
+    # reads its inputs by position, from the axis values or else from the base values
+    cfg = parse_config(POINT_CFG.replace("kappa_i = 1.0", "kappa_i = 0.6").replace(
+        "n_w, n_o, e_metric, fom", "fom, p_qi@1e6, p_coh@1e6")
+        + "\n[grid]\naxis = t_eom log 0.03 3 3\naxis = gamma_w log 4e3 6e3 2\n")
+    assert (cfg.eta, cfg.t_b, cfg.kappa_i) == (0.07, 293.0, 0.6)
+    header, *data = _parse_csv(run_sweep(cfg))
+    assert header[:2] == ["t_eom", "gamma_w"] and len(data) == 6
+    for row in data:
+        t_eom, gamma_w = map(float, row[:2])
+        assert row[2:] == _public_row(cfg, t_eom=t_eom, gamma_w=gamma_w)
 
 
 def test_out_of_range_axis_value_lands_in_error_column():
@@ -381,17 +401,20 @@ _ETA = "eta log 1e-3 1e-1 4"
 
 
 def test_sweep_rows_do_not_depend_on_axis_order():
-    # eta first changes the drive point at every row, eta last shares it
-    # between consecutive rows; both must give the same rows
+    # all six axes: with a drive axis last the drive point changes at every row, with
+    # a channel axis last consecutive rows share it; both must give the same rows
     def rows(cfg):
         header, *data = _parse_csv(run_sweep(cfg))
-        order = ["gamma_w", "gamma_o", "eta"] + header[3:]
+        order = list(sweep_mod._AXIS_NAMES) + header[len(cfg.axes):]
         return sorted(",".join(dict(zip(header, r))[h] for h in order) for r in data)
 
-    no_reuse = rows(_grid(_ETA, _GAMMA_W, _GAMMA_O))
-    assert no_reuse == rows(_grid(_GAMMA_W, _GAMMA_O, _ETA))
-    assert len(no_reuse) == 36
-    assert {r.split(",")[3] for r in no_reuse} == {"0", "1"}  # crosses the unstable region
+    drive = ("t_eom log 0.03 3 2", _GAMMA_W, _GAMMA_O)
+    link = (_ETA, "t_b lin 10 300 2", "kappa_i lin 0.5 1 2")
+    no_reuse = rows(_grid(*link, *drive))
+    assert no_reuse == rows(_grid(*drive, *link))
+    assert len(no_reuse) == 2 * 3 * 3 * 4 * 2 * 2
+    # the stable column follows the six axis values; the grid crosses the unstable region
+    assert {r.split(",")[6] for r in no_reuse} == {"0", "1"}
 
 
 @pytest.mark.parametrize("axes, shared", [
