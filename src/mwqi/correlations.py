@@ -8,11 +8,12 @@ qubits, discord in bits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .converter import SourceMoments, UndefinedMetricError, entanglement_metric, source_state
-from .states import TwoModeGaussianState, entropy
+from .states import TwoModeGaussianState, entropies, spectrum
 
 __all__ = [
     "CorrelationReport",
@@ -20,6 +21,8 @@ __all__ = [
     "coherent_information",
     "gaussian_discord",
     "correlation_report",
+    "correlation_measures",
+    "correlation_columns",
 ]
 
 
@@ -43,7 +46,7 @@ class CorrelationReport:
 
 def log_negativity(state: TwoModeGaussianState) -> float:
     """Logarithmic negativity E_N = max(0, -log2(nu_ppt_minus)) in ebits."""
-    return max(0.0, -math.log2(state.nu_ppt_minus))
+    return _measures(state)[0]
 
 
 def coherent_information(state: TwoModeGaussianState) -> float:
@@ -52,7 +55,7 @@ def coherent_information(state: TwoModeGaussianState) -> float:
     S(rho_1) is the entropy of the reduced first mode, g(a); S(rho_12) is
     ``state.joint_entropy``.  May be negative.
     """
-    return entropy(state.a) - state.joint_entropy
+    return _measures(state)[1]
 
 
 def gaussian_discord(state: TwoModeGaussianState) -> float:
@@ -71,11 +74,35 @@ def gaussian_discord(state: TwoModeGaussianState) -> float:
     The other direction is the discord of the mode-swapped state
     ``TwoModeGaussianState(state.b, state.a, state.c, state.s)``.
     """
-    # in halves, exactly, so that s + a does not overflow for a state near the float64 limit
-    nu_min = (0.5 * state.s + 0.5 * state.a) / (0.5 * state.b + 0.5)
-    value = entropy(state.b) - state.joint_entropy + entropy(max(nu_min, 1.0))
-    # discord is nonnegative for every physical state; lift rounding noise only
-    return 0.0 if -1e-8 < value < 0.0 else value
+    return _measures(state)[2]
+
+
+def correlation_measures(a, b, s, nu_ppt_minus, joint_entropy) -> tuple[np.ndarray, ...]:
+    """(E_N, I, D) of :func:`log_negativity`, :func:`coherent_information` and
+    :func:`gaussian_discord`, elementwise over arrays of entries and spectra of states."""
+    with np.errstate(all="ignore"):
+        # in halves, exactly, so that s + a does not overflow for a state near the float64 limit
+        nu_min = np.maximum((0.5 * s + 0.5 * a) / (0.5 * b + 0.5), 1.0)
+        g_a, g_b, g_min = entropies(np.stack((a, b, nu_min)))
+        discord = g_b - joint_entropy + g_min
+        # discord is nonnegative for every physical state; lift rounding noise only
+        return (np.where(nu_ppt_minus < 1.0, -np.log2(nu_ppt_minus), 0.0), g_a - joint_entropy,
+                np.where((-1e-8 < discord) & (discord < 0.0), 0.0, discord))
+
+
+def _measures(state: TwoModeGaussianState) -> list[float]:
+    return [x.item() for x in correlation_measures(
+        state.a, state.b, state.s, state.nu_ppt_minus, state.joint_entropy)]
+
+
+def correlation_columns(n_w, n_o, cross, s) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-photon (E_N, I, D) / n_w of sources with moment arrays (n_w, n_o, cross, s),
+    and the mask of those whose per-photon values :func:`correlation_report` returns."""
+    a, b = 2.0 * n_w + 1.0, 2.0 * n_o + 1.0
+    *_, nu_ppt_minus, joint_entropy, fault = spectrum(a, b, 2.0 * cross, s)
+    with np.errstate(all="ignore"):
+        return ([x / n_w for x in correlation_measures(a, b, s, nu_ppt_minus, joint_entropy)],
+                (fault == 0) & (n_w > 0.0))
 
 
 def correlation_report(m: SourceMoments) -> CorrelationReport:
@@ -83,9 +110,7 @@ def correlation_report(m: SourceMoments) -> CorrelationReport:
     if m.n_w <= 0:
         raise UndefinedMetricError("normalization undefined at n_w = 0")
     state = source_state(m)
-    en = log_negativity(state)
-    info = coherent_information(state)
-    disc = gaussian_discord(state)
+    en, info, disc = _measures(state)
     return CorrelationReport(
         e_metric=entanglement_metric(m),
         log_neg=en,

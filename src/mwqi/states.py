@@ -12,7 +12,7 @@ ab - c^2 of the rounded entries keeps no digit, while the converter forms s
 as a sum of positive terms.  A state is floats only, all set at build: no
 matrix is formed.  It carries its spectrum, from closed forms in + - * / and
 sqrt that subtract nothing nearly equal, with nu~ that of the partial
-transpose:
+transpose (:func:`spectrum` evaluates them over arrays):
 
     nu_plus = (|a - b| + sqrt((a - b)^2 + 4 s)) / 2,       nu_minus = s / nu_plus,
     nu~_plus = (a + b + sqrt((a - b)^2 + 4 c^2)) / 2,      nu~_minus = s / nu~_plus,
@@ -25,12 +25,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "PHYSICALITY_TOL",
     "PhysicalityError",
     "TwoModeGaussianState",
     "two_mode_squeezed_vacuum",
+    "spectrum",
     "entropy",
+    "entropies",
 ]
 
 
@@ -70,8 +74,8 @@ class TwoModeGaussianState:
         definite, or the state violates the uncertainty principle, each by
         more than ``PHYSICALITY_TOL``; the message lists the offending values.
     OverflowError
-        If ab + c^2 or s overflows float64.  (a - b)^2 does not: from
-        max(a, b) = 2^500 on, the spectrum is formed at a scale of 2^-k.
+        If s is inf, or ab + c^2 overflows float64 at the scale of 2^-k that
+        the state is checked at from max(a, b) = 2^500 on.
     """
 
     a: float
@@ -87,42 +91,46 @@ class TwoModeGaussianState:
         for name in ("a", "b", "c", "s"):
             object.__setattr__(self, name, float(getattr(self, name)))
         a, b, c, s = self.a, self.b, self.c, self.s
-        if not all(map(math.isfinite, (a, b, c))):
-            raise PhysicalityError(f"non-finite covariance entry: {self!r}")
-        if min(a, b) < 1.0 - PHYSICALITY_TOL:
-            raise PhysicalityError(f"diagonal variance below vacuum level: min={min(a, b)!r}")
-        ab, cc = a * b, c * c
-        if not math.isfinite(ab + cc) or s == math.inf:
-            raise OverflowError("symplectic spectrum overflows float64")
-        # negated, so that a NaN s fails it
-        if not abs(s - (ab - cc)) <= PHYSICALITY_TOL * (ab + cc):
-            raise PhysicalityError(f"s = {s!r} does not match ab - c^2 = {ab - cc!r}")
-        if s <= 0.0:
-            raise PhysicalityError(
-                f"covariance matrix not positive definite: nu_plus nu_minus = s = {s!r}")
-        # (a - b)^2 overflows from |a - b| ~ 1.3e154, so from max(a, b) = 2^500 on the spectrum
-        # comes from a, b, c scaled by 2^-k and s by 2^-2k, then is scaled back: exactly
-        k = math.frexp(max(a, b))[1] - 500 if max(a, b) >= 2.0 ** 500 else 0
-        if k:
-            a, b, c, s = (math.ldexp(x, -k) for x in (a, b, c, math.ldexp(s, -k)))
-            cc = c * c
-        dd = (a - b) * (a - b)
-        nu_plus = (abs(a - b) + math.sqrt(dd + 4.0 * s)) / 2
-        nu_ppt_plus = (a + b + math.sqrt(dd + 4.0 * cc)) / 2
-        nu_minus = s / nu_plus
-        # a product state is its own partial transpose: min(a, b) keeps E_N = 0 exact
-        nu_ppt_minus = s / nu_ppt_plus if self.c else min(a, b)
-        if k:
-            nu_plus, nu_minus, nu_ppt_minus = (
-                math.ldexp(nu, k) for nu in (nu_plus, nu_minus, nu_ppt_minus))
-        if nu_minus < 1.0 - PHYSICALITY_TOL:
-            raise PhysicalityError(
-                "state violates the uncertainty principle: "
-                f"nu_plus={nu_plus!r}, nu_minus={nu_minus!r}, nu_ppt_minus={nu_ppt_minus!r}")
-        joint_entropy = entropy(nu_plus) + entropy(nu_minus)
-        for name, value in zip(("nu_plus", "nu_minus", "nu_ppt_minus", "joint_entropy"),
-                               (nu_plus, nu_minus, nu_ppt_minus, joint_entropy)):
+        *spec, fault = (x.item() for x in spectrum(a, b, c, s))
+        names = ("nu_plus", "nu_minus", "nu_ppt_minus", "joint_entropy")
+        if fault:
+            nus = ", ".join(f"{name}={nu!r}" for name, nu in zip(names[:3], spec))
+            raise [PhysicalityError(f"non-finite covariance entry: {self!r}"),
+                   PhysicalityError(f"diagonal variance below vacuum level: min={min(a, b)!r}"),
+                   OverflowError("symplectic spectrum overflows float64"),
+                   PhysicalityError(f"s = {s!r} does not match ab - c^2 = {a * b - c * c!r}"),
+                   PhysicalityError("covariance matrix not positive definite: "
+                                    f"nu_plus nu_minus = s = {s!r}"),
+                   PhysicalityError(f"state violates the uncertainty principle: {nus}")][fault - 1]
+        for name, value in zip(names, spec):
             object.__setattr__(self, name, value)
+
+
+def spectrum(a, b, c, s) -> tuple[np.ndarray, ...]:
+    """(nu_plus, nu_minus, nu_ppt_minus, joint_entropy, fault) of states (a, b, c, s) over
+    arrays.  ``fault`` is 0 where a state passes every check of :class:`TwoModeGaussianState`,
+    else the first it fails: non-finite entry 1, sub-vacuum variance 2, overflow 3,
+    mismatched s 4, s <= 0 5, uncertainty principle 6 (its other entries mean nothing)."""
+    with np.errstate(all="ignore"):
+        low, product = np.minimum(a, b), c == 0.0
+        # (a - b)^2 overflows from |a - b| ~ 1.3e154: from max(a, b) = 2^500 on, a state is
+        # checked and its spectrum formed at a, b, c scaled by 2^-k and s by 2^-2k, exactly
+        k = np.maximum(np.frexp(np.maximum(a, b))[1] - 500, 0)  # 0, the identity, below
+        a, b, c, s = np.ldexp(a, -k), np.ldexp(b, -k), np.ldexp(c, -k), np.ldexp(s, -2 * k)
+        ab, cc, dd = a * b, c * c, (a - b) * (a - b)
+        nu_plus = (abs(a - b) + np.sqrt(dd + 4.0 * s)) / 2
+        # a product state is its own partial transpose: min(a, b) keeps E_N = 0 exact
+        nu_ppt_minus = np.where(product, np.minimum(a, b),
+                                s / ((a + b + np.sqrt(dd + 4.0 * cc)) / 2))
+        nu = np.ldexp(np.stack((nu_plus, s / nu_plus, nu_ppt_minus)), k)
+        # in the order of the fault numbers; negated comparisons, so that NaN fails them
+        fails = [~(np.isfinite(a) & np.isfinite(b) & np.isfinite(c)), low < 1.0 - PHYSICALITY_TOL,
+                 ~np.isfinite(ab + cc) | (s == np.inf),
+                 ~(abs(s - (ab - cc)) <= PHYSICALITY_TOL * (ab + cc)), ~(s > 0.0),
+                 ~(nu[1] >= 1.0 - PHYSICALITY_TOL)]
+        fault = np.argmax([~np.logical_or.reduce(fails), *fails], axis=0)  # 0: none failed
+        g_plus, g_minus = entropies(nu[:2])
+        return *nu, g_plus + g_minus, fault
 
 
 def two_mode_squeezed_vacuum(r: float) -> TwoModeGaussianState:
@@ -141,17 +149,22 @@ _LN2 = math.log(2.0)
 
 
 def entropy(nu: float) -> float:
-    """Von Neumann entropy in bits of a mode with symplectic eigenvalue nu.
+    """g(nu) of :func:`entropies` at one nu, which must be finite and >= 1 within tolerance."""
+    if not 1.0 - PHYSICALITY_TOL <= nu < math.inf:  # negated, so that NaN fails it
+        raise ValueError(f"symplectic eigenvalue must be finite and >= 1, got {nu!r}")
+    return entropies(nu).item()
+
+
+def entropies(nu) -> np.ndarray:
+    """Von Neumann entropy in bits of modes with symplectic eigenvalues nu, elementwise
+    over an array; 0 where nu <= 1 or nu is NaN.
 
     g(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2), with
     g(1) = 0 by continuity, evaluated as log2(x+) + x- log1p(1/x-) / ln 2
     with x+- = (nu +- 1)/2: a sum of positive terms, where the textbook form
     is a difference of two terms of size nu log2 nu.
     """
-    # negated comparison, so that NaN fails it
-    if not 1.0 - PHYSICALITY_TOL <= nu < math.inf:
-        raise ValueError(f"symplectic eigenvalue must be finite and >= 1, got {nu!r}")
-    if nu <= 1.0:
-        return 0.0
-    xm = (nu - 1.0) / 2
-    return math.log2((nu + 1.0) / 2) + xm * math.log1p(1.0 / xm) / _LN2
+    nu = np.asarray(nu, dtype=float)
+    with np.errstate(all="ignore"):
+        xm = (nu - 1.0) / 2
+        return np.where(nu > 1.0, np.log2((nu + 1.0) / 2) + xm * np.log1p(1.0 / xm) / _LN2, 0.0)

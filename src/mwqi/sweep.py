@@ -61,7 +61,7 @@ from .converter import (
     nominal_params,
     source_moments,
 )
-from .correlations import correlation_report
+from .correlations import correlation_columns, correlation_report
 from .detection import (
     ReceiverParams,
     TargetChannelParams,
@@ -339,7 +339,8 @@ def _drive_point(config: SweepConfig, t_eom: float | None = None, gamma_w: float
 
 
 def _source(coop: Cooperativities, baths: BathOccupations):
-    """(coefficients, bath occupations, source moments); the point must be stable."""
+    """(coefficients, bath occupations, source moments), which mean something only at a
+    stable point."""
     coef = coefficients(coop)
     return coef, baths, source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
 
@@ -361,10 +362,10 @@ def _base_point(config: SweepConfig, command: str):
     return needs_channel, coop, params, stability, _source(coop, bath_occupations(params))
 
 
-def _point_values(plan, m, baths, report, link, stats=None) -> tuple[float, ...]:
+def _point_values(plan, m, baths, cells, link, stats=None) -> tuple[float, ...]:
     """Metric values of one stable point, one per ``(name, mode count)`` in ``plan``; the
-    correlation ``report`` and the (channel, receiver) ``link`` may be None if unread, and
-    the receiver ``stats`` of ``link`` are built on first use if not given."""
+    ``cells`` of _CORRELATION_OUTPUTS and the (channel, receiver) ``link`` may be None if
+    unread, and the receiver ``stats`` of ``link`` are built on first use if not given."""
     values = []
     ch, rx = link or (None, None)
     for token, modes in plan:
@@ -373,7 +374,7 @@ def _point_values(plan, m, baths, report, link, stats=None) -> tuple[float, ...]
         elif token == "e_metric":
             value = entanglement_metric(m)
         elif token in _CORRELATION_OUTPUTS:
-            value = getattr(report, token)
+            value = cells[_CORRELATION_OUTPUTS.index(token)]
         elif token == "fom":
             value = figure_of_merit(m, ch, rx, baths)
         else:
@@ -383,6 +384,21 @@ def _point_values(plan, m, baths, report, link, stats=None) -> tuple[float, ...]
             value = error_probability(snr, modes)
         values.append(value)
     return tuple(values)
+
+
+def _correlation_pass(keys, source) -> dict:
+    """drive key -> correlation cells, for each key whose ``source`` builds and whose cells,
+    from one :func:`correlation_columns` call over all of them, are valid."""
+    moments = {}
+    for key in keys:
+        try:
+            moments[key] = source(key)[2]
+        except Exception:  # not kept: each stable row at this point raises on its own
+            pass
+    columns, valid = correlation_columns(*np.array(
+        [(m.n_w, m.n_o, m.cross, m.s) for m in moments.values()]).reshape(-1, 4).T)
+    return {key: cells for key, cells, ok in zip(
+        moments, zip(*(x.tolist() for x in columns)), valid.tolist()) if ok}
 
 
 def _meta_lines(config: SweepConfig) -> list[str]:
@@ -404,9 +420,13 @@ def run_sweep(config: SweepConfig) -> str:
     - per row: its six inputs, each an axis value or else the base value; the
       stability test; at a stable row the receiver statistics (once for
       ``fom``, once for any ``p_qi@M``) and the metric cells;
-    - per run of consecutive rows at one drive point (t_eom, gamma_w,
-      gamma_o): the source (coefficients and moments), its correlation report
-      if an output reads one, and the receiver once per kappa_i value;
+    - per drive point (t_eom, gamma_w, gamma_o), if an output reads a
+      correlation column: in a pass before the rows, the drive point and its
+      source (coefficients and moments), stable or not, kept for the rows,
+      and the three columns of all points from one array call, kept as three
+      floats per point, with no report or state object built; else the
+      source once per run of consecutive rows at one drive point; and the
+      receiver once per such run and kappa_i value;
     - per key: the bath occupations once per t_eom value, and the channel
       once per (eta, t_b).
 
@@ -429,18 +449,20 @@ def run_sweep(config: SweepConfig) -> str:
     # the shared builds of the docstring, kept for this call only; a cache stores a
     # value only once its build returns
     axis_counts = {axis.name: axis.count for axis in config.axes}
-    drive = functools.lru_cache(maxsize=1)(lambda key: _drive_point(config, *key))
+    size = None if needs_report else 1  # the pass below builds every drive point for the rows
+    drive = functools.lru_cache(maxsize=size)(lambda key: _drive_point(config, *key))
     occupations = functools.lru_cache(maxsize=axis_counts.get("t_eom", 1))(
         lambda t_eom: bath_occupations(_drive_point(config, t_eom)[1]))
-    source = functools.lru_cache(maxsize=1)(
+    source = functools.lru_cache(maxsize=size)(
         lambda key: _source(drive(key)[0], occupations(key[0])))
-    report = functools.lru_cache(maxsize=1)(lambda key: correlation_report(source(key)[2]))
     receiver = functools.lru_cache(maxsize=axis_counts.get("kappa_i", 1))(
         lambda key, kappa_i: ReceiverParams(source(key)[0], kappa_i))
     channel = functools.lru_cache(maxsize=None)(lambda eta, t_b: _channel(config, eta, t_b))
     # a row's inputs by position in combo + base: the axis value, else the base value
     base = tuple(getattr(config, name, None) for name in _AXIS_NAMES)  # t_eom None: params.t_eom
     i_w, i_o, i_eta, i_tb, i_t, i_k = map([*names, *_AXIS_NAMES].index, _AXIS_NAMES)
+    drives = (columns[i] if i < len(names) else [base[i - len(names)]] for i in (i_t, i_w, i_o))
+    kept = _correlation_pass(itertools.product(*drives), source) if needs_report else {}
 
     rows = []
     for combo, cells in zip(itertools.product(*columns), itertools.product(*texts)):
@@ -452,8 +474,10 @@ def run_sweep(config: SweepConfig) -> str:
             stability_cells = "%d,%.16e" % (stability.stable, stability.margin)
             if stability.stable:
                 _, baths, m = source(key)
+                # correlation_report raises the error of each point the pass left out
                 metrics = template % _point_values(
-                    plan, m, baths, report(key) if needs_report else None,
+                    plan, m, baths, (kept[key] if key in kept else correlation_report(m))
+                    if needs_report else None,
                     (channel(row[i_eta], row[i_tb]), receiver(key, row[i_k]))
                     if needs_link else None)
         except Exception as exc:  # recorded per point, sweep continues

@@ -358,28 +358,21 @@ def _exact_per_photon(gamma_w, gamma_o, params):
         return tuple(float(value / n_1) for value in (log_neg, coh_info, discord))
 
 
-def _columns(gamma_w, gamma_o, params):
-    """(n_w, (log_neg, coh_info, discord) per photon) of the float pipeline."""
-    baths = mwqi.bath_occupations(params)
-    m = source_moments(mwqi.coefficients(mwqi.Cooperativities(gamma_w, gamma_o)),
-                       baths.n_w, baths.n_o, baths.n_b)
-    rep = correlation_report(m)
-    return m.n_w, (rep.log_neg_per_photon, rep.coh_info_per_photon, rep.discord_per_photon)
-
-
 def test_correlation_columns_match_exact_oracle():
-    # every stable point of the source_surfaces demo grid
+    # every stable row of the source_surfaces demo sweep, read back from its CSV cells
     config = mwqi.parse_config(SOURCE_SURFACES.read_text(encoding="utf-8"))
-    gamma_w, gamma_o = (axis.values().tolist() for axis in config.axes)
+    header, *rows = (line.split(",") for line in mwqi.run_sweep(config).splitlines()[3:])
+    columns = [header.index(name) for name in
+               ("log_neg_per_photon", "coh_info_per_photon", "discord_per_photon")]
     checked = 0
-    for gw in gamma_w:
-        for go in gamma_o:
-            if not mwqi.is_stable(mwqi.Cooperativities(gw, go), config.params).stable:
-                continue
-            _, got = _columns(gw, go, config.params)
-            for value, exact in zip(got, _exact_per_photon(gw, go, config.params)):
-                assert value == pytest.approx(exact, abs=1e-12), (gw, go)
-            checked += 1
+    for row in rows:
+        if row[header.index("stable")] != "1":
+            continue
+        gw, go = float(row[header.index("gamma_w")]), float(row[header.index("gamma_o")])
+        exact = _exact_per_photon(gw, go, config.params)
+        for column, want in zip(columns, exact):
+            assert float(row[column]) == pytest.approx(want, abs=1e-12), (gw, go)
+        checked += 1
     assert checked == 547
 
 
@@ -388,20 +381,27 @@ def test_correlation_columns_match_exact_oracle_over_reachable_domain(params):
     # low drives included.  The 1e-13 / n_w term is the resolution of a
     # symplectic eigenvalue held as a float near 1 (nu - 1 to ~1e-16), which
     # is still open; it dominates only where n_w < 0.1.
+    # The sample goes through the array functions in one call.
     rng = np.random.default_rng(16)
     temps = [dataclasses.replace(params, t_eom=t) for t in (0.0, 30e-3, 1.0, 30.0, 300.0)]
-    checked = 0
-    while checked < 300:
+    points, moments = [], []
+    while len(points) < 300:
         gw, go = (10.0 ** rng.uniform(-6.0, 6.0, 2)).tolist()
-        point = temps[checked % len(temps)]
-        if not mwqi.is_stable(mwqi.Cooperativities(gw, go), point).stable:
+        point = temps[len(points) % len(temps)]
+        coop = mwqi.Cooperativities(gw, go)
+        if not mwqi.is_stable(coop, point).stable:
             continue
-        n_w, (log_neg, coh_info, discord) = _columns(gw, go, point)
-        exact = _exact_per_photon(gw, go, point)
-        for value, want in zip((log_neg, coh_info, discord), exact):
+        baths = mwqi.bath_occupations(point)
+        m = source_moments(mwqi.coefficients(coop), baths.n_w, baths.n_o, baths.n_b)
+        points.append((gw, go, point))
+        moments.append((m.n_w, m.n_o, m.cross, m.s))
+    columns, valid = mwqi.correlation_columns(*np.array(moments).T)
+    assert valid.all()
+    for (gw, go, point), (n_w, *_), got in zip(points, moments, zip(*columns)):
+        log_neg, coh_info, discord = got
+        for value, want in zip(got, _exact_per_photon(gw, go, point)):
             assert abs(value - want) <= max(1e-12, 1e-12 * abs(want), 1e-13 / n_w), (gw, go, point)
         assert discord >= 0.0 and coh_info <= log_neg, (gw, go, point)
-        checked += 1
 
 
 def test_correlation_columns_physical_on_a_dense_drive_grid():
@@ -465,22 +465,29 @@ def test_report_reference_consistency(ref_moments):
 
 def test_report_evaluates_the_joint_entropy_once(monkeypatch, ref_moments):
     # g(a) and g(b) of the marginals, g(nu+) + g(nu-) once, and g of the heterodyne
-    # conditional state, counted through both module bindings as perfbench counts them
+    # conditional state: five values of g per source, counted through both module
+    # bindings of the array function, for a report and for a sweep's array pass
     calls = []
-    real = mwqi.states.entropy
+    real = mwqi.states.entropies
 
     def counted(nu):
-        calls.append(nu)
+        calls.append(np.size(nu))
         return real(nu)
 
-    monkeypatch.setattr(mwqi.states, "entropy", counted)
-    monkeypatch.setattr(mwqi.correlations, "entropy", counted)
+    monkeypatch.setattr(mwqi.states, "entropies", counted)
+    monkeypatch.setattr(mwqi.correlations, "entropies", counted)
     rep = correlation_report(ref_moments)
-    assert len(calls) == 5
+    assert calls == [2, 3]
     state = rep.state
-    assert state.joint_entropy == real(state.nu_plus) + real(state.nu_minus)
+    assert state.joint_entropy == entropy(state.nu_plus) + entropy(state.nu_minus)
     assert rep.coh_info == pytest.approx(
-        real(state.a) - real(state.nu_plus) - real(state.nu_minus), rel=1e-12)
+        entropy(state.a) - entropy(state.nu_plus) - entropy(state.nu_minus), rel=1e-12)
+    calls.clear()
+    moments = [dataclasses.astuple(ref_moments)] * 7
+    columns, valid = mwqi.correlation_columns(*np.array(moments).T)
+    assert calls == [14, 21] and valid.all()
+    assert [column[6] for column in columns] == [
+        rep.log_neg_per_photon, rep.coh_info_per_photon, rep.discord_per_photon]
 
 
 def test_report_zero_photon_error():

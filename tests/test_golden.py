@@ -9,6 +9,9 @@ import ast
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -28,9 +31,12 @@ CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 # next to the instability edge, where ab - c^2 of the rounded moments had
 # lost its digits; each cell is now within 7.6e-14 relative of an 80-digit
 # evaluation from the converter inputs (test_correlation_columns_match_exact_oracle
-# in test_correlations.py).  The 1e-12 rtol leaves room for a libm whose
-# log2 or log1p is off by an ulp, which test_correlation_columns_survive_libm_ulps
-# below applies.
+# in test_correlations.py).  The columns moved again, by at most 5.6e-15
+# relative in 38 coh_info and 42 discord cells, when a sweep came to evaluate
+# them in one numpy pass: numpy's log2 and log1p, not libm's.  The 1e-12 rtol
+# leaves room for a log2 or log1p that is off by an ulp, or that numpy picks per
+# CPU, which test_correlation_columns_survive_libm_ulps and
+# test_correlation_columns_survive_numpy_without_avx512 below apply.
 # The error probabilities moved when erfcx and exp gave way to the stdlib
 # erfc: 129 of the 139 normal p_qi/p_coh cells of the fig3 curves, by at most
 # 6.0e-14 relative, each new cell within 2.3e-16 of exact (the old ones were
@@ -118,22 +124,72 @@ def test_report_correlation_lines_are_unchanged():
     assert ok and len(want) == 4 and got == want
 
 
-def _ulp_off_math(direction: float) -> types.SimpleNamespace:
-    """The math module with log2 and log1p moved one ulp towards ``direction``."""
+def _ulp_off_numpy(direction: float) -> types.SimpleNamespace:
+    """numpy with log2 and log1p moved one ulp towards ``direction``."""
     def nudged(fn):
-        return lambda x: math.nextafter(fn(x), direction)
-    return types.SimpleNamespace(**{**vars(math), "log2": nudged(math.log2),
-                                    "log1p": nudged(math.log1p)})
+        return lambda x: np.nextafter(fn(x), direction)
+    return types.SimpleNamespace(**{**vars(np), "log2": nudged(np.log2),
+                                    "log1p": nudged(np.log1p)})
+
+
+def _source_surfaces(tmp_path) -> list[str]:
+    out = tmp_path / "source_surfaces.csv"
+    assert main(["sweep", str(CONFIGS / "source_surfaces.cfg"), "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8").splitlines()
 
 
 @pytest.mark.parametrize("direction", [math.inf, -math.inf], ids=["up", "down"])
 def test_correlation_columns_survive_libm_ulps(monkeypatch, tmp_path, direction):
-    # another libm may round log2 or log1p the other way: the correlation
+    # another build may round log2 or log1p the other way: the correlation
     # columns, the only ones that read them, must stay within their 1e-12 rtol
+    plain = _source_surfaces(tmp_path)
     for module in (mwqi.states, mwqi.correlations):
-        monkeypatch.setattr(module, "math", _ulp_off_math(direction))
+        monkeypatch.setattr(module, "np", _ulp_off_numpy(direction))
+    nudged = _source_surfaces(tmp_path)
+    assert nudged != plain  # the nudge reached the columns
+    _compare_csv(nudged, (GOLDEN / "source_surfaces.csv").read_text(encoding="utf-8").splitlines())
+
+
+def _avx512_features() -> list[str]:
+    """The AVX-512 targets of numpy's dispatch list that this CPU has."""
+    # numpy < 2 has no numpy._core
+    umath = np._core._multiarray_umath if hasattr(np, "_core") else np.core._multiarray_umath
+    return [name for name in umath.__cpu_dispatch__
+            if (name.startswith("AVX512") or name == "X86_V4") and umath.__cpu_features__[name]]
+
+
+_SWEEP_AT_GOLDEN_AXES = """
+import sys
+import numpy as np
+import mwqi.sweep
+from mwqi.cli import main
+
+umath = np._core._multiarray_umath if hasattr(np, "_core") else np.core._multiarray_umath
+config, golden, out, *features = sys.argv[1:]
+assert not any(umath.__cpu_features__[name] for name in features)
+header, *rows = (line.split(",") for line in open(golden) if not line.startswith("#"))
+axes = {name: sorted({float(row[i]) for row in rows})
+        for i, name in enumerate(header[:header.index("stable")])}
+mwqi.sweep.GridAxis.values = lambda self: np.array(axes[self.name])
+sys.exit(main(["sweep", config, "--out", out]))
+"""
+
+
+def test_correlation_columns_survive_numpy_without_avx512(tmp_path):
+    # numpy picks its log2 and log1p kernels per CPU at run time, and the AVX-512 ones
+    # round otherwise than the ones below them: the sweep must hold the declared rtol
+    # with that dispatch off.  np.geomspace also rounds 3 of the 50 axis values
+    # otherwise there (ROADMAP item 14), so the child sweeps the golden's own values.
+    features = _avx512_features()
+    if not features:
+        pytest.skip("numpy dispatches no AVX-512 kernel on this CPU")
     out = tmp_path / "source_surfaces.csv"
-    assert main(["sweep", str(CONFIGS / "source_surfaces.cfg"), "--out", str(out)]) == 0
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(mwqi.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", _SWEEP_AT_GOLDEN_AXES,
+                    str(CONFIGS / "source_surfaces.cfg"), str(GOLDEN / "source_surfaces.csv"),
+                    str(out), *features], check=True, env=env, timeout=300)
     _compare_csv(out.read_text(encoding="utf-8").splitlines(),
                  (GOLDEN / "source_surfaces.csv").read_text(encoding="utf-8").splitlines())
 

@@ -71,8 +71,9 @@ def test_negative_discriminant_rejected():
     (lambda: TwoModeGaussianState(1.0, 1.0, math.nan, 1.0), PhysicalityError),
     (lambda: TwoModeGaussianState(1.0, 1.0, -math.inf, 1.0), PhysicalityError),
     (lambda: TwoModeGaussianState(1.0, 1.0, 0.0, math.nan), PhysicalityError),
-    # finite entries whose products overflow float64, from about 1.3e154
-    (lambda: _state(2e160, 2e160, 1e160), OverflowError),
+    # finite entries whose products overflow float64 at the state's scale: c^2, where
+    # max(a, b) < 2^500 leaves the entries unscaled
+    (lambda: _state(2.0, 2.0, 1e160), OverflowError),
     (lambda: TwoModeGaussianState(2e154, 2e154, 1e154, 3e308), OverflowError),
     (lambda: TwoModeGaussianState(2e154, 1.0, 0.0, math.inf), OverflowError),
     (lambda: entropy(math.nan), ValueError),
@@ -82,6 +83,29 @@ def test_negative_discriminant_rejected():
 def test_non_finite_and_overflowing_rejected(make, error):
     with pytest.raises(error):
         make()
+
+
+@pytest.mark.parametrize("r", [170.0, 180.0])
+def test_squeezed_vacuum_past_the_float64_products_builds(r):
+    # a = b ~ cosh(2r) and c ~ sinh(2r): from r ~ 177, ab and c^2 overflow float64 unscaled,
+    # while the spectrum nu_plus = nu_minus = 1 and nu~_minus = e^-2r are representable
+    state = two_mode_squeezed_vacuum(r)
+    assert (state.nu_plus, state.nu_minus) == pytest.approx((1.0, 1.0), rel=1e-15)
+    assert state.nu_ppt_minus == pytest.approx(math.exp(-2.0 * r), rel=1e-13)
+    # pure: the joint entropy is 0, so I = D = g(a), and E_N = 2r / ln 2
+    assert state.joint_entropy == 0.0
+    assert mwqi.log_negativity(state) == pytest.approx(2.0 * r / math.log(2.0), rel=1e-14)
+    assert mwqi.coherent_information(state) == mwqi.gaussian_discord(state) == entropy(state.a)
+    # the array functions agree bit for bit, at the state and next to states that fail
+    a, c = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    *spec, fault = mwqi.spectrum([a, 2.0, a], [a, 2.0, a], [c, 1e160, c], [1.0, -1e320, math.nan])
+    assert fault.tolist() == [0, 3, 4]
+    assert [nu[0] for nu in spec] == [state.nu_plus, state.nu_minus, state.nu_ppt_minus,
+                                      state.joint_entropy]
+    # the mismatch message shows ab - c^2 unscaled, where a == c: at r = 180 as inf - inf
+    with pytest.raises(PhysicalityError) as err:
+        TwoModeGaussianState(a, a, c, 1e306)
+    assert str(err.value) == f"s = 1e+306 does not match ab - c^2 = {'nan' if r > 177 else 0.0}"
 
 
 @pytest.mark.parametrize("coop, n_b", [

@@ -367,22 +367,23 @@ def test_sweep_metadata_lines():
 
 
 def test_sweep_error_column_keeps_going(monkeypatch):
-    calls = {"n": 0}
-    real = sweep_mod.correlation_report
-
-    def flaky(m):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise RuntimeError("synthetic metric failure")
-        return real(m)
-
-    monkeypatch.setattr(sweep_mod, "correlation_report", flaky)
+    # a failure at one drive point fails only its rows: the array pass leaves the point
+    # out, its row builds it again and records why, and the other rows are clean
     cfg = parse_config(POINT_CFG.replace(
         "select = n_w, n_o, e_metric, fom",
         "select = log_neg_per_photon") + """
 [grid]
 axis = gamma_w log 2e3 8e3 3
 """)
+    bad = cfg.axes[0].values().tolist()[0]
+    real = sweep_mod.coefficients
+
+    def flaky(coop):
+        if coop.gamma_w == bad:
+            raise RuntimeError("synthetic metric failure")
+        return real(coop)
+
+    monkeypatch.setattr(sweep_mod, "coefficients", flaky)
     rows = _parse_csv(run_sweep(cfg))
     header, data = rows[0], rows[1:]
     errors = [dict(zip(header, r))["error"] for r in data]
@@ -422,22 +423,28 @@ def test_sweep_rows_do_not_depend_on_axis_order():
     ((_ETA, _GAMMA_W, _GAMMA_O), False),
 ])
 def test_source_is_evaluated_once_per_run_of_a_drive_point(monkeypatch, axes, shared):
+    # without a correlation output, once per run of rows at a drive point; with one, the
+    # array pass builds it once per drive point, stable or not, whatever the axis order
     calls = []
     real = sweep_mod.coefficients
     monkeypatch.setattr(sweep_mod, "coefficients",
                         lambda coop: calls.append(coop) or real(coop))
-    header, *data = _parse_csv(run_sweep(_grid(*axes)))
+    header, *data = _parse_csv(run_sweep(_grid(*axes, select="n_w, fom, p_qi@1e6")))
     stable = [record for record in (dict(zip(header, r)) for r in data)
               if record["stable"] == "1"]
     drive_points = {(r["gamma_w"], r["gamma_o"]) for r in stable}
     assert 0 < len(drive_points) < len(stable)
     assert len(calls) == (len(drive_points) if shared else len(stable))
+    calls.clear()
+    header, *data = _parse_csv(run_sweep(_grid(*axes)))
+    assert len({(r[header.index("gamma_w")], r[header.index("gamma_o")]) for r in data}) == 9
+    assert len(calls) == 9 and len(data) == 9 * 4
 
 
 def test_failing_drive_point_fails_each_of_its_rows(monkeypatch):
-    # the hot source overflows the symplectic spectrum; the failure is not
-    # kept, so each row at that drive point recomputes it and records the
-    # same error, and the next drive point is clean
+    # the hot source overflows the symplectic spectrum; the array pass does not keep it,
+    # so each row at that drive point goes through the scalar report and records the
+    # same error, while the pass keeps the cool points, and the next drive point is clean
     calls = []
     real = sweep_mod.correlation_report
     monkeypatch.setattr(sweep_mod, "correlation_report",
@@ -446,7 +453,7 @@ def test_failing_drive_point_fails_each_of_its_rows(monkeypatch):
         "gamma_w log 4e3 6e3 2", "t_eom log 0.03 1e160 2", "eta lin 0.05 0.1 3")))
     records = [dict(zip(header, r)) for r in data]
     hot = [r for r in records if r["t_eom"] == "1.0000000000000000e+160"]
-    assert len(hot) == 6 and len(calls) == 2 + len(hot)
+    assert len(hot) == 6 and len(calls) == len(hot)
     for r in hot:
         assert r["error"] == "OverflowError: symplectic spectrum overflows float64"
         assert r["stable"] == "1"
@@ -517,29 +524,33 @@ def test_channel_and_receiver_are_built_once_per_key(monkeypatch):
 _HOT_ERROR = "OverflowError: Planck occupation overflows float64 at 1e+308 K"
 
 
-@pytest.mark.parametrize("axes, t_eom_calls", [
-    ((_GAMMA_W, _GAMMA_O, _ETA), [0.03]),  # the base t_eom, 30 mk
+@pytest.mark.parametrize("axes, t_eom_calls, hot_rows", [
+    ((_GAMMA_W, _GAMMA_O, _ETA), [0.03], 0),  # the base t_eom, 30 mk
     # t_eom changes between consecutive drive points, and each value keeps its occupations
-    (("gamma_w log 4e3 6e3 2", "t_eom log 0.03 3 3", _ETA), [0.03, 0.3, 3.0]),
-    # a failed build is not kept: each of the 8 rows asks again and records the same error
-    (("t_eom log 0.03 1e308 2", "gamma_w log 4e3 6e3 2", _ETA), [0.03] + [1e308] * 8),
+    (("gamma_w log 4e3 6e3 2", "t_eom log 0.03 3 3", _ETA), [0.03, 0.3, 3.0], 0),
+    # a failed build is not kept: the array pass asks once at each of the 2 hot drive
+    # points, then each of the 8 hot rows asks again and records the same error
+    (("t_eom log 0.03 1e308 2", "gamma_w log 4e3 6e3 2", _ETA), [0.03] + [1e308] * 10, 8),
 ], ids=["drive-plane", "t_eom-axis", "overflowing-t_eom"])
-def test_bath_occupations_are_evaluated_once_per_t_eom(monkeypatch, axes, t_eom_calls):
+def test_bath_occupations_are_evaluated_once_per_t_eom(monkeypatch, axes, t_eom_calls,
+                                                       hot_rows):
     calls = _counting(monkeypatch, "bath_occupations")
     header, *data = _parse_csv(run_sweep(_grid(*axes)))
     stable = [record for record in (dict(zip(header, r)) for r in data)
               if record["stable"] == "1"]
     assert [params.t_eom for params, in calls] == pytest.approx(t_eom_calls, rel=1e-15)
     hot = [r for r in stable if r.get("t_eom") == "1.0000000000000000e+308"]
-    assert len(hot) == t_eom_calls.count(1e308) and len(stable) > len(hot)
+    assert len(hot) == hot_rows and len(stable) > len(hot)
     assert all(r["error"] == _HOT_ERROR and r["n_w"] == "" for r in hot)
     assert all(r["error"] == "" for r in stable if r not in hot)
 
 
 def test_sweep_memo_stays_bounded(monkeypatch):
-    # the caches keep the last source and report, and one receiver per kappa_i
-    # value; with the value being built, that is the peak whatever the grid size
-    peaks, calls = {}, {}
+    # the row caches keep the last source, and one receiver per kappa_i value; with the
+    # value being built, that is the peak whatever the grid size.  With a correlation
+    # output the array pass keeps one source per drive point and three floats: no report
+    # and no state object is built, let alone kept.
+    peaks, calls, states = {}, {}, []
     for name in ("source_moments", "correlation_report", "ReceiverParams"):
         def tracked(*args, _name=name, _real=getattr(sweep_mod, name), _live=weakref.WeakSet()):
             result = _real(*args)
@@ -548,13 +559,20 @@ def test_sweep_memo_stays_bounded(monkeypatch):
             calls[_name] = calls.get(_name, 0) + 1
             return result
         monkeypatch.setattr(sweep_mod, name, tracked)
-    header, *data = _parse_csv(run_sweep(_grid(
-        "gamma_w log 1e2 1e4 20", "gamma_o log 1e1 1e3 20", "kappa_i lin 0.5 1 3",
-        "eta log 1e-3 1e-1 2", select="log_neg_per_photon, fom")))
-    assert len(data) == 2400
-    assert min(calls.values()) > 100
-    assert peaks["source_moments"] <= 2 and peaks["correlation_report"] <= 2
-    assert peaks["ReceiverParams"] <= 3 + 1
+    real_state = mwqi.TwoModeGaussianState.__post_init__
+    monkeypatch.setattr(mwqi.TwoModeGaussianState, "__post_init__",
+                        lambda self: states.append(self) or real_state(self))
+    for select in ("fom", "log_neg_per_photon, fom"):
+        peaks.clear(), calls.clear()
+        header, *data = _parse_csv(run_sweep(_grid(
+            "gamma_w log 1e2 1e4 20", "gamma_o log 1e1 1e3 20", "kappa_i lin 0.5 1 3",
+            "eta log 1e-3 1e-1 2", select=select)))
+        assert len(data) == 2400 and all(r[-1] == "" for r in data)
+        assert min(calls.values()) > 100 and "correlation_report" not in calls
+        assert peaks["source_moments"] <= (2 if select == "fom" else calls["source_moments"])
+        assert calls["source_moments"] <= (2400 if select == "fom" else 400)
+        assert peaks["ReceiverParams"] <= 3 + 1
+    assert not states
 
 
 @pytest.mark.parametrize("axes, builder, bad_key, message", [
