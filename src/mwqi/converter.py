@@ -270,20 +270,18 @@ def coefficients(coop: Cooperativities) -> EomCoefficients:
     gw, go = coop.gamma_w, coop.gamma_o
     d = 1.0 + 2.0 * gw - 2.0 * go
     if d <= 0:
-        raise InstabilityError(
-            f"unstable operating point: 1 + 2*Gamma_w - 2*Gamma_o = {d!r} <= 0"
-        )
-    t = 1.0 - 2.0 * gw - 2.0 * go
+        raise InstabilityError(f"unstable operating point: 1 + 2*Gamma_w - 2*Gamma_o = {d!r} <= 0")
+    return EomCoefficients(*_coefficient_terms(gw, go, d, math.sqrt))
+
+
+def _coefficient_terms(gw, go, d, sqrt):
+    """(a_w, a_o, b, c_w, c_o, minor) at cooperativities gw, go with d = 1 + 2*gw - 2*go:
+    Python floats with ``math.sqrt``, or arrays with ``np.sqrt``."""
     dc, dc_err = _two_diff(gw, go)
-    return EomCoefficients(
-        a_w=t / d,
-        a_o=(1.0 + 2.0 * gw + 2.0 * go) / d,
-        b=4.0 * math.sqrt(gw * go) / d,
-        c_w=math.sqrt(8.0 * gw) / d,
-        c_o=math.sqrt(8.0 * go) / d,
-        # 0.5 - dc is exact where the numerator is small
-        minor=2.0 * ((0.5 - dc) - dc_err) / d,
-    )
+    return ((1.0 - 2.0 * gw - 2.0 * go) / d, (1.0 + 2.0 * gw + 2.0 * go) / d,
+            4.0 * sqrt(gw * go) / d, sqrt(8.0 * gw) / d, sqrt(8.0 * go) / d,
+            # 0.5 - dc is exact where the numerator is small
+            2.0 * ((0.5 - dc) - dc_err) / d)
 
 
 def source_moments(coef: EomCoefficients, n_w_thermal: float,
@@ -306,20 +304,21 @@ def source_moments(coef: EomCoefficients, n_w_thermal: float,
     """
     if min(n_w_thermal, n_o_thermal, n_b_thermal) < 0:
         raise ValueError("occupations must be >= 0")
-    n_w = (coef.a_w ** 2 * n_w_thermal
-           + coef.b ** 2 * (n_o_thermal + 1.0)
-           + coef.c_w ** 2 * n_b_thermal)
-    n_o = (coef.b ** 2 * (n_w_thermal + 1.0)
-           + coef.a_o ** 2 * n_o_thermal
-           + coef.c_o ** 2 * (n_b_thermal + 1.0))
-    cross = abs(coef.a_w * coef.b * (n_w_thermal + 1.0)
-                - coef.b * coef.a_o * n_o_thermal
-                - coef.c_w * coef.c_o * (n_b_thermal + 1.0))
+    return SourceMoments(*_moment_terms(coef.a_w, coef.a_o, coef.b, coef.c_w, coef.c_o,
+                                        coef.minor, n_w_thermal, n_o_thermal, n_b_thermal))
+
+
+def _moment_terms(a_w, a_o, b, c_w, c_o, minor, n_w_t, n_o_t, n_b_t):
+    """(n_w, n_o, cross, s) of :func:`source_moments`, over floats or arrays alike."""
+    # squares by products, which IEEE rounds alike on every platform; libm pow may not
+    b2 = b * b
+    n_w = a_w * a_w * n_w_t + b2 * (n_o_t + 1.0) + c_w * c_w * n_b_t
+    n_o = b2 * (n_w_t + 1.0) + a_o * a_o * n_o_t + c_o * c_o * (n_b_t + 1.0)
+    cross = abs(a_w * b * (n_w_t + 1.0) - b * a_o * n_o_t - c_w * c_o * (n_b_t + 1.0))
     # D / 2 = n^T + 1/2 stays finite for every finite n^T, so a zero coefficient gives 0, not nan
-    h_w, h_o, h_b = n_w_thermal + 0.5, n_o_thermal + 0.5, n_b_thermal + 0.5
-    s = 4.0 * (coef.minor * coef.minor * h_w * h_o + coef.c_o * coef.c_o * h_w * h_b
-               + coef.c_w * coef.c_w * h_o * h_b)
-    return SourceMoments(n_w=n_w, n_o=n_o, cross=cross, s=s)
+    h_w, h_o, h_b = n_w_t + 0.5, n_o_t + 0.5, n_b_t + 0.5
+    return n_w, n_o, cross, 4.0 * (minor * minor * h_w * h_o + c_o * c_o * h_w * h_b
+                                   + c_w * c_w * h_o * h_b)
 
 
 def source_state(m: SourceMoments) -> TwoModeGaussianState:

@@ -205,8 +205,10 @@ def receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     and the per-pair count has mean 2 S and variance 2 S^2 + 2 N_1 N_2 + N_1 + N_2.
     """
     coef, k_i, eta = rx.coef, rx.idler_transmissivity, ch.eta
-    n_2, b2 = k_i * source.n_o, coef.b ** 2
-    optical, mechanical = coef.a_o ** 2 * baths.n_o, coef.c_o ** 2 * (baths.n_b + 1.0)
+    # squares by products, which IEEE rounds alike on every platform; libm pow may not
+    n_2, b2 = k_i * source.n_o, coef.b * coef.b
+    optical = coef.a_o * coef.a_o * baths.n_o
+    mechanical = coef.c_o * coef.c_o * (baths.n_b + 1.0)
     # H0: n_R = n_B and S = 0 exactly, so the mean is 0
     n_1 = b2 * (ch.n_b + 1.0) + optical + mechanical
     var0 = 2.0 * n_1 * n_2 + n_1 + n_2

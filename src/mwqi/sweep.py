@@ -50,10 +50,13 @@ import numpy as np
 
 from . import __version__
 from .converter import (
-    BathOccupations,
     Cooperativities,
+    EomCoefficients,
     EomParams,
     InstabilityError,
+    SourceMoments,
+    _coefficient_terms,
+    _moment_terms,
     bath_occupations,
     coefficients,
     entanglement_metric,
@@ -330,42 +333,29 @@ def _check_config(config: SweepConfig, command: str) -> bool:
     return needs_channel
 
 
-def _drive_point(config: SweepConfig, t_eom: float | None = None, gamma_w: float | None = None,
-                 gamma_o: float | None = None) -> tuple[Cooperativities, EomParams]:
-    """(cooperativities, params) at a drive point; a value left None is the base value."""
-    params = config.params if t_eom is None else dataclasses.replace(config.params, t_eom=t_eom)
-    return Cooperativities(config.gamma_w if gamma_w is None else gamma_w,
-                           config.gamma_o if gamma_o is None else gamma_o), params
-
-
-def _source(coop: Cooperativities, baths: BathOccupations):
-    """(coefficients, bath occupations, source moments), which mean something only at a
-    stable point."""
-    coef = coefficients(coop)
-    return coef, baths, source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
-
-
 def _channel(config: SweepConfig, eta: float, t_b: float) -> TargetChannelParams:
     """Channel at eta whose background is the Planck occupation at t_b."""
     return TargetChannelParams.from_temperature(eta, t_b, config.params.omega_w)
 
 
 def _base_point(config: SweepConfig, command: str):
-    """(needs channel, cooperativities, params, stability, source) at the checked
-    config's base values; raises :class:`InstabilityError` if the point is unstable."""
+    """(needs channel, cooperativities, params, stability, (coefficients, bath occupations,
+    moments)) at the checked config's base values; raises InstabilityError if unstable."""
     needs_channel = _check_config(config, command)
-    coop, params = _drive_point(config)
+    coop, params = Cooperativities(config.gamma_w, config.gamma_o), config.params
     stability = is_stable(coop, params)
     if not stability.stable:
         raise InstabilityError(
             f"operating point unstable, margin {stability.margin!r} rad/s")
-    return needs_channel, coop, params, stability, _source(coop, bath_occupations(params))
+    baths, coef = bath_occupations(params), coefficients(coop)
+    return needs_channel, coop, params, stability, (
+        coef, baths, source_moments(coef, baths.n_w, baths.n_o, baths.n_b))
 
 
-def _point_values(plan, m, baths, cells, link, stats=None) -> tuple[float, ...]:
+def _point_values(plan, m, baths, report, link, stats=None) -> tuple[float, ...]:
     """Metric values of one stable point, one per ``(name, mode count)`` in ``plan``; the
-    ``cells`` of _CORRELATION_OUTPUTS and the (channel, receiver) ``link`` may be None if
-    unread, and the receiver ``stats`` of ``link`` are built on first use if not given."""
+    :class:`CorrelationReport` ``report`` and the (channel, receiver) ``link`` may be None
+    if unread, and the receiver ``stats`` of ``link`` are built on first use if not given."""
     values = []
     ch, rx = link or (None, None)
     for token, modes in plan:
@@ -374,7 +364,7 @@ def _point_values(plan, m, baths, cells, link, stats=None) -> tuple[float, ...]:
         elif token == "e_metric":
             value = entanglement_metric(m)
         elif token in _CORRELATION_OUTPUTS:
-            value = cells[_CORRELATION_OUTPUTS.index(token)]
+            value = getattr(report, token)
         elif token == "fom":
             value = figure_of_merit(m, ch, rx, baths)
         else:
@@ -386,19 +376,35 @@ def _point_values(plan, m, baths, cells, link, stats=None) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _correlation_pass(keys, source) -> dict:
-    """drive key -> correlation cells, for each key whose ``source`` builds and whose cells,
-    from one :func:`correlation_columns` call over all of them, are valid."""
-    moments = {}
-    for key in keys:
+def _drive_stage(config: SweepConfig, drives, report: bool) -> tuple:
+    """The fields of EomCoefficients and of SourceMoments, the cells of n_w, n_o, e_metric
+    and, if ``report``, _CORRELATION_OUTPUTS by name, the bath occupations by t_eom and a
+    mask, in one array pass over the drive keys: the product of the (t_eom, gamma_w,
+    gamma_o) values ``drives``, t_eom slowest.  Where the mask holds, each value is the
+    scalar functions' to the bit; elsewhere those raise."""
+    baths_at = {}
+    for t in drives[0]:
         try:
-            moments[key] = source(key)[2]
-        except Exception:  # not kept: each stable row at this point raises on its own
+            baths_at[t] = bath_occupations(dataclasses.replace(config.params, t_eom=t))
+        except Exception:  # not kept: each stable row at this t_eom raises on its own
             pass
-    columns, valid = correlation_columns(*np.array(
-        [(m.n_w, m.n_o, m.cross, m.s) for m in moments.values()]).reshape(-1, 4).T)
-    return {key: cells for key, cells, ok in zip(
-        moments, zip(*(x.tolist() for x in columns)), valid.tolist()) if ok}
+    occupations = np.array([dataclasses.astuple(baths_at[t]) if t in baths_at else (math.nan,) * 3
+                            for t in drives[0]]).repeat(len(drives[1]) * len(drives[2]), axis=0).T
+    gamma_w, gamma_o = np.tile(np.array(list(itertools.product(*drives[1:]))).T, len(drives[0]))
+    with np.errstate(all="ignore"):  # a key off the mask may divide by 0 or overflow
+        d = 1.0 + 2.0 * gamma_w - 2.0 * gamma_o
+        coef = _coefficient_terms(gamma_w, gamma_o, d, np.sqrt)
+        n_w, n_o, cross, s = moments = _moment_terms(*coef, *occupations)
+        cells = {"n_w": n_w, "n_o": n_o,
+                 "e_metric": np.where(cross == 0.0, 0.0, cross / np.sqrt(n_w * n_o))}
+        # what coefficients, SourceMoments and entanglement_metric check (terms >= 0 at d > 0)
+        ok = ((d > 0) & (n_w < math.inf) & (n_o < math.inf) & (cross < math.inf) & (s >= 0)
+              & ((cross == 0.0) | ((n_w > 0.0) & (n_o > 0.0))))
+        if report:
+            columns, valid = correlation_columns(n_w, n_o, cross, s)
+            cells.update(zip(_CORRELATION_OUTPUTS, columns))
+            ok &= valid
+    return coef, moments, cells, baths_at, ok
 
 
 def _meta_lines(config: SweepConfig) -> list[str]:
@@ -417,21 +423,21 @@ def run_sweep(config: SweepConfig) -> str:
 
     What a call builds, and how often:
 
+    - per drive point (t_eom, gamma_w, gamma_o), in one array pass before the rows:
+      coefficients, moments, E-metric and any correlation column read, with the
+      cells of these outputs formatted once;
+    - per run of consecutive rows at one drive point: the cooperativities and, for
+      a channel output, moments and coefficients as objects and a receiver per
+      kappa_i value;
     - per row: its six inputs, each an axis value or else the base value; the
-      stability test; at a stable row the receiver statistics (once for
-      ``fom``, once for any ``p_qi@M``) and the metric cells;
-    - per drive point (t_eom, gamma_w, gamma_o), if an output reads a
-      correlation column: in a pass before the rows, the drive point and its
-      source (coefficients and moments), stable or not, kept for the rows,
-      and the three columns of all points from one array call, kept as three
-      floats per point, with no report or state object built; else the
-      source once per run of consecutive rows at one drive point; and the
-      receiver once per such run and kappa_i value;
-    - per key: the bath occupations once per t_eom value, and the channel
-      once per (eta, t_b).
+      stability test; at a stable row the receiver statistics (once for ``fom``,
+      once for any ``p_qi@M``) and the channel cells;
+    - per key: the bath occupations once per t_eom value, and the channel once per
+      (eta, t_b).
 
-    A build that raises is not kept: each row that needs it raises again,
-    with the same text.
+    A stable row at a drive point the pass rejects goes through the scalar functions,
+    which raise its error.  A build that raises is not kept: each row that needs it
+    raises again, with the same text.
     """
     if not config.outputs:
         raise ConfigError("no outputs selected", field_name="select")
@@ -446,44 +452,57 @@ def run_sweep(config: SweepConfig) -> str:
     template = ",".join(["%.16e"] * len(config.outputs))
     no_metrics = "," * (len(config.outputs) - 1)
 
-    # the shared builds of the docstring, kept for this call only; a cache stores a
-    # value only once its build returns
-    axis_counts = {axis.name: axis.count for axis in config.axes}
-    size = None if needs_report else 1  # the pass below builds every drive point for the rows
-    drive = functools.lru_cache(maxsize=size)(lambda key: _drive_point(config, *key))
-    occupations = functools.lru_cache(maxsize=axis_counts.get("t_eom", 1))(
-        lambda t_eom: bath_occupations(_drive_point(config, t_eom)[1]))
-    source = functools.lru_cache(maxsize=size)(
-        lambda key: _source(drive(key)[0], occupations(key[0])))
-    receiver = functools.lru_cache(maxsize=axis_counts.get("kappa_i", 1))(
-        lambda key, kappa_i: ReceiverParams(source(key)[0], kappa_i))
-    channel = functools.lru_cache(maxsize=None)(lambda eta, t_b: _channel(config, eta, t_b))
     # a row's inputs by position in combo + base: the axis value, else the base value
-    base = tuple(getattr(config, name, None) for name in _AXIS_NAMES)  # t_eom None: params.t_eom
+    base = tuple(config.params.t_eom if name == "t_eom" else getattr(config, name)
+                 for name in _AXIS_NAMES)
     i_w, i_o, i_eta, i_tb, i_t, i_k = map([*names, *_AXIS_NAMES].index, _AXIS_NAMES)
-    drives = (columns[i] if i < len(names) else [base[i - len(names)]] for i in (i_t, i_w, i_o))
-    kept = _correlation_pass(itertools.product(*drives), source) if needs_report else {}
+    drives = [columns[i] if i < len(names) else [base[i - len(names)]] for i in (i_t, i_w, i_o)]
+    coefs, moments, stage, baths_at, ok = _drive_stage(config, drives, needs_report)
+    # each row's drive key index: the keys are the product of the drives, t_eom slowest
+    strides = {i_t: len(drives[1]) * len(drives[2]), i_w: len(drives[2]), i_o: 1}
+    steps = [[j * strides.get(i, 0) for j in range(len(col))] for i, col in enumerate(columns)]
+    # the drive cells of each key the pass kept, formatted once; "%%" leaves the link cells
+    link_plan = [(name, modes) for name, modes in plan if name not in stage]
+    form = ",".join("%.16e" if name in stage else "%%.16e" for name, _ in plan)
+    drive_cells = [form % tuple(values) if good else None for good, *values in zip(
+        ok.tolist(), *(stage[name].tolist() for name, _ in plan if name in stage))]
+    coefs, moments = (np.stack(x, axis=1) if needs_link else None for x in (coefs, moments))
+    del stage  # the rows read its cells as formatted, and a large grid need not keep both
+    channel = functools.lru_cache(maxsize=None)(lambda eta, t_b: _channel(config, eta, t_b))
 
-    rows = []
-    for combo, cells in zip(itertools.product(*columns), itertools.product(*texts)):
+    rows, last = [], None
+    for combo, cells, k in zip(itertools.product(*columns), itertools.product(*texts),
+                               map(sum, itertools.product(*steps))):
         row = combo + base
         stability_cells, metrics, error = ",", no_metrics, ""
         try:
-            key = (row[i_t], row[i_w], row[i_o])
-            stability = is_stable(*drive(key))
+            if k != last:  # a new run of rows at one drive point
+                coop, link, last = Cooperativities(row[i_w], row[i_o]), None, k
+            stability = is_stable(coop, config.params)  # the same at every t_eom
             stability_cells = "%d,%.16e" % (stability.stable, stability.margin)
-            if stability.stable:
-                _, baths, m = source(key)
-                # correlation_report raises the error of each point the pass left out
+            if stability.stable and drive_cells[k] is None:  # the scalar path raises its error
+                baths = bath_occupations(dataclasses.replace(config.params, t_eom=row[i_t]))
+                coef = coefficients(coop)
+                m = source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
                 metrics = template % _point_values(
-                    plan, m, baths, (kept[key] if key in kept else correlation_report(m))
-                    if needs_report else None,
-                    (channel(row[i_eta], row[i_tb]), receiver(key, row[i_k]))
+                    plan, m, baths, correlation_report(m) if needs_report else None,
+                    (channel(row[i_eta], row[i_tb]), ReceiverParams(coef, row[i_k]))
                     if needs_link else None)
+            elif stability.stable and needs_link:
+                if link is None:  # once per run; then each receiver once per kappa_i
+                    coef = EomCoefficients(*coefs[k].tolist())
+                    link = (SourceMoments(*moments[k].tolist()), baths_at[row[i_t]],
+                            functools.cache(functools.partial(ReceiverParams, coef)))
+                m, baths, receiver = link
+                metrics = drive_cells[k] % _point_values(link_plan, m, baths, None, (
+                    channel(row[i_eta], row[i_tb]), receiver(row[i_k])))
+            elif stability.stable:
+                metrics = drive_cells[k]
         except Exception as exc:  # recorded per point, sweep continues
             error = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
         rows.append(",".join([*cells, stability_cells, metrics, error]))
 
+    del drive_cells  # read into the rows: not kept while they are joined
     header = names + ["stable", "margin"] + list(config.outputs) + ["error"]
     return "\n".join(_meta_lines(config) + [",".join(header)] + rows) + "\n"
 

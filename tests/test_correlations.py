@@ -301,7 +301,8 @@ _PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944592
 
 
 def _exact_per_photon(gamma_w, gamma_o, params):
-    """(log_neg, coh_info, discord) per photon at 80 digits, from the converter inputs.
+    """(log_neg, coh_info, discord) per photon, then (n_w, n_o, E-metric), at 80 digits from
+    the converter inputs.
 
     The float cooperativities and converter parameters are taken as exact, and
     the model is followed in decimal arithmetic with the textbook forms: the
@@ -355,25 +356,41 @@ def _exact_per_photon(gamma_w, gamma_o, params):
         joint = g(nu_plus) + g(nu_minus)
         coh_info = g(a) - joint
         discord = g(b) - joint + g(nu_min)
-        return tuple(float(value / n_1) for value in (log_neg, coh_info, discord))
+        e_metric = cross / (n_1 * n_2).sqrt() if cross else Decimal(0)
+        return (*(float(value / n_1) for value in (log_neg, coh_info, discord)),
+                float(n_1), float(n_2), float(e_metric))
+
+
+def _source_surfaces_oracle_pairs(names):
+    """(cell, exact value) of each of ``names`` on every stable row of the source_surfaces
+    demo sweep, read back from its CSV cells."""
+    config = mwqi.parse_config(SOURCE_SURFACES.read_text(encoding="utf-8"))
+    header, *rows = (line.split(",") for line in mwqi.run_sweep(config).splitlines()[3:])
+    stable = [row for row in rows if row[header.index("stable")] == "1"]
+    assert len(stable) == 547
+    order = ("log_neg_per_photon", "coh_info_per_photon", "discord_per_photon", "n_w", "n_o",
+             "e_metric")
+    for row in stable:
+        gw, go = float(row[header.index("gamma_w")]), float(row[header.index("gamma_o")])
+        exact = dict(zip(order, _exact_per_photon(gw, go, config.params)))
+        yield (gw, go), [(float(row[header.index(name)]), exact[name]) for name in names]
 
 
 def test_correlation_columns_match_exact_oracle():
-    # every stable row of the source_surfaces demo sweep, read back from its CSV cells
-    config = mwqi.parse_config(SOURCE_SURFACES.read_text(encoding="utf-8"))
-    header, *rows = (line.split(",") for line in mwqi.run_sweep(config).splitlines()[3:])
-    columns = [header.index(name) for name in
-               ("log_neg_per_photon", "coh_info_per_photon", "discord_per_photon")]
-    checked = 0
-    for row in rows:
-        if row[header.index("stable")] != "1":
-            continue
-        gw, go = float(row[header.index("gamma_w")]), float(row[header.index("gamma_o")])
-        exact = _exact_per_photon(gw, go, config.params)
-        for column, want in zip(columns, exact):
-            assert float(row[column]) == pytest.approx(want, abs=1e-12), (gw, go)
-        checked += 1
-    assert checked == 547
+    for point, pairs in _source_surfaces_oracle_pairs(
+            ("log_neg_per_photon", "coh_info_per_photon", "discord_per_photon")):
+        for got, want in pairs:
+            assert got == pytest.approx(want, abs=1e-12), point
+
+
+def test_drive_cells_match_exact_oracle():
+    # the cells of the sweep's array drive stage, which shares its closed forms with the
+    # scalar coefficients and source_moments, so only this oracle checks them independently.
+    # The largest relative errors on the 547 points are 6.1e-16 (n_w), 6.5e-16 (n_o) and
+    # 6.0e-16 (e_metric); the bound leaves room for a libm expm1 an ulp off in the baths
+    for point, pairs in _source_surfaces_oracle_pairs(("n_w", "n_o", "e_metric")):
+        for got, want in pairs:
+            assert got == pytest.approx(want, rel=2e-15, abs=0.0), point
 
 
 def test_correlation_columns_match_exact_oracle_over_reachable_domain(params):

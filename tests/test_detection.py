@@ -191,15 +191,16 @@ def test_receiver_statistics_match_pair_formula(ref_moments, ref_coefficients, b
 
 
 def _two_pass_statistics(source, ch, rx, baths):
-    """The five statistics as one loop over eta = 0 (H0) and ch.eta (H1) writes them."""
+    """The five statistics as one loop over eta = 0 (H0) and ch.eta (H1) writes them, with
+    every square a product."""
     coef, k_i = rx.coef, rx.idler_transmissivity
     n_2 = k_i * source.n_o
-    optical = coef.a_o ** 2 * baths.n_o
-    mechanical = coef.c_o ** 2 * (baths.n_b + 1.0)
+    optical = coef.a_o * coef.a_o * baths.n_o
+    mechanical = coef.c_o * coef.c_o * (baths.n_b + 1.0)
     moments = []
     for eta in (0.0, ch.eta):
         n_r = eta * source.n_w + (1.0 - eta) * ch.n_b
-        n_1 = coef.b ** 2 * (n_r + 1.0) + optical + mechanical
+        n_1 = coef.b * coef.b * (n_r + 1.0) + optical + mechanical
         s = coef.b * math.sqrt(k_i) * (math.sqrt(eta) * source.cross)
         moments += [2.0 * s, 2.0 * s * s + 2.0 * n_1 * n_2 + n_1 + n_2]
     mu0, var0, mu1, var1 = moments

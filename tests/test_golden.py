@@ -6,6 +6,7 @@ declared numerically changed below; those must match at the stated rtol.
 """
 
 import ast
+import collections
 import csv
 import dataclasses
 import math
@@ -62,6 +63,15 @@ CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 # 0.13/0.36 se to 0.07/0.27 se (h0) and from 1.80/1.52 se to 1.83/1.45 se (h1).
 # test_report_makes_no_linalg_call below keeps every LAPACK routine off the
 # report path.
+# One drive point of both sweep goldens (gamma_w = 1467.80, gamma_o = 68.129, line
+# 365 of each file) was regenerated when source_moments and receiver_statistics went
+# from libm pow(x, 2) to x * x, the form the sweep's numpy drive stage shares: its
+# six output cells in source_surfaces.csv by 1-2 ulp, and its n_w (1 ulp) and fom
+# (3 ulp) cells in advantage_surface.csv.  n_w, n_o and e_metric came to within
+# 1.3e-16 relative of their 80-digit values (test_drive_cells_match_exact_oracle in
+# test_correlations.py), the correlation cells stay within 1.1e-15, and fom is
+# 5.2e-16 off a 60-digit evaluation from the converter inputs (it was 1.3e-17 off).
+# test_sources_square_by_products below keeps pow off every other site.
 DECLARED_COLUMNS = {
     "margin": 5e-12,
     "discord_per_photon": 1e-12,
@@ -217,3 +227,35 @@ def test_sources_form_no_matrix_product():
                 f"{path.name}:{node.lineno}: @"
             assert not isinstance(node, ast.Attribute) or node.attr not in blas, \
                 f"{path.name}:{node.lineno}: {node.attr}"
+
+
+# the float powers left in src/mwqi, by (file, function): each reaches a byte-compared
+# report line, so each waits for the product form (ROADMAP item 9)
+_POW_SITES = {
+    ("converter.py", "is_stable"): 1,  # the cube root of the stability cubic
+    ("detection.py", "entanglement_threshold"): 1,
+    ("detection.py", "mc_receiver_statistics"): 1,  # se_var
+    ("sweep.py", "report_point"): 6,  # the commutator residuals
+}
+
+
+def test_sources_square_by_products():
+    # CPython computes x ** y on floats with libm pow, which may round x ** 2 otherwise
+    # than x * x; a product is IEEE-rounded alike on every platform.  Integer powers of
+    # integer literals, such as 10 ** 6, are exact and allowed.
+    sites = collections.Counter()
+
+    def walk(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, path, child.name)
+                continue
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow) and not all(
+                    isinstance(side, ast.Constant) and type(side.value) is int
+                    for side in (child.left, child.right)):
+                sites[path.name, function] += 1
+            walk(child, path, function)
+
+    for path in sorted(Path(mwqi.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    assert dict(sites) == _POW_SITES

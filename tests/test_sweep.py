@@ -367,8 +367,9 @@ def test_sweep_metadata_lines():
 
 
 def test_sweep_error_column_keeps_going(monkeypatch):
-    # a failure at one drive point fails only its rows: the array pass leaves the point
-    # out, its row builds it again and records why, and the other rows are clean
+    # a failure at one drive point fails only its rows: the array pass rejects the point,
+    # its row builds it again through the scalar functions and records why, and the
+    # other rows are clean
     cfg = parse_config(POINT_CFG.replace(
         "select = n_w, n_o, e_metric, fom",
         "select = log_neg_per_photon") + """
@@ -376,13 +377,19 @@ def test_sweep_error_column_keeps_going(monkeypatch):
 axis = gamma_w log 2e3 8e3 3
 """)
     bad = cfg.axes[0].values().tolist()[0]
-    real = sweep_mod.coefficients
+    real_columns, real = sweep_mod.correlation_columns, sweep_mod.coefficients
+
+    def rejecting_first(*moments):
+        cells, valid = real_columns(*moments)
+        valid[0] = False  # the key at the first gamma_w value
+        return cells, valid
 
     def flaky(coop):
         if coop.gamma_w == bad:
             raise RuntimeError("synthetic metric failure")
         return real(coop)
 
+    monkeypatch.setattr(sweep_mod, "correlation_columns", rejecting_first)
     monkeypatch.setattr(sweep_mod, "coefficients", flaky)
     rows = _parse_csv(run_sweep(cfg))
     header, data = rows[0], rows[1:]
@@ -418,33 +425,42 @@ def test_sweep_rows_do_not_depend_on_axis_order():
     assert {r.split(",")[6] for r in no_reuse} == {"0", "1"}
 
 
+def _built(monkeypatch, *classes):
+    """Count the objects of each of ``classes`` built, wherever they are built."""
+    built = []
+    for cls in classes:
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, _real=cls.__init__, **kwargs:
+                            built.append(type(self)) or _real(self, *args, **kwargs))
+    return built
+
+
 @pytest.mark.parametrize("axes, shared", [
     ((_GAMMA_W, _GAMMA_O, _ETA), True),
     ((_ETA, _GAMMA_W, _GAMMA_O), False),
 ])
 def test_source_is_evaluated_once_per_run_of_a_drive_point(monkeypatch, axes, shared):
-    # without a correlation output, once per run of rows at a drive point; with one, the
-    # array pass builds it once per drive point, stable or not, whatever the axis order
-    calls = []
-    real = sweep_mod.coefficients
-    monkeypatch.setattr(sweep_mod, "coefficients",
-                        lambda coop: calls.append(coop) or real(coop))
-    header, *data = _parse_csv(run_sweep(_grid(*axes, select="n_w, fom, p_qi@1e6")))
-    stable = [record for record in (dict(zip(header, r)) for r in data)
-              if record["stable"] == "1"]
-    drive_points = {(r["gamma_w"], r["gamma_o"]) for r in stable}
-    assert 0 < len(drive_points) < len(stable)
-    assert len(calls) == (len(drive_points) if shared else len(stable))
-    calls.clear()
-    header, *data = _parse_csv(run_sweep(_grid(*axes)))
-    assert len({(r[header.index("gamma_w")], r[header.index("gamma_o")]) for r in data}) == 9
-    assert len(calls) == 9 and len(data) == 9 * 4
+    # the moments of every drive point come from one array pass, with a correlation
+    # output or without; a stable row with a channel output builds its point's moments
+    # and coefficients as objects once per run of rows at the point
+    passes = _counting(monkeypatch, "_moment_terms")
+    built = _built(monkeypatch, mwqi.SourceMoments, mwqi.EomCoefficients)
+    for select in ("n_w, fom, p_qi@1e6", "n_w, fom, p_qi@1e6, log_neg_per_photon"):
+        passes.clear(), built.clear()
+        header, *data = _parse_csv(run_sweep(_grid(*axes, select=select)))
+        stable = [record for record in (dict(zip(header, r)) for r in data)
+                  if record["stable"] == "1"]
+        drive_points = {(r["gamma_w"], r["gamma_o"]) for r in stable}
+        assert 0 < len(drive_points) < len(stable) and len(data) == 9 * 4
+        assert len(passes) == 1 and all(column.size == 9 for column in passes[0][:6])
+        runs = len(drive_points) if shared else len(stable)
+        assert built.count(mwqi.SourceMoments) == built.count(mwqi.EomCoefficients) == runs
+        assert len(built) == 2 * runs
 
 
 def test_failing_drive_point_fails_each_of_its_rows(monkeypatch):
-    # the hot source overflows the symplectic spectrum; the array pass does not keep it,
-    # so each row at that drive point goes through the scalar report and records the
-    # same error, while the pass keeps the cool points, and the next drive point is clean
+    # the hot source overflows the symplectic spectrum; the array pass rejects it, so
+    # each row at that drive point goes through the scalar report and records the same
+    # error, while the cool points need no report, and the next drive point is clean
     calls = []
     real = sweep_mod.correlation_report
     monkeypatch.setattr(sweep_mod, "correlation_report",
@@ -468,15 +484,15 @@ def test_nothing_is_kept_between_sweeps(monkeypatch):
     # previous sweep would be reused at once
     cfg = _grid(_ETA, select="n_w, fom")
     plain = run_sweep(cfg)
-    real = sweep_mod.source_moments
+    real = sweep_mod._moment_terms
 
-    def doubled(coef, *baths):
-        m = real(coef, *baths)
-        return dataclasses.replace(m, n_w=2.0 * m.n_w)
+    def doubled(*args):
+        n_w, *rest = real(*args)
+        return 2.0 * n_w, *rest
 
-    monkeypatch.setattr(sweep_mod, "source_moments", doubled)
+    monkeypatch.setattr(sweep_mod, "_moment_terms", doubled)
     swapped = run_sweep(cfg)
-    monkeypatch.setattr(sweep_mod, "source_moments", real)
+    monkeypatch.setattr(sweep_mod, "_moment_terms", real)
     assert run_sweep(cfg) == plain
     (header, *rows), (_, *swapped_rows) = _parse_csv(plain), _parse_csv(swapped)
     n_w = header.index("n_w")
@@ -528,9 +544,9 @@ _HOT_ERROR = "OverflowError: Planck occupation overflows float64 at 1e+308 K"
     ((_GAMMA_W, _GAMMA_O, _ETA), [0.03], 0),  # the base t_eom, 30 mk
     # t_eom changes between consecutive drive points, and each value keeps its occupations
     (("gamma_w log 4e3 6e3 2", "t_eom log 0.03 3 3", _ETA), [0.03, 0.3, 3.0], 0),
-    # a failed build is not kept: the array pass asks once at each of the 2 hot drive
-    # points, then each of the 8 hot rows asks again and records the same error
-    (("t_eom log 0.03 1e308 2", "gamma_w log 4e3 6e3 2", _ETA), [0.03] + [1e308] * 10, 8),
+    # a failed build is not kept: the array pass asks once per t_eom value, then each
+    # of the 8 hot rows asks again through the scalar functions and records the same error
+    (("t_eom log 0.03 1e308 2", "gamma_w log 4e3 6e3 2", _ETA), [0.03] + [1e308] * 9, 8),
 ], ids=["drive-plane", "t_eom-axis", "overflowing-t_eom"])
 def test_bath_occupations_are_evaluated_once_per_t_eom(monkeypatch, axes, t_eom_calls,
                                                        hot_rows):
@@ -546,31 +562,44 @@ def test_bath_occupations_are_evaluated_once_per_t_eom(monkeypatch, axes, t_eom_
 
 
 def test_sweep_memo_stays_bounded(monkeypatch):
-    # the row caches keep the last source, and one receiver per kappa_i value; with the
-    # value being built, that is the peak whatever the grid size.  With a correlation
-    # output the array pass keeps one source per drive point and three floats: no report
-    # and no state object is built, let alone kept.
+    # a run of rows at one drive point keeps its moments, coefficients and one receiver
+    # per kappa_i value; with the object being built, that is the peak whatever the grid
+    # size.  The drive stage keeps arrays and formatted cells, and builds no report, no
+    # state object and, without a channel output, no moments or coefficients at all.
     peaks, calls, states = {}, {}, []
-    for name in ("source_moments", "correlation_report", "ReceiverParams"):
+
+    def track(name, result, live):
+        live.add(result)
+        peaks[name] = max(peaks.get(name, 0), len(live))
+        calls[name] = calls.get(name, 0) + 1
+
+    for name in ("correlation_report", "ReceiverParams"):
         def tracked(*args, _name=name, _real=getattr(sweep_mod, name), _live=weakref.WeakSet()):
             result = _real(*args)
-            _live.add(result)
-            peaks[_name] = max(peaks.get(_name, 0), len(_live))
-            calls[_name] = calls.get(_name, 0) + 1
+            track(_name, result, _live)
             return result
         monkeypatch.setattr(sweep_mod, name, tracked)
+    for cls in (mwqi.SourceMoments, mwqi.EomCoefficients):
+        def init(self, *args, _real=cls.__init__, _live=weakref.WeakSet(), **kwargs):
+            _real(self, *args, **kwargs)
+            track(type(self).__name__, self, _live)
+        monkeypatch.setattr(cls, "__init__", init)
     real_state = mwqi.TwoModeGaussianState.__post_init__
     monkeypatch.setattr(mwqi.TwoModeGaussianState, "__post_init__",
                         lambda self: states.append(self) or real_state(self))
-    for select in ("fom", "log_neg_per_photon, fom"):
+    for select in ("fom", "log_neg_per_photon, fom", "log_neg_per_photon"):
         peaks.clear(), calls.clear()
         header, *data = _parse_csv(run_sweep(_grid(
             "gamma_w log 1e2 1e4 20", "gamma_o log 1e1 1e3 20", "kappa_i lin 0.5 1 3",
             "eta log 1e-3 1e-1 2", select=select)))
         assert len(data) == 2400 and all(r[-1] == "" for r in data)
-        assert min(calls.values()) > 100 and "correlation_report" not in calls
-        assert peaks["source_moments"] <= (2 if select == "fom" else calls["source_moments"])
-        assert calls["source_moments"] <= (2400 if select == "fom" else 400)
+        assert "correlation_report" not in calls
+        if select == "log_neg_per_photon":
+            assert not calls  # no moments, coefficients or receivers
+            continue
+        assert min(calls.values()) > 100
+        for name in ("SourceMoments", "EomCoefficients"):
+            assert peaks[name] <= 2 and calls[name] <= 400  # once per stable drive point
         assert peaks["ReceiverParams"] <= 3 + 1
     assert not states
 
