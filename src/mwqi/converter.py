@@ -419,4 +419,5 @@ def is_stable(coop: Cooperativities, params: EomParams) -> StabilityReport:
     if disc > 0.0:
         x = max(x, -0.5 * (p2 + x))
     margin = float(-x)
-    return StabilityReport(margin > 0.0, margin, go < gw + 0.5)
+    # as _make does: tuple.__new__ skips the generated Python-level __new__, half the cost
+    return tuple.__new__(StabilityReport, (margin > 0.0, margin, go < gw + 0.5))

@@ -215,7 +215,9 @@ def receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     n_1 = b2 * (eta * source.n_w + (1.0 - eta) * ch.n_b + 1.0) + optical + mechanical
     s = coef.b * math.sqrt(k_i) * (math.sqrt(eta) * source.cross)
     mu1, var1 = 2.0 * s, 2.0 * s * s + 2.0 * n_1 * n_2 + n_1 + n_2
-    return DetectionStatistics(0.0, mu1, var0, var1, snr_per_mode(0.0, mu1, var0, var1))
+    # as _make does: tuple.__new__ skips the generated Python-level __new__, half the cost
+    return tuple.__new__(DetectionStatistics,
+                         (0.0, mu1, var0, var1, snr_per_mode(0.0, mu1, var0, var1)))
 
 
 def _erfc_argument(snr_per_m: float, modes: float) -> float:

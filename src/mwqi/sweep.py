@@ -358,20 +358,20 @@ def _point_values(plan, m, baths, report, link, stats=None) -> tuple[float, ...]
     if unread, and the receiver ``stats`` of ``link`` are built on first use if not given."""
     values = []
     ch, rx = link or (None, None)
-    for token, modes in plan:
-        if token in ("n_w", "n_o"):
-            value = getattr(m, token)
-        elif token == "e_metric":
-            value = entanglement_metric(m)
-        elif token in _CORRELATION_OUTPUTS:
-            value = getattr(report, token)
-        elif token == "fom":
-            value = figure_of_merit(m, ch, rx, baths)
-        else:
+    for token, modes in plan:  # mode counts first, then fom: a channel cell takes 1-2 tests
+        if modes is not None:  # p_qi@M or p_coh@M
             if stats is None:
                 stats = receiver_statistics(m, ch, rx, baths)
             snr = stats.snr_per_m if token == "p_qi" else coherent_snr_per_mode(m.n_w, ch)
             value = error_probability(snr, modes)
+        elif token == "fom":
+            value = figure_of_merit(m, ch, rx, baths)
+        elif token in ("n_w", "n_o"):
+            value = getattr(m, token)
+        elif token == "e_metric":
+            value = entanglement_metric(m)
+        else:  # one of _CORRELATION_OUTPUTS
+            value = getattr(report, token)
         values.append(value)
     return tuple(values)
 
@@ -426,12 +426,12 @@ def run_sweep(config: SweepConfig) -> str:
     - per drive point (t_eom, gamma_w, gamma_o), in one array pass before the rows:
       coefficients, moments, E-metric and any correlation column read, with the
       cells of these outputs formatted once;
-    - per run of consecutive rows at one drive point: the cooperativities and, for
-      a channel output, moments and coefficients as objects and a receiver per
-      kappa_i value;
+    - per run of consecutive rows at one drive point: the cooperativities, the text
+      of the stable and margin cells and, for a channel output, moments and
+      coefficients as objects and a receiver per kappa_i value;
     - per row: its six inputs, each an axis value or else the base value; the
       stability test; at a stable row the receiver statistics (once for ``fom``,
-      once for any ``p_qi@M``) and the channel cells;
+      once for any ``p_qi@M`` or ``p_coh@M``) and the channel cells;
     - per key: the bath occupations once per t_eom value, and the channel once per
       (eta, t_b).
 
@@ -477,9 +477,11 @@ def run_sweep(config: SweepConfig) -> str:
         stability_cells, metrics, error = ",", no_metrics, ""
         try:
             if k != last:  # a new run of rows at one drive point
-                coop, link, last = Cooperativities(row[i_w], row[i_o]), None, k
+                coop, link, last, shown = Cooperativities(row[i_w], row[i_o]), None, k, None
             stability = is_stable(coop, config.params)  # the same at every t_eom
-            stability_cells = "%d,%.16e" % (stability.stable, stability.margin)
+            if stability != shown:  # each run formats anew: equal reports may hold -0.0 and 0.0
+                shown, text = stability, "%d,%.16e" % (stability.stable, stability.margin)
+            stability_cells = text
             if stability.stable and drive_cells[k] is None:  # the scalar path raises its error
                 baths = bath_occupations(dataclasses.replace(config.params, t_eom=row[i_t]))
                 coef = coefficients(coop)

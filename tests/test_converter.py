@@ -400,8 +400,11 @@ def test_stability_margin_matches_exact_oracle():
         for go in gamma_o:
             coop = Cooperativities(float(gw), float(go))
             exact = _exact_margin(coop, config.params)
-            margin = is_stable(coop, config.params).margin
-            assert abs(Decimal(margin) - exact) <= Decimal("2e-13") * abs(exact), (gw, go)
+            rep = is_stable(coop, config.params)
+            assert abs(Decimal(rep.margin) - exact) <= Decimal("2e-13") * abs(exact), (gw, go)
+            # built with tuple.__new__: still the named tuple, field for field
+            assert type(rep) is mwqi.StabilityReport and rep == mwqi.StabilityReport(*rep)
+            assert tuple(rep._asdict()) == mwqi.StabilityReport._fields
             checked += 1
     assert checked == 625
 

@@ -230,6 +230,9 @@ def test_receiver_statistics_match_the_two_pass_loop_bit_for_bit():
         stats = receiver_statistics(source, ch, rx, baths)
         assert [value.hex() for value in stats] == [
             value.hex() for value in _two_pass_statistics(source, ch, rx, baths)]
+        # built with tuple.__new__: still the named tuple, field for field
+        assert type(stats) is DetectionStatistics and stats == DetectionStatistics(*stats)
+        assert tuple(stats._asdict()) == DetectionStatistics._fields
         seen |= {name for name, hit in (
             ("n_b = 0", ch.n_b == 0.0), ("kappa_I = 0.6", rx.idler_transmissivity == 0.6),
             ("cross = 0", source.cross == 0.0), ("eta = 0", ch.eta == 0.0),
