@@ -2,10 +2,12 @@
 
 The difference-photocount mean and variance have closed forms from Gaussian
 moment factorization.  This script draws standard normals in a fixed order
-that is part of the seed contract (the return-idler pair quadratures, then
-the receiver's internal noise modes), pushes them through the real receiver
-map, and compares.  The sampler reads them in fixed-size blocks, which give
-the same numbers as one unblocked draw.
+that is part of the seed contract: one row per sample, the 4 return-idler
+pair quadratures, then Re/Im of the optical bath and of the mechanical bath
+(8 normals; 10 with a lossy idler, whose vacuum port's Re/Im come last).  It
+pushes them through the real receiver map and compares.  The sampler reads
+the rows in fixed-size blocks, which give the same numbers as one unblocked
+draw.
 
 Run:  python demos/receiver_oracle_check.py
 """

@@ -336,35 +336,33 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
 
     Sample H0 by passing the channel at eta = 0, ``TargetChannelParams(0.0, ch.n_b)``.
 
-    Reads 10 * samples standard normals from one generator, or 8 * samples
-    at kappa_I = 1, where the vacuum runs are not drawn, in blocks of at
-    most ``_MC_BLOCK`` samples (the same numbers as one unblocked draw),
-    pushes them through the real receiver map, then estimates the mean and
-    variance of the difference count.  Memory is three float64 rows, 24 B
-    per sample, at kappa_I = 1 (Re d_2, Im d_2 and the running count) and
-    four rows, 32 B per sample, below it, plus blocks of fixed size.  Only
-    numpy ufuncs and sums touch the samples, so no BLAS or LAPACK routine
-    does, and the statistics do not depend on the kernel a BLAS build picks.
-    Kept independent of the closed forms in :func:`receiver_statistics`:
-    only the input states and the linear receiver map are shared.
+    Each sample reads one row of standard normals from one generator: 8 at
+    kappa_I = 1 and 10 below it, where the idler-loss vacuum port couples.
+    Rows are drawn in blocks of at most ``_MC_BLOCK`` samples (the same
+    numbers as one unblocked draw), each block is pushed through the real
+    receiver map into its slice of one row of counts, and the mean and
+    variance of the difference count are estimated from that row.  Memory
+    is that row, 8 B per sample at every kappa_I, plus blocks of fixed size.
+    Only numpy ufuncs and sums touch the samples, so no BLAS or LAPACK
+    routine does, and the statistics do not depend on the kernel a BLAS
+    build picks.  Kept independent of the closed forms in
+    :func:`receiver_statistics`: only the input states and the linear
+    receiver map are shared.
 
-    The draw order is part of the seed contract.  The first 4 * samples
-    normals, read as rows of 4, map through the pair's triangular factor
-    (:func:`_pair_factor`) to the return-idler quadratures
-    (x_R, p_R, x_I, p_I); then come runs of ``samples`` normals for the
-    real and imaginary parts of the optical bath, the mechanical bath and
-    the idler-loss vacuum port, in that order.  At kappa_I = 1 the vacuum
-    port is uncoupled and the stream ends before its runs, so every
-    other normal is unchanged.  So is the factor: another factor of the
-    same covariance, an eigendecomposition say, gives other samples.  Each
-    sample maps linearly to (Re d_1, Im d_1, Re d_2, Im d_2), with complex
-    amplitudes alpha = (x + i p) / 2 and
+    The draw order is part of the seed contract.  A row's first 4 normals
+    map through the pair's triangular factor (:func:`_pair_factor`) to the
+    return-idler quadratures (x_R, p_R, x_I, p_I); then come the real and
+    imaginary parts of the optical bath, of the mechanical bath and, below
+    kappa_I = 1, of the vacuum port, in that order.  The factor is part of
+    the contract too: another factor of the same covariance, an
+    eigendecomposition say, gives other samples.  Each sample maps linearly
+    to (Re d_1, Im d_1, Re d_2, Im d_2), with complex amplitudes
+    alpha = (x + i p) / 2 and
 
         d_1 = b alpha_R* + a_o alpha_o - c_o alpha_b*
         d_2 = sqrt(kappa_I) alpha_I + sqrt(1 - kappa_I) alpha_vac
 
-    and the count is N = 2 Re(d_1* d_2).  At kappa_I = 1, d_2 is final once
-    the pair stage has run, so each bath run adds its term of N at once.
+    and the count is N = 2 Re(d_1* d_2) = 2 Re d_1 Re d_2 + 2 Im d_1 Im d_2.
 
     Phase-space moments are symmetric ordered, while the photocount
     observable is normal ordered in each mode; for N = d_1* d_2 + d_2* d_1
@@ -375,11 +373,7 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
         raise ValueError("need at least 2 samples")
     coef, k_i = rx.coef, rx.idler_transmissivity
     f = _pair_factor(return_state(source, ch))
-    # the six nonzero entries of the pair map onto (2 Re d_1, 2 Im d_1, Re d_2, Im d_2):
-    # N = 2 Re(d_1* d_2) takes its factor 2 on d_1, an exact scaling
     t_i = math.sqrt(k_i) / 2.0
-    r_x, r_p = f[0, 0] * coef.b, f[1, 1] * -coef.b
-    i_x0, i_x2, i_p1, i_p3 = f[0, 2] * t_i, f[2, 2] * t_i, f[1, 3] * t_i, f[3, 3] * t_i
 
     def thermal_sd(n):
         # Re/Im of a thermal mode's complex amplitude: variance (2n+1)/4 each
@@ -388,48 +382,38 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     opt = 2.0 * coef.a_o * thermal_sd(baths.n_o)
     mech = 2.0 * coef.c_o * thermal_sd(baths.n_b)
     vac = math.sqrt(1.0 - k_i) * thermal_sd(0.0)
+    width = 10 if vac else 8  # the vacuum port is drawn only where it couples
+    # the (column, weight) terms of a row that sum to 2 Re d_1, Re d_2, 2 Im d_1 and
+    # Im d_2: the pair in columns 0-3, then Re/Im of the optical bath (4, 5), the
+    # mechanical bath (6, 7) and the vacuum port (8, 9).  N = 2 Re(d_1* d_2) takes its
+    # factor 2 on d_1, an exact scaling
+    sums = [[(col, w) for col, w in terms if col < width] for terms in (
+        ((0, f[0, 0] * coef.b), (4, opt), (6, -mech)),
+        ((0, f[0, 2] * t_i), (2, f[2, 2] * t_i), (8, vac)),
+        ((1, f[1, 1] * -coef.b), (5, opt), (7, mech)),
+        ((1, f[1, 3] * t_i), (3, f[3, 3] * t_i), (9, vac)))]
 
-    # rows: 2 Re d_1, 2 Im d_1, Re d_2, Im d_2; at kappa_I = 1, where d_2 is final
-    # after the pair stage, the running count 2 Re(d_1* d_2), Re d_2, Im d_2
-    x = np.empty((4 if vac else 3, samples))
-    counts, d_2 = x[0], x[-2:]
     rng = np.random.default_rng(seed)
-    cuts = [slice(lo, min(lo + _MC_BLOCK, samples)) for lo in range(0, samples, _MC_BLOCK)]
-    z_pair, z_bath = np.empty((cuts[0].stop, 4)), np.empty(cuts[0].stop)
-    for cut in cuts:
-        z_0, z_1, z_2, z_3 = rng.standard_normal(out=z_pair[:cut.stop - cut.start]).T
-        x_i, p_i = d_2[:, cut]
-        np.multiply(z_0, i_x0, out=x_i)
-        z_2 *= i_x2
-        x_i += z_2
-        np.multiply(z_1, i_p1, out=p_i)
-        z_3 *= i_p3
-        p_i += z_3
-        z_0 *= r_x
-        z_1 *= r_p
-        if vac:
-            x[:2, cut] = z_0, z_1
-        else:  # the pair's term of the count, (2 x_R) x_I + (2 p_R) p_I
-            np.multiply(z_0, x_i, out=counts[cut])
-            z_1 *= p_i
-            counts[cut] += z_1
-    # runs of Re/Im of the optical bath, the mechanical bath and the vacuum port
-    runs = [(0, opt), (1, opt), (0, -mech), (1, mech)]
-    if vac:  # 0.0 at kappa_I = 1, where the vacuum runs would add exact zeros
-        runs += [(2, vac), (3, vac)]
-    for row, scale in runs:
-        for cut in cuts:
-            z = rng.standard_normal(out=z_bath[:cut.stop - cut.start])
-            z *= scale
-            if vac:
-                x[row, cut] += z
-            else:  # the d_1 term goes to the count at once: d_2 is final
-                z *= d_2[row, cut]
-                counts[cut] += z
-    if vac:  # 2 (Re d_1 Re d_2 + Im d_1 Im d_2), in place
-        counts *= d_2[0]
-        x[1] *= d_2[1]
-        counts += x[1]
+    counts = np.empty(samples)
+    block = np.empty((min(samples, _MC_BLOCK), width))
+    d_1, d_2, term = np.empty((3, len(block)))
+
+    def column_sum(z, terms, out):
+        # the weighted columns of z into out, summed left to right; each product goes
+        # to a contiguous row, since a pass over a strided column reads the whole block
+        (col, w), *rest = terms
+        out = np.multiply(z[:, col], w, out=out[:len(z)])
+        for col, w in rest:
+            out += np.multiply(z[:, col], w, out=term[:len(z)])
+        return out
+
+    for lo in range(0, samples, _MC_BLOCK):
+        z = rng.standard_normal(out=block[:samples - lo])
+        count = column_sum(z, sums[0], counts[lo:])
+        count *= column_sum(z, sums[1], d_2)
+        im = column_sum(z, sums[2], d_1)
+        im *= column_sum(z, sums[3], d_2)
+        count += im
 
     mu = float(counts.mean())
     sq = counts  # the centred squares, in place
@@ -442,6 +426,6 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
         mu=mu,
         var=var_sym - 0.5,
         se_mu=math.sqrt(var_sym / samples),
-        se_var=math.sqrt(max(m4 - var_sym ** 2, 0.0) / samples),
+        se_var=math.sqrt(max(m4 - var_sym * var_sym, 0.0) / samples),
         samples=samples,
     )

@@ -355,12 +355,13 @@ def _base_point(config: SweepConfig, command: str):
 def _point_values(plan, m, baths, report, link, stats=None) -> tuple[float, ...]:
     """Metric values of one stable point, one per ``(name, mode count)`` in ``plan``; the
     :class:`CorrelationReport` ``report`` and the (channel, receiver) ``link`` may be None
-    if unread, and the receiver ``stats`` of ``link`` are built on first use if not given."""
+    if unread, and the receiver ``stats`` of ``link`` are built at the first ``p_qi@M`` cell
+    if not given."""
     values = []
     ch, rx = link or (None, None)
     for token, modes in plan:  # mode counts first, then fom: a channel cell takes 1-2 tests
-        if modes is not None:  # p_qi@M or p_coh@M
-            if stats is None:
+        if modes is not None:  # p_qi@M or p_coh@M; p_coh reads no receiver statistics
+            if stats is None and token == "p_qi":
                 stats = receiver_statistics(m, ch, rx, baths)
             snr = stats.snr_per_m if token == "p_qi" else coherent_snr_per_mode(m.n_w, ch)
             value = error_probability(snr, modes)
@@ -431,7 +432,7 @@ def run_sweep(config: SweepConfig) -> str:
       coefficients as objects and a receiver per kappa_i value;
     - per row: its six inputs, each an axis value or else the base value; the
       stability test; at a stable row the receiver statistics (once for ``fom``,
-      once for any ``p_qi@M`` or ``p_coh@M``) and the channel cells;
+      once for any ``p_qi@M``; ``p_coh@M`` reads none) and the channel cells;
     - per key: the bath occupations once per t_eom value, and the channel once per
       (eta, t_b).
 

@@ -667,6 +667,21 @@ def test_overflowing_receiver_statistics_are_named(eom, axes, named):
     assert errors == named
 
 
+def test_p_coh_cells_build_no_receiver_statistics(monkeypatch):
+    # a p_coh@M cell reads only the coherent snr: past t_eom ~ 1e154 K, where the
+    # receiver statistics overflow float64, its rows used to end in their error
+    calls = []
+    monkeypatch.setattr(sweep_mod, "receiver_statistics", lambda *args: calls.append(args))
+    cfg = parse_config(POINT_CFG.replace("n_w, n_o, e_metric, fom", "n_o, p_coh@1e6")
+                       + "[grid]\naxis = t_eom log 1e100 1e200 5\n")
+    header, *data = _parse_csv(run_sweep(cfg))
+    assert len(data) == 5 and calls == []
+    for row in data:
+        record = dict(zip(header, row))
+        assert record["stable"] == "1" and record["error"] == "", record
+        assert math.isfinite(float(record["p_coh@1e6"])), record
+
+
 def test_sweep_qualitative_entanglement_region(params):
     # cooperativity grids bracketing the reference operating point: nearly
     # every stable point is entangled (metric above 1)
