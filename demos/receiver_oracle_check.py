@@ -2,12 +2,12 @@
 
 The difference-photocount mean and variance have closed forms from Gaussian
 moment factorization.  This script draws standard normals in a fixed order
-that is part of the seed contract: one row per sample, the 4 return-idler
-pair quadratures, then Re/Im of the optical bath and of the mechanical bath
-(8 normals; 10 with a lossy idler, whose vacuum port's Re/Im come last).  It
-pushes them through the real receiver map and compares.  The sampler reads
-the rows in fixed-size blocks, which give the same numbers as one unblocked
-draw.
+that is part of the seed contract: one row of 6 per sample at every idler
+transmissivity, the 4 quadratures of the detected pair (the return and the
+idler after its loss), then Re/Im of the receiver noise, one amplitude that
+sums the optical and mechanical baths.  It pushes them through the real
+receiver map and compares.  The sampler reads the rows in fixed-size blocks,
+which give the same numbers as one unblocked draw.
 
 Run:  python demos/receiver_oracle_check.py
 """

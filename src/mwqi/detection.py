@@ -162,7 +162,7 @@ def entanglement_threshold(source: SourceMoments, eta: float) -> float:
         return 0.0
     if source.n_o <= 0:
         raise ValueError("threshold undefined at n_o = 0")
-    return max(0.0, eta * (source.cross ** 2 / source.n_o - source.n_w))
+    return max(0.0, eta * (source.cross * source.cross / source.n_o - source.n_w))
 
 
 def snr_per_mode(mu0: float, mu1: float, var0: float, var1: float) -> float:
@@ -317,9 +317,11 @@ _MC_BLOCK = 1 << 14  # samples per block of the Monte-Carlo oracle
 def _pair_factor(pair: TwoModeGaussianState) -> np.ndarray:
     """Triangular F, F.T @ F the pair's covariance, from a, c and s in + - * / and sqrt.
 
-    A row z of 4 standard normals maps to z @ F = (x_R, p_R, x_I, p_I), with
-    x_R = sqrt(a) z_1, x_I = (c / sqrt(a)) z_1 + sqrt(s / a) z_3 and p alike
+    A row z of 4 standard normals maps to z @ F = (x_1, p_1, x_2, p_2), with
+    x_1 = sqrt(a) z_1, x_2 = (c / sqrt(a)) z_1 + sqrt(s / a) z_3 and p alike
     with -c.  The maker's s keeps det F = s exact even near a pure state.
+    The Monte-Carlo oracle factors the detected pair of :func:`_detected_pair`,
+    the return and the idler after its loss.
     """
     ra, cond = math.sqrt(pair.a), math.sqrt(pair.s / pair.a)
     cross = pair.c / ra
@@ -329,6 +331,40 @@ def _pair_factor(pair: TwoModeGaussianState) -> np.ndarray:
                      [0.0, 0.0, 0.0, cond]])
 
 
+def _detected_pair(source: SourceMoments, ch: TargetChannelParams,
+                   k_i: float) -> TwoModeGaussianState:
+    """The return and the idler after a beam splitter of transmissivity kappa_I = ``k_i``.
+
+    The vacuum port turns the idler's b into kappa_I b + 1 - kappa_I and its c into
+    sqrt(kappa_I) c, so s' = a b' - c'^2 = kappa_I s + (1 - kappa_I) a: a sum with no
+    cancellation, and the pair itself at kappa_I = 1.
+    """
+    pair = return_state(source, ch)
+    return TwoModeGaussianState(pair.a, k_i * pair.b + (1.0 - k_i), math.sqrt(k_i) * pair.c,
+                                k_i * pair.s + (1.0 - k_i) * pair.a)
+
+
+def _mc_weights(source: SourceMoments, ch: TargetChannelParams, rx: ReceiverParams,
+                baths: BathOccupations) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """The (column, weight) terms of a row of 6 normals that sum to 2 Re d_1, Re d_2,
+    2 Im d_1 and Im d_2, in that order.
+
+    Columns 0-3 map through the detected pair's factor to (x_R, p_R, x_I', p_I');
+    columns 4 and 5 are Re and Im of the receiver noise a_o alpha_o - c_o alpha_b*,
+    whose two independent thermal amplitudes sum to one of variance
+    (a_o^2 (2 n_o^T + 1) + c_o^2 (2 n_b^T + 1)) / 4 in each quadrature.
+    N = 2 Re(d_1* d_2) takes its factor 2 on d_1, an exact scaling.
+    """
+    coef = rx.coef
+    f = _pair_factor(_detected_pair(source, ch, rx.idler_transmissivity))
+    noise = math.sqrt(coef.a_o * coef.a_o * (2.0 * baths.n_o + 1.0)
+                      + coef.c_o * coef.c_o * (2.0 * baths.n_b + 1.0))
+    return (((0, f[0, 0] * coef.b), (4, noise)),
+            ((0, f[0, 2] / 2.0), (2, f[2, 2] / 2.0)),
+            ((1, f[1, 1] * -coef.b), (5, noise)),
+            ((1, f[1, 3] / 2.0), (3, f[3, 3] / 2.0)))
+
+
 def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
                            rx: ReceiverParams, baths: BathOccupations,
                            samples: int = 10 ** 6, seed: int = 0) -> McReceiverStatistics:
@@ -336,31 +372,29 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
 
     Sample H0 by passing the channel at eta = 0, ``TargetChannelParams(0.0, ch.n_b)``.
 
-    Each sample reads one row of standard normals from one generator: 8 at
-    kappa_I = 1 and 10 below it, where the idler-loss vacuum port couples.
-    Rows are drawn in blocks of at most ``_MC_BLOCK`` samples (the same
-    numbers as one unblocked draw), each block is pushed through the real
-    receiver map into its slice of one row of counts, and the mean and
-    variance of the difference count are estimated from that row.  Memory
-    is that row, 8 B per sample at every kappa_I, plus blocks of fixed size.
-    Only numpy ufuncs and sums touch the samples, so no BLAS or LAPACK
-    routine does, and the statistics do not depend on the kernel a BLAS
-    build picks.  Kept independent of the closed forms in
-    :func:`receiver_statistics`: only the input states and the linear
-    receiver map are shared.
+    Each sample reads one row of 6 standard normals from one generator, at
+    every kappa_I.  Rows are drawn in blocks of at most ``_MC_BLOCK`` samples
+    (the same numbers as one unblocked draw), each block is pushed through
+    the real receiver map into its slice of one row of counts, and the mean
+    and variance of the difference count are estimated from that row.
+    Memory is that row, 8 B per sample, plus blocks of fixed size.  Only
+    numpy ufuncs and sums touch the samples, so no BLAS or LAPACK routine
+    does, and the statistics do not depend on the kernel a BLAS build picks.
+    Kept independent of the closed forms in :func:`receiver_statistics`:
+    only the input states and the linear receiver map are shared.
 
     The draw order is part of the seed contract.  A row's first 4 normals
-    map through the pair's triangular factor (:func:`_pair_factor`) to the
-    return-idler quadratures (x_R, p_R, x_I, p_I); then come the real and
-    imaginary parts of the optical bath, of the mechanical bath and, below
-    kappa_I = 1, of the vacuum port, in that order.  The factor is part of
-    the contract too: another factor of the same covariance, an
-    eigendecomposition say, gives other samples.  Each sample maps linearly
-    to (Re d_1, Im d_1, Re d_2, Im d_2), with complex amplitudes
-    alpha = (x + i p) / 2 and
+    map through the triangular factor (:func:`_pair_factor`) of the detected
+    pair (:func:`_detected_pair`: the return and the idler after its kappa_I
+    loss) to the quadratures (x_R, p_R, x_I', p_I'); normals 4 and 5 are the
+    real and imaginary parts of the receiver noise a_o alpha_o - c_o alpha_b*
+    (:func:`_mc_weights`).  The factor is part of the contract too: another
+    factor of the same covariance, an eigendecomposition say, gives other
+    samples.  Each sample maps linearly to (Re d_1, Im d_1, Re d_2, Im d_2),
+    with complex amplitudes alpha = (x + i p) / 2 and
 
         d_1 = b alpha_R* + a_o alpha_o - c_o alpha_b*
-        d_2 = sqrt(kappa_I) alpha_I + sqrt(1 - kappa_I) alpha_vac
+        d_2 = alpha_I' = sqrt(kappa_I) alpha_I + sqrt(1 - kappa_I) alpha_vac
 
     and the count is N = 2 Re(d_1* d_2) = 2 Re d_1 Re d_2 + 2 Im d_1 Im d_2.
 
@@ -371,40 +405,19 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    coef, k_i = rx.coef, rx.idler_transmissivity
-    f = _pair_factor(return_state(source, ch))
-    t_i = math.sqrt(k_i) / 2.0
-
-    def thermal_sd(n):
-        # Re/Im of a thermal mode's complex amplitude: variance (2n+1)/4 each
-        return math.sqrt((2.0 * n + 1.0) / 4.0)
-
-    opt = 2.0 * coef.a_o * thermal_sd(baths.n_o)
-    mech = 2.0 * coef.c_o * thermal_sd(baths.n_b)
-    vac = math.sqrt(1.0 - k_i) * thermal_sd(0.0)
-    width = 10 if vac else 8  # the vacuum port is drawn only where it couples
-    # the (column, weight) terms of a row that sum to 2 Re d_1, Re d_2, 2 Im d_1 and
-    # Im d_2: the pair in columns 0-3, then Re/Im of the optical bath (4, 5), the
-    # mechanical bath (6, 7) and the vacuum port (8, 9).  N = 2 Re(d_1* d_2) takes its
-    # factor 2 on d_1, an exact scaling
-    sums = [[(col, w) for col, w in terms if col < width] for terms in (
-        ((0, f[0, 0] * coef.b), (4, opt), (6, -mech)),
-        ((0, f[0, 2] * t_i), (2, f[2, 2] * t_i), (8, vac)),
-        ((1, f[1, 1] * -coef.b), (5, opt), (7, mech)),
-        ((1, f[1, 3] * t_i), (3, f[3, 3] * t_i), (9, vac)))]
+    sums = _mc_weights(source, ch, rx, baths)
 
     rng = np.random.default_rng(seed)
     counts = np.empty(samples)
-    block = np.empty((min(samples, _MC_BLOCK), width))
+    block = np.empty((min(samples, _MC_BLOCK), 6))
     d_1, d_2, term = np.empty((3, len(block)))
 
     def column_sum(z, terms, out):
-        # the weighted columns of z into out, summed left to right; each product goes
-        # to a contiguous row, since a pass over a strided column reads the whole block
-        (col, w), *rest = terms
-        out = np.multiply(z[:, col], w, out=out[:len(z)])
-        for col, w in rest:
-            out += np.multiply(z[:, col], w, out=term[:len(z)])
+        # w_0 z[:, col_0] + w_1 z[:, col_1] into out; each product goes to a contiguous
+        # row, since a pass over a strided column reads the whole block
+        (col_0, w_0), (col_1, w_1) = terms
+        out = np.multiply(z[:, col_0], w_0, out=out[:len(z)])
+        out += np.multiply(z[:, col_1], w_1, out=term[:len(z)])
         return out
 
     for lo in range(0, samples, _MC_BLOCK):

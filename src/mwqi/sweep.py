@@ -558,8 +558,10 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
     lines.append(f"a_w = {abs(coef.a_w):.9g} (sign {math.copysign(1.0, coef.a_w):+.0f})   "
                  f"a_o = {coef.a_o:.9g}")
     lines.append(f"b = {coef.b:.9g}   c_w = {coef.c_w:.9g}   c_o = {coef.c_o:.9g}")
-    res_w = coef.a_w ** 2 - coef.b ** 2 + coef.c_w ** 2 - 1.0
-    res_o = coef.a_o ** 2 - coef.b ** 2 - coef.c_o ** 2 - 1.0
+    # squares by products, which IEEE rounds alike on every platform; libm pow may not
+    b2 = coef.b * coef.b
+    res_w = coef.a_w * coef.a_w - b2 + coef.c_w * coef.c_w - 1.0
+    res_o = coef.a_o * coef.a_o - b2 - coef.c_o * coef.c_o - 1.0
     lines.append(f"commutator residuals: {res_w:.3e}, {res_o:.3e}")
     check("commutator identities", abs(res_w) < 1e-10 and abs(res_o) < 1e-10)
     lines.append("")

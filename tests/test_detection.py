@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import pathlib
@@ -33,7 +34,7 @@ from mwqi import (
     return_state,
     snr_per_mode,
 )
-from mwqi.detection import _MC_BLOCK, _pair_factor
+from mwqi.detection import _MC_BLOCK, _detected_pair, _mc_weights, _pair_factor
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +241,15 @@ def test_receiver_statistics_match_the_two_pass_loop_bit_for_bit():
     assert seen == {"n_b = 0", "kappa_I = 0.6", "cross = 0", "eta = 0", "eta = 1", "signal"}
 
 
-def _exact_receiver_statistics(gamma_w, gamma_o, baths, eta, n_b, kappa_i):
-    """(mu0, mu1, var0, var1, snr_per_m) at 60 digits from the converter inputs.
+def _exact_receiver_blocks(gamma_w, gamma_o, baths, eta, n_b, kappa_i):
+    """[(v_1, v_2, k) under H0, then under H1] at 60 digits from the converter inputs.
 
     The float cooperativities, bath occupations, eta, n_B and kappa_I are taken
     as exact.  The coefficients and the source moments follow from them, then
     the symmetric-ordered covariance of (Re d_1, Im d_1, Re d_2, Im d_2) under
-    the receiver's linear map.  N = 2 (Re d_1 Re d_2 + Im d_1 Im d_2) is the
-    quadratic form v^T Q v of that vector, so its mean is tr(Q Sigma) and, by
-    Isserlis, its symmetric-ordered variance 2 tr((Q Sigma)^2); the normal-ordered
-    count has 1/2 less.  The Re and Im blocks are independent and alike, each
-    [[v_1, k], [k, v_2]], so tr(Q Sigma) = 4 k and 2 tr((Q Sigma)^2) = 8 (v_1 v_2 + k^2).
-    Nothing here uses a_o^2 - b^2 - c_o^2 = 1, which the closed form's normal-ordered
-    occupations rest on.
+    the receiver's linear map.  Its Re and Im blocks are independent and alike,
+    each [[v_1, k], [k, v_2]].  Nothing here uses a_o^2 - b^2 - c_o^2 = 1, which
+    the closed form's normal-ordered occupations rest on.
     """
     with localcontext() as ctx:
         ctx.prec = 60
@@ -266,15 +263,32 @@ def _exact_receiver_statistics(gamma_w, gamma_o, baths, eta, n_b, kappa_i):
         cross = abs(a_w * b * (n_w_t + 1) - b * a_o * n_o_t - c_w * c_o * (n_b_t + 1))
         # quadrature variances (2 n + 1) / 4 of each complex amplitude's Re and Im
         v_2 = (k_i * (2 * n_o + 1) + (1 - k_i)) / 4
-        moments = []
+        blocks = []
         for e in (Decimal(0), eta):
             n_r = e * n_w + (1 - e) * n_b
             v_1 = (b * b * (2 * n_r + 1) + a_o * a_o * (2 * n_o_t + 1)
                    + c_o * c_o * (2 * n_b_t + 1)) / 4
             # (b / 2) x_R against (sqrt(kappa_I) / 2) x_I, whose covariance is 2 sqrt(eta) cross
             k = b * (k_i * e).sqrt() * cross / 2
-            moments += [4 * k, 8 * (v_1 * v_2 + k * k) - Decimal("0.5")]
-        mu0, var0, mu1, var1 = moments
+            blocks.append((v_1, v_2, k))
+        return blocks
+
+
+def _exact_receiver_statistics(gamma_w, gamma_o, baths, eta, n_b, kappa_i):
+    """(mu0, mu1, var0, var1, snr_per_m) at 60 digits from the covariance blocks of
+    :func:`_exact_receiver_blocks`.
+
+    N = 2 (Re d_1 Re d_2 + Im d_1 Im d_2) is the quadratic form v^T Q v of
+    (Re d_1, Im d_1, Re d_2, Im d_2), so its mean is tr(Q Sigma) and, by Isserlis,
+    its symmetric-ordered variance 2 tr((Q Sigma)^2); the normal-ordered count has
+    1/2 less.  With the blocks [[v_1, k], [k, v_2]], tr(Q Sigma) = 4 k and
+    2 tr((Q Sigma)^2) = 8 (v_1 v_2 + k^2).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        (mu0, var0), (mu1, var1) = (
+            (4 * k, 8 * (v_1 * v_2 + k * k) - Decimal("0.5"))
+            for v_1, v_2, k in _exact_receiver_blocks(gamma_w, gamma_o, baths, eta, n_b, kappa_i))
         snr = 4 * (mu1 - mu0) ** 2 / (var0.sqrt() + var1.sqrt()) ** 2
         return tuple(float(value) for value in (mu0, mu1, var0, var1, snr))
 
@@ -612,34 +626,30 @@ def test_mc_oracle_deterministic(ref_moments, ref_channel, ref_receiver, baths):
 def _reference_mc(source, ch, rx, baths, samples, seed, cm):
     """Per-mode complex-amplitude sampler that pins the oracle's draw order.
 
-    Draws one row per sample, 8 normals at kappa_I = 1 and 10 below it:
-    the return-idler quadratures through the pair's triangular factor, then
-    Re/Im of the optical bath, the mechanical bath and, where it couples,
-    the vacuum port; and applies the receiver map to complex amplitudes mode
-    by mode.
+    Draws one row of 6 normals per sample at every kappa_I: the detected pair's
+    quadratures (x_R, p_R, x_I', p_I') through its triangular factor, then Re/Im
+    of the receiver noise a_o alpha_o - c_o alpha_b*; and applies the receiver map
+    to complex amplitudes mode by mode.  The detected pair's covariance is built
+    here from the return's, by the idler's beam splitter of transmissivity kappa_I
+    with vacuum (variance 1) at its other port.
     """
     coef, k_i = rx.coef, rx.idler_transmissivity
     rng = np.random.default_rng(seed)
-    pair = return_state(source, ch)
-    factor = _pair_factor(pair)
-    np.testing.assert_array_max_ulp(factor.T @ factor, cm(pair), maxulp=4)
-    z = rng.standard_normal((samples, 8 if k_i == 1.0 else 10))
+    loss = np.diag([1.0, 1.0, math.sqrt(k_i), math.sqrt(k_i)])
+    vacuum = np.diag([0.0, 0.0, 1.0 - k_i, 1.0 - k_i])
+    factor = _pair_factor(_detected_pair(source, ch, k_i))
+    np.testing.assert_array_max_ulp(factor.T @ factor,
+                                    loss @ cm(return_state(source, ch)) @ loss + vacuum, maxulp=4)
+    z = rng.standard_normal((samples, 6))
     q = z[:, :4] @ factor
     alpha_r = (q[:, 0] + 1j * q[:, 1]) / 2.0
     alpha_i = (q[:, 2] + 1j * q[:, 3]) / 2.0
-
-    def thermal_amplitudes(n, column):
-        if column >= z.shape[1]:
-            return 0.0  # the uncoupled vacuum port at kappa_I = 1, not drawn
-        sd = math.sqrt((2.0 * n + 1.0) / 4.0)
-        return sd * z[:, column] + 1j * sd * z[:, column + 1]
-
-    alpha_o_in = thermal_amplitudes(baths.n_o, 4)
-    alpha_b_in = thermal_amplitudes(baths.n_b, 6)
-    alpha_vac = thermal_amplitudes(0.0, 8)
-    d1 = coef.b * np.conj(alpha_r) + coef.a_o * alpha_o_in - coef.c_o * np.conj(alpha_b_in)
-    d2 = math.sqrt(k_i) * alpha_i + math.sqrt(1.0 - k_i) * alpha_vac
-    counts = 2.0 * np.real(np.conj(d1) * d2)
+    # a_o alpha_o - c_o alpha_b*: two independent thermal amplitudes, one Gaussian sum
+    sd = math.sqrt((coef.a_o ** 2 * (2.0 * baths.n_o + 1.0)
+                    + coef.c_o ** 2 * (2.0 * baths.n_b + 1.0)) / 4.0)
+    noise = sd * z[:, 4] + 1j * sd * z[:, 5]
+    d1 = coef.b * np.conj(alpha_r) + noise
+    counts = 2.0 * np.real(np.conj(d1) * alpha_i)
     var_sym = float(counts.var(ddof=1))
     m4 = float(np.mean((counts - counts.mean()) ** 4))
     return (float(counts.mean()), var_sym - 0.5,
@@ -653,7 +663,7 @@ def _reference_mc(source, ch, rx, baths, samples, seed, cm):
     # several blocks and a ragged tail, so a mis-ordered block loop shows
     *(pytest.param(hyp, 13, 2 * _MC_BLOCK + 3, 0.6, id=f"Hypothesis.{hyp}-blocks-and-tail")
       for hyp in ("H0", "H1")),
-    # lossless idler: rows of 8, without the vacuum port's two normals
+    # lossless idler: the detected pair is the return pair itself
     *(pytest.param(hyp, 13, 2 * _MC_BLOCK + 3, 1.0,
                    id=f"Hypothesis.{hyp}-blocks-and-tail-lossless")
       for hyp in ("H0", "H1")),
@@ -662,8 +672,8 @@ def _reference_mc(source, ch, rx, baths, samples, seed, cm):
 def test_mc_oracle_pins_draw_order(ref_moments, ref_channel, ref_coefficients, baths, cm,
                                    hyp, seed, samples, kappa_i):
     # a thermal optical bath and the exact H1 background, and at kappa_i < 1
-    # a lossy idler (vacuum port in use), so every entry of the receiver map
-    # is exercised
+    # a lossy idler (vacuum port in the detected pair), so every entry of the
+    # receiver map is exercised
     ch = TargetChannelParams(eta=ref_channel.eta, n_b=600.0 / (1.0 - ref_channel.eta))
     rx = ReceiverParams(ref_coefficients, idler_transmissivity=kappa_i)
     warm = mwqi.BathOccupations(n_w=baths.n_w, n_o=0.4, n_b=baths.n_b)
@@ -673,11 +683,71 @@ def test_mc_oracle_pins_draw_order(ref_moments, ref_channel, ref_coefficients, b
     assert (mc.mu, mc.var, mc.se_mu, mc.se_var) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
+def test_mc_weights_gram_matches_exact_oracle(params):
+    # the sampler maps a row of 6 standard normals to (2 Re d_1, Re d_2, 2 Im d_1, Im d_2)
+    # by the weights of _mc_weights, so its covariance is their Gram matrix W W^T:
+    # [[4 v_1, 2 k], [2 k, v_2]] in each of the Re and Im blocks and 0 between them.  The
+    # Gram is formed exactly from the float weights.  Its entries add the detected pair's
+    # conditional variance s'/a back to c'^2/a, which hides how s' was rounded, so each
+    # block's determinant 4 (v_1 v_2 - k^2) is checked too: it goes as s' where the pair
+    # is strongly correlated.  Drives are drawn by d = 1 + 2 Gamma_w - 2 Gamma_o down to
+    # 1e-2, which reaches such pairs at eta = 1; the float d's rounding is added to the
+    # 1e-13, as in test_receiver_statistics_match_exact_oracle.
+    rng = random.Random(30)
+
+    def draw(edge, value):
+        return edge if rng.random() < 0.25 else value
+
+    points, seen = 0, set()
+    while points < 60:
+        gamma_w = 10 ** rng.uniform(-4, 5)
+        d = 10 ** rng.uniform(-2, math.log10(1.0 + 2.0 * gamma_w))
+        coop = mwqi.Cooperativities(gamma_w, (1.0 + 2.0 * gamma_w - d) / 2.0)
+        if not mwqi.is_stable(coop, params).stable:
+            continue
+        points += 1
+        # warm baths, so that every term of the receiver noise is in play
+        baths = mwqi.BathOccupations(10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 1),
+                                     10 ** rng.uniform(-1, 5))
+        coef = mwqi.coefficients(coop)
+        source = mwqi.source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
+        eta, n_b = draw(1.0, 10 ** rng.uniform(-4, 0)), draw(0.0, 10 ** rng.uniform(-3, 4))
+        rtol = 1e-13 + 4.0 * _rounding_of_d(coop.gamma_w, coop.gamma_o)
+        for k_i in (1.0, 0.6, 1e-6):
+            rx = ReceiverParams(coef, k_i)
+            blocks = _exact_receiver_blocks(coop.gamma_w, coop.gamma_o, baths, eta, n_b, k_i)
+            for hyp, (v_1, v_2, k) in zip(("H0", "H1"), blocks):
+                ch = _hypothesis_channel(hyp, TargetChannelParams(eta, n_b))
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    rows = [{col: Decimal(w) for col, w in terms}
+                            for terms in _mc_weights(source, ch, rx, baths)]
+                    gram = [[sum((r[col] * q[col] for col in r.keys() & q.keys()), Decimal(0))
+                             for q in rows] for r in rows]
+                    block = [[4 * v_1, 2 * k], [2 * k, v_2]]
+                    for i, j in itertools.product(range(4), repeat=2):
+                        want = block[i % 2][j % 2] if i // 2 == j // 2 else 0
+                        assert (gram[i][j] == want if want == 0 else
+                                abs(gram[i][j] / want - 1) <= rtol), (coop, baths, ch, k_i, i, j)
+                    for lo in (0, 2):
+                        det = gram[lo][lo] * gram[lo + 1][lo + 1] - gram[lo][lo + 1] ** 2
+                        assert abs(det / (4 * (v_1 * v_2 - k * k)) - 1) <= rtol, (
+                            coop, baths, ch, k_i, "det")
+                    correlated = v_1 * v_2 > 10 ** 6 * (v_1 * v_2 - k * k)
+                seen |= {name for name, hit in (
+                    ("eta = 1", eta == 1.0), ("n_B = 0", n_b == 0.0), ("H0", hyp == "H0"),
+                    ("correlated", correlated)) if hit}
+    assert seen == {"eta = 1", "n_B = 0", "H0", "correlated"}
+
+
 @pytest.mark.parametrize("make", [
     *(pytest.param(lambda m, ch, r=r: mwqi.two_mode_squeezed_vacuum(r), id=f"tmsv-{r}")
       for r in (0.5, 3.0, 6.0, 9.0)),
     *(pytest.param(lambda m, ch, hyp=hyp: return_state(m, _hypothesis_channel(hyp, ch)),
                    id=f"return-Hypothesis.{hyp}")
+      for hyp in ("H0", "H1")),
+    *(pytest.param(lambda m, ch, hyp=hyp: _detected_pair(m, _hypothesis_channel(hyp, ch), 0.6),
+                   id=f"detected-Hypothesis.{hyp}")
       for hyp in ("H0", "H1")),
 ])
 def test_pair_factor_determinant_is_s(make, ref_moments, ref_channel):
@@ -688,12 +758,12 @@ def test_pair_factor_determinant_is_s(make, ref_moments, ref_channel):
     assert abs(np.linalg.det(_pair_factor(pair))) == pytest.approx(pair.s, rel=1e-14, abs=0)
 
 
-@pytest.mark.parametrize("kappa_i, runs", [(1.0, 8), (0.6, 10)],
+@pytest.mark.parametrize("kappa_i, runs", [(1.0, 6), (0.6, 6)],
                          ids=["lossless-idler", "lossy-idler"])
 def test_mc_oracle_reads_exactly_the_normals_it_needs(monkeypatch, ref_moments, ref_channel,
                                                       ref_coefficients, baths, kappa_i, runs):
-    # 4 quadratures and 4 bath runs per sample, plus the 2 vacuum-port runs
-    # only when the idler is lossy: the stream ends where the draws end
+    # the detected pair's 4 quadratures and the receiver noise's Re/Im per sample,
+    # whether or not the idler is lossy: the stream ends where the draws end
     default_rng, built = np.random.default_rng, []
 
     def recording_rng(seed):
