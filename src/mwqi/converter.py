@@ -268,15 +268,22 @@ def coefficients(coop: Cooperativities) -> EomCoefficients:
         cooling and the steady state does not exist).
     """
     gw, go = coop.gamma_w, coop.gamma_o
-    d = 1.0 + 2.0 * gw - 2.0 * go
+    d = _denominator(gw, go)
     if d <= 0:
         raise InstabilityError(f"unstable operating point: 1 + 2*Gamma_w - 2*Gamma_o = {d!r} <= 0")
     return EomCoefficients(*_coefficient_terms(gw, go, d, math.sqrt))
 
 
+def _denominator(gw, go):
+    """d = 1 + 2*gw - 2*go over floats or arrays alike, as twice the factor that
+    :func:`is_stable` multiplies into p0: rounded once where d is small, and of p0's sign."""
+    dc, dc_err = _two_diff(gw, go)
+    return 2.0 * ((dc + 0.5) + dc_err)  # dc + 0.5 is exact where the sum is small
+
+
 def _coefficient_terms(gw, go, d, sqrt):
-    """(a_w, a_o, b, c_w, c_o, minor) at cooperativities gw, go with d = 1 + 2*gw - 2*go:
-    Python floats with ``math.sqrt``, or arrays with ``np.sqrt``."""
+    """(a_w, a_o, b, c_w, c_o, minor) at cooperativities gw, go with d from
+    :func:`_denominator`: Python floats with ``math.sqrt``, or arrays with ``np.sqrt``."""
     dc, dc_err = _two_diff(gw, go)
     return ((1.0 - 2.0 * gw - 2.0 * go) / d, (1.0 + 2.0 * gw + 2.0 * go) / d,
             4.0 * sqrt(gw * go) / d, sqrt(8.0 * gw) / d, sqrt(8.0 * go) / d,

@@ -56,6 +56,7 @@ from .converter import (
     InstabilityError,
     SourceMoments,
     _coefficient_terms,
+    _denominator,
     _moment_terms,
     bath_occupations,
     coefficients,
@@ -393,7 +394,7 @@ def _drive_stage(config: SweepConfig, drives, report: bool) -> tuple:
                             for t in drives[0]]).repeat(len(drives[1]) * len(drives[2]), axis=0).T
     gamma_w, gamma_o = np.tile(np.array(list(itertools.product(*drives[1:]))).T, len(drives[0]))
     with np.errstate(all="ignore"):  # a key off the mask may divide by 0 or overflow
-        d = 1.0 + 2.0 * gamma_w - 2.0 * gamma_o
+        d = _denominator(gamma_w, gamma_o)
         coef = _coefficient_terms(gamma_w, gamma_o, d, np.sqrt)
         n_w, n_o, cross, s = moments = _moment_terms(*coef, *occupations)
         cells = {"n_w": n_w, "n_o": n_o,
@@ -429,7 +430,7 @@ def run_sweep(config: SweepConfig) -> str:
       cells of these outputs formatted once;
     - per run of consecutive rows at one drive point: the cooperativities, the text
       of the stable and margin cells and, for a channel output, moments and
-      coefficients as objects and a receiver per kappa_i value;
+      coefficients as objects and one receiver, rebuilt where kappa_i changes;
     - per row: its six inputs, each an axis value or else the base value; the
       stability test; at a stable row the receiver statistics (once for ``fom``,
       once for any ``p_qi@M``; ``p_coh@M`` reads none) and the channel cells;
@@ -492,13 +493,13 @@ def run_sweep(config: SweepConfig) -> str:
                     (channel(row[i_eta], row[i_tb]), ReceiverParams(coef, row[i_k]))
                     if needs_link else None)
             elif stability.stable and needs_link:
-                if link is None:  # once per run; then each receiver once per kappa_i
-                    coef = EomCoefficients(*coefs[k].tolist())
-                    link = (SourceMoments(*moments[k].tolist()), baths_at[row[i_t]],
-                            functools.cache(functools.partial(ReceiverParams, coef)))
-                m, baths, receiver = link
-                metrics = drive_cells[k] % _point_values(link_plan, m, baths, None, (
-                    channel(row[i_eta], row[i_tb]), receiver(row[i_k])))
+                if link is None:  # once per run: its source and first receiver, rx
+                    rx = ReceiverParams(EomCoefficients(*coefs[k].tolist()), row[i_k])
+                    link = SourceMoments(*moments[k].tolist()), baths_at[row[i_t]]
+                elif rx.idler_transmissivity != row[i_k]:  # then anew at each kappa_i change
+                    rx = ReceiverParams(rx.coef, row[i_k])
+                metrics = drive_cells[k] % _point_values(link_plan, *link, None, (
+                    channel(row[i_eta], row[i_tb]), rx))
             elif stability.stable:
                 metrics = drive_cells[k]
         except Exception as exc:  # recorded per point, sweep continues

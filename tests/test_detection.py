@@ -293,21 +293,11 @@ def _exact_receiver_statistics(gamma_w, gamma_o, baths, eta, n_b, kappa_i):
         return tuple(float(value) for value in (mu0, mu1, var0, var1, snr))
 
 
-def _rounding_of_d(gamma_w, gamma_o):
-    """|delta d / d| of the float d = 1 + 2 Gamma_w - 2 Gamma_o that coefficients divides by."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        exact = 1 + 2 * Decimal(gamma_w) - 2 * Decimal(gamma_o)
-        return float(abs(Decimal(1.0 + 2.0 * gamma_w - 2.0 * gamma_o) / exact - 1))
-
-
 def test_receiver_statistics_match_exact_oracle(params):
     # seeded stable drives over Gamma in [1e-4, 1e5], baths up to a warm optical one,
     # eta at 0, 1 and between, bright and dark backgrounds, lossless and lossy idlers.
-    # The float d of coefficients carries eps (1 + 2 Gamma_w) / d of relative error, which
-    # grows towards the instability edge, and var goes as d^-4: that much is added to the
-    # 1e-12.  Seed 16's one point with d < 0.01 (d = 1.7e-3, delta d / d = 2.6e-13) is off
-    # by 1.5e-12; every other point is within 8.3e-15.
+    # coefficients forms d = 1 + 2 Gamma_w - 2 Gamma_o with one rounding, so var, which
+    # goes as d^-4, keeps its digits towards the instability edge too.
     rng = random.Random(16)
 
     def draw(edge, value):
@@ -330,8 +320,7 @@ def test_receiver_statistics_match_exact_oracle(params):
         stats = receiver_statistics(source, ch, rx, baths)
         exact = _exact_receiver_statistics(coop.gamma_w, coop.gamma_o, baths, ch.eta, ch.n_b,
                                            rx.idler_transmissivity)
-        rtol = 1e-12 + 4.0 * _rounding_of_d(coop.gamma_w, coop.gamma_o)
-        assert tuple(stats) == pytest.approx(exact, rel=rtol, abs=0.0), (coop, baths, ch, rx)
+        assert tuple(stats) == pytest.approx(exact, rel=1e-12, abs=0.0), (coop, baths, ch, rx)
         seen |= {name for name, hit in (
             ("eta = 0", ch.eta == 0.0), ("eta = 1", ch.eta == 1.0),
             ("kappa_I < 1", rx.idler_transmissivity < 1.0), ("warm optical bath", baths.n_o > 0),
@@ -562,6 +551,47 @@ def test_fom_bright_background_asymptote(ref_moments, ref_channel, ref_receiver,
     assert abs(foms[-1] - foms[-2]) / foms[-1] < 1e-3
 
 
+def _same_channel_snr_per_mode(n_w, ch):
+    """The coherent benchmark through snr_per_mode's definition on the channel that
+    return_state gives the QI side: mean shift 2 sqrt(eta n_w), quadrature variances
+    2 n_B + 1 under H0 and 2 (1 - eta) n_B + 1 under H1."""
+    v0, v1 = 2.0 * ch.n_b + 1.0, 2.0 * (1.0 - ch.eta) * ch.n_b + 1.0
+    return 16.0 * ch.eta * n_w / (math.sqrt(v0) + math.sqrt(v1)) ** 2
+
+
+def test_fom_benchmark_convention(params, ref_moments, ref_channel, ref_receiver, baths):
+    # fom divides by the benchmark on the H0 channel under both hypotheses, 2 n_B + 1;
+    # the QI return keeps only (1 - eta) n_B of background under H1.  Against the
+    # same-channel benchmark the phase-conjugate receiver stays within its 3 dB at these
+    # points, and the printed fom exceeds that ratio by 4 v0 / (sqrt(v0) + sqrt(v1))^2,
+    # in [1, 4 / (1 + sqrt(1 - eta))^2] since (1 - eta) v0 <= v1 <= v0 (up to rounding).
+    def ratios(source, ch, rx, bath):
+        fom = figure_of_merit(source, ch, rx, bath)
+        same = receiver_statistics(source, ch, rx, bath).snr_per_m / _same_channel_snr_per_mode(
+            source.n_w, ch)
+        return fom, same, fom / same
+
+    fom, same, excess = ratios(ref_moments, ref_channel, ref_receiver, baths)
+    assert (fom, same) == pytest.approx((1.4331, 1.3825), rel=1e-4)
+    rng = random.Random(19)
+    points = worst = 0
+    while points < 5000:
+        coop = mwqi.Cooperativities(*(10 ** rng.uniform(-4, 6) for _ in range(2)))
+        if not mwqi.is_stable(coop, params).stable:
+            continue
+        points += 1
+        bath = mwqi.bath_occupations(dataclasses.replace(params, t_eom=10 ** rng.uniform(-4, 1)))
+        coef = mwqi.coefficients(coop)
+        source = mwqi.source_moments(coef, bath.n_w, bath.n_o, bath.n_b)
+        ch = TargetChannelParams(10 ** rng.uniform(-6, 0), 10 ** rng.uniform(-3, 5))
+        fom, same, excess = ratios(source, ch, ReceiverParams(coef), bath)
+        assert same <= 2.0, (coop, bath, ch)
+        bound = 4.0 / (1.0 + math.sqrt(1.0 - ch.eta)) ** 2
+        assert 1.0 - 1e-12 <= excess <= bound * (1.0 + 1e-12), (coop, bath, ch)
+        worst = max(worst, same)
+    assert worst > 1.99  # the N_S << 1 << N_B regime is reached
+
+
 # ---------------------------------------------------------------------------
 # fiber range
 # ---------------------------------------------------------------------------
@@ -691,8 +721,7 @@ def test_mc_weights_gram_matches_exact_oracle(params):
     # conditional variance s'/a back to c'^2/a, which hides how s' was rounded, so each
     # block's determinant 4 (v_1 v_2 - k^2) is checked too: it goes as s' where the pair
     # is strongly correlated.  Drives are drawn by d = 1 + 2 Gamma_w - 2 Gamma_o down to
-    # 1e-2, which reaches such pairs at eta = 1; the float d's rounding is added to the
-    # 1e-13, as in test_receiver_statistics_match_exact_oracle.
+    # 1e-2, which reaches such pairs at eta = 1.
     rng = random.Random(30)
 
     def draw(edge, value):
@@ -712,7 +741,6 @@ def test_mc_weights_gram_matches_exact_oracle(params):
         coef = mwqi.coefficients(coop)
         source = mwqi.source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
         eta, n_b = draw(1.0, 10 ** rng.uniform(-4, 0)), draw(0.0, 10 ** rng.uniform(-3, 4))
-        rtol = 1e-13 + 4.0 * _rounding_of_d(coop.gamma_w, coop.gamma_o)
         for k_i in (1.0, 0.6, 1e-6):
             rx = ReceiverParams(coef, k_i)
             blocks = _exact_receiver_blocks(coop.gamma_w, coop.gamma_o, baths, eta, n_b, k_i)
@@ -728,10 +756,10 @@ def test_mc_weights_gram_matches_exact_oracle(params):
                     for i, j in itertools.product(range(4), repeat=2):
                         want = block[i % 2][j % 2] if i // 2 == j // 2 else 0
                         assert (gram[i][j] == want if want == 0 else
-                                abs(gram[i][j] / want - 1) <= rtol), (coop, baths, ch, k_i, i, j)
+                                abs(gram[i][j] / want - 1) <= 1e-13), (coop, baths, ch, k_i, i, j)
                     for lo in (0, 2):
                         det = gram[lo][lo] * gram[lo + 1][lo + 1] - gram[lo][lo + 1] ** 2
-                        assert abs(det / (4 * (v_1 * v_2 - k * k)) - 1) <= rtol, (
+                        assert abs(det / (4 * (v_1 * v_2 - k * k)) - 1) <= 1e-13, (
                             coop, baths, ch, k_i, "det")
                     correlated = v_1 * v_2 > 10 ** 6 * (v_1 * v_2 - k * k)
                 seen |= {name for name, hit in (

@@ -231,6 +231,35 @@ def test_single_point_sweep_row():
     assert record["error"] == ""
 
 
+def test_stable_points_at_the_adiabatic_edge_build():
+    # Gamma_o within 3 ulps of Gamma_w + 1/2, where d = 1 + 2 Gamma_w - 2 Gamma_o is
+    # about an ulp of 1/2 or less.  is_stable forms p0's factor 1/2 + Gamma_w - Gamma_o
+    # with one rounding; a d of two roundings can be 0 or negative where p0 > 0, and the
+    # stable row then raised InstabilityError.  Wherever is_stable says stable,
+    # coefficients builds and the sweep row's error cell is empty.
+    params = mwqi.nominal_params()
+    rng = random.Random(31)
+    stable = twice_rounded = 0
+    for _ in range(300):
+        gamma_w = 10 ** rng.uniform(-4, 2)
+        gamma_o, steps = gamma_w + 0.5, rng.randint(-3, 3)
+        for _ in range(abs(steps)):
+            gamma_o = math.nextafter(gamma_o, math.copysign(math.inf, steps))
+        coop = mwqi.Cooperativities(gamma_w, gamma_o)
+        if not mwqi.is_stable(coop, params).stable:
+            continue
+        stable += 1
+        twice_rounded += 1.0 + 2.0 * gamma_w - 2.0 * gamma_o <= 0.0
+        assert mwqi.coefficients(coop).a_o > 0.0, coop
+        cfg = POINT_CFG.replace("5181.95", repr(gamma_w)).replace("668.43", repr(gamma_o))
+        header, row = _parse_csv(run_sweep(parse_config(cfg.replace("n_o, e_metric, ", ""))))
+        record = dict(zip(header, row))
+        assert record["stable"] == "1" and record["error"] == "", (coop, record)
+        assert math.isfinite(float(record["n_w"])) and math.isfinite(float(record["fom"]))
+    # the edge is reached: 16 of these stable points have a d of two roundings <= 0
+    assert stable > 100 and twice_rounded > 10
+
+
 def test_sweep_deterministic_and_paths_agree():
     cfg = parse_config(GRID_CFG)
     assert run_sweep(cfg) == run_sweep(cfg)
@@ -525,16 +554,20 @@ def _counting(monkeypatch, name):
 
 
 def test_channel_and_receiver_are_built_once_per_key(monkeypatch):
-    channels = _counting(monkeypatch, "_channel")
-    receivers = _counting(monkeypatch, "ReceiverParams")
-    header, *data = _parse_csv(run_sweep(_grid(
-        "gamma_w log 4e3 6e3 2", "kappa_i lin 0.5 1 2", "eta log 1e-3 1e-1 3",
-        "t_b lin 10 300 2", select="fom, p_qi@1e6")))
-    records = [dict(zip(header, r)) for r in data]
-    assert len(records) == 24
-    assert all(r["stable"] == "1" and r["error"] == "" for r in records)
-    assert len(channels) == len({(r["eta"], r["t_b"]) for r in records}) == 6
-    assert len(receivers) == len({(r["gamma_w"], r["kappa_i"]) for r in records}) == 4
+    # with the drive axis first, a run of rows at one drive point keeps its receiver
+    # until kappa_i changes; with it last, the drive point changes at every row, so each
+    # stable row builds its own.  The channel is built once per (eta, t_b) either way.
+    drive, link = ["gamma_w log 4e3 6e3 2"], [
+        "kappa_i lin 0.5 1 2", "eta log 1e-3 1e-1 3", "t_b lin 10 300 2"]
+    for axes, builds in ((drive + link, 4), (link + drive, 24)):
+        channels = _counting(monkeypatch, "_channel")
+        receivers = _counting(monkeypatch, "ReceiverParams")
+        header, *data = _parse_csv(run_sweep(_grid(*axes, select="fom, p_qi@1e6")))
+        records = [dict(zip(header, r)) for r in data]
+        assert len(records) == 24
+        assert all(r["stable"] == "1" and r["error"] == "" for r in records)
+        assert len(channels) == len({(r["eta"], r["t_b"]) for r in records}) == 6
+        assert len(receivers) == builds
 
 
 _HOT_ERROR = "OverflowError: Planck occupation overflows float64 at 1e+308 K"
@@ -562,10 +595,11 @@ def test_bath_occupations_are_evaluated_once_per_t_eom(monkeypatch, axes, t_eom_
 
 
 def test_sweep_memo_stays_bounded(monkeypatch):
-    # a run of rows at one drive point keeps its moments, coefficients and one receiver
-    # per kappa_i value; with the object being built, that is the peak whatever the grid
-    # size.  The drive stage keeps arrays and formatted cells, and builds no report, no
-    # state object and, without a channel output, no moments or coefficients at all.
+    # a run of rows at one drive point keeps its moments, coefficients and one receiver,
+    # rebuilt where kappa_i changes; with the object being built, that is the peak
+    # whatever the grid size.  The drive stage keeps arrays and formatted cells, and
+    # builds no report, no state object and, without a channel output, no moments or
+    # coefficients at all.
     peaks, calls, states = {}, {}, []
 
     def track(name, result, live):
@@ -600,7 +634,7 @@ def test_sweep_memo_stays_bounded(monkeypatch):
         assert min(calls.values()) > 100
         for name in ("SourceMoments", "EomCoefficients"):
             assert peaks[name] <= 2 and calls[name] <= 400  # once per stable drive point
-        assert peaks["ReceiverParams"] <= 3 + 1
+        assert peaks["ReceiverParams"] <= 1 + 1
     assert not states
 
 
@@ -620,7 +654,9 @@ def test_failing_channel_or_receiver_fails_each_of_its_rows(monkeypatch, axes, b
     name, value = bad_key
     bad = [i for i, r in enumerate(records) if r[name] == value]
     assert bad == [2, 5]
-    assert len(calls) == 2 + len(bad)  # the two good keys, once each
+    # the two good channels once each; the receiver of the one 6-row run at the base
+    # drive point is rebuilt wherever kappa_i changes, here at every row
+    assert len(calls) == (6 if builder == "ReceiverParams" else 2 + len(bad))
     for i, r in enumerate(records):
         if i in bad:
             assert r["error"] == message and r["fom"] == "" and r["stable"] == "1"
