@@ -384,9 +384,9 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     Each sample reads one row of 6 standard normals from one generator, at
     every kappa_I.  Rows are drawn in blocks of at most ``_MC_BLOCK`` samples
     (the same numbers as one unblocked draw), each block is pushed through
-    the real receiver map into its slice of one row of counts, and the mean
-    and variance of the difference count are estimated from that row.
-    Memory is that row, 8 B per sample, plus blocks of fixed size.  Only
+    the real receiver map, and the power sums of its counts about the first
+    block's mean are added up while it is in cache.  Memory is blocks of
+    fixed size, whatever the sample count.  Only
     numpy ufuncs and sums touch the samples, so no BLAS or LAPACK routine
     does, and the statistics do not depend on the kernel a BLAS build picks.
     Kept independent of the closed forms in :func:`receiver_statistics`:
@@ -417,9 +417,8 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     sums = _mc_weights(source, ch, rx, baths)
 
     rng = np.random.default_rng(seed)
-    counts = np.empty(samples)
     block = np.empty((min(samples, _MC_BLOCK), 6))
-    d_1, d_2, term = np.empty((3, len(block)))
+    count, d_1, d_2, term = np.empty((4, len(block)))
 
     def column_sum(z, terms, out):
         # w_0 z[:, col_0] + w_1 z[:, col_1] into out; each product goes to a contiguous
@@ -429,25 +428,26 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
         out += np.multiply(z[:, col_1], w_1, out=term[:len(z)])
         return out
 
+    shift = s_1 = s_2 = s_3 = s_4 = 0.0
     for lo in range(0, samples, _MC_BLOCK):
         z = rng.standard_normal(out=block[:samples - lo])
-        count = column_sum(z, sums[0], counts[lo:])
-        count *= column_sum(z, sums[1], d_2)
+        dev = column_sum(z, sums[0], count)
+        dev *= column_sum(z, sums[1], d_2)
         im = column_sum(z, sums[2], d_1)
         im *= column_sum(z, sums[3], d_2)
-        count += im
+        dev += im
+        shift = float(dev.mean()) if lo == 0 else shift  # K, the first block's mean
+        dev -= shift  # d = count - K, whose power sums are taken while the block is in cache
+        sq = np.multiply(dev, dev, out=im)
+        s_1, s_2 = s_1 + float(dev.sum()), s_2 + float(sq.sum())
+        dev *= sq
+        sq *= sq
+        s_3, s_4 = s_3 + float(dev.sum()), s_4 + float(sq.sum())
 
-    mu = float(counts.mean())
-    sq = counts  # the centred squares, in place
-    sq -= mu
-    sq *= sq
-    var_sym = float(sq.sum()) / (samples - 1)
-    sq *= sq  # the centred fourth powers
-    m4 = float(sq.sum()) / samples
-    return McReceiverStatistics(
-        mu=mu,
-        var=var_sym - 0.5,
-        se_mu=math.sqrt(var_sym / samples),
-        se_var=math.sqrt(max(m4 - var_sym * var_sym, 0.0) / samples),
-        samples=samples,
-    )
+    mean_d = s_1 / samples
+    var_sym, md2 = (s_2 - s_1 * mean_d) / (samples - 1), mean_d * mean_d
+    m4 = (s_4 - 4.0 * mean_d * s_3 + 6.0 * md2 * s_2 - 3.0 * samples * (md2 * md2)) / samples
+    return McReceiverStatistics(mu=shift + mean_d, var=var_sym - 0.5,
+                                se_mu=math.sqrt(var_sym / samples),
+                                se_var=math.sqrt(max(m4 - var_sym * var_sym, 0.0) / samples),
+                                samples=samples)

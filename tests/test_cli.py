@@ -191,6 +191,19 @@ def test_report_at_an_underflowing_temperature_exits_0(tmp_path, capsys):
     assert "result: all checks passed" in capsys.readouterr().out
 
 
+def test_report_at_the_stable_edge_exits_0(tmp_path, capsys):
+    # gamma_o within an ulp of gamma_w + 1/2: d = 1 + 2 gamma_w - 2 gamma_o is ~5.6e-17 and
+    # the coefficients ~1e16, so the commutator residuals (printed -1.000e+00, the 1 lost
+    # to terms ~1e32) are bounded relative to those terms, not by an absolute 1e-10
+    path = tmp_path / "edge.cfg"
+    path.write_text("[drive]\ngamma_w = 0.13620493412851956\ngamma_o = 0.6362049341285195\n"
+                    "[channel]\neta = 0.07\nt_b = 293 k\n")
+    assert cli.main(["report", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "commutator residuals: -1.000e+00, -1.000e+00" in out
+    assert "[ok] commutator identities" in out and "result: all checks passed" in out
+
+
 def test_module_entry_point_runs(tmp_path):
     # `python -m mwqi.cli`, in a fresh interpreter, as the `mwqi` script runs it
     env = dict(os.environ)

@@ -687,24 +687,32 @@ def _reference_mc(source, ch, rx, baths, samples, seed, cm):
             math.sqrt(max(m4 - var_sym ** 2, 0.0) / samples))
 
 
-@pytest.mark.parametrize("hyp, seed, samples, kappa_i", [
-    *(pytest.param(hyp, seed, 50000, 0.6, id=f"Hypothesis.{hyp}-{seed}")
+# a channel of None is the bright one, at the reference eta with the exact H1 background
+@pytest.mark.parametrize("hyp, seed, samples, kappa_i, channel", [
+    *(pytest.param(hyp, seed, 50000, 0.6, None, id=f"Hypothesis.{hyp}-{seed}")
       for hyp in ("H0", "H1") for seed in (11, 12)),
     # several blocks and a ragged tail, so a mis-ordered block loop shows
-    *(pytest.param(hyp, 13, 2 * _MC_BLOCK + 3, 0.6, id=f"Hypothesis.{hyp}-blocks-and-tail")
+    *(pytest.param(hyp, 13, 2 * _MC_BLOCK + 3, 0.6, None,
+                   id=f"Hypothesis.{hyp}-blocks-and-tail")
       for hyp in ("H0", "H1")),
     # lossless idler: the detected pair is the return pair itself
-    *(pytest.param(hyp, 13, 2 * _MC_BLOCK + 3, 1.0,
+    *(pytest.param(hyp, 13, 2 * _MC_BLOCK + 3, 1.0, None,
                    id=f"Hypothesis.{hyp}-blocks-and-tail-lossless")
       for hyp in ("H0", "H1")),
-    pytest.param("H1", 14, 2, 0.6, id="two-samples"),
+    pytest.param("H1", 14, 2, 0.6, None, id="two-samples"),
+    # a lossless target and no background, where the count's mean is 0.6 of its sd (0.08
+    # at the demo point): the moments come from power sums about the first block's mean,
+    # and the mean left in them is largest here
+    pytest.param("H1", 15, 2 * _MC_BLOCK + 3, 0.6, TargetChannelParams(eta=1.0, n_b=0.0),
+                 id="mean-near-sd-blocks-and-tail"),
 ])
 def test_mc_oracle_pins_draw_order(ref_moments, ref_channel, ref_coefficients, baths, cm,
-                                   hyp, seed, samples, kappa_i):
+                                   hyp, seed, samples, kappa_i, channel):
     # a thermal optical bath and the exact H1 background, and at kappa_i < 1
     # a lossy idler (vacuum port in the detected pair), so every entry of the
     # receiver map is exercised
-    ch = TargetChannelParams(eta=ref_channel.eta, n_b=600.0 / (1.0 - ref_channel.eta))
+    ch = channel or TargetChannelParams(eta=ref_channel.eta,
+                                        n_b=600.0 / (1.0 - ref_channel.eta))
     rx = ReceiverParams(ref_coefficients, idler_transmissivity=kappa_i)
     warm = mwqi.BathOccupations(n_w=baths.n_w, n_o=0.4, n_b=baths.n_b)
     ch = _hypothesis_channel(hyp, ch)
@@ -808,17 +816,21 @@ def test_mc_oracle_reads_exactly_the_normals_it_needs(monkeypatch, ref_moments, 
     assert built[0].bit_generator.state == expected.bit_generator.state
 
 
-@pytest.mark.parametrize("kappa_i", [1.0, 0.6], ids=["lossless-idler", "lossy-idler"])
-def test_mc_oracle_peak_memory(ref_moments, ref_channel, ref_coefficients, baths, kappa_i):
-    # one float64 row of counts, 8 B per sample at every kappa_I, plus blocks of
-    # fixed size: the block of normals and three rows of its length
+@pytest.mark.parametrize("kappa_i, samples", [
+    pytest.param(kappa_i, samples, id=f"{name}-idler{tag}")
+    for samples, tag in ((10 ** 6, ""), (4 * 10 ** 6, "-4e6-samples"))
+    for kappa_i, name in ((1.0, "lossless"), (0.6, "lossy"))])
+def test_mc_oracle_peak_memory(ref_moments, ref_channel, ref_coefficients, baths, kappa_i,
+                               samples):
+    # blocks of fixed size, whatever the sample count: the block of normals (786 kB) and
+    # four rows of its length (524 kB), and no row of counts
     rx = ReceiverParams(ref_coefficients, idler_transmissivity=kappa_i)
     # a first call imports numpy.random, whose 0.7 MB is no part of the oracle's memory
     mc_receiver_statistics(ref_moments, ref_channel, rx, baths, samples=2)
     tracemalloc.start()
     try:
-        mc_receiver_statistics(ref_moments, ref_channel, rx, baths, samples=10 ** 6, seed=1)
-        assert tracemalloc.get_traced_memory()[1] < 10e6
+        mc_receiver_statistics(ref_moments, ref_channel, rx, baths, samples=samples, seed=1)
+        assert tracemalloc.get_traced_memory()[1] < 2e6
     finally:
         tracemalloc.stop()
 

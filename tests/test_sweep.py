@@ -4,6 +4,7 @@ import io
 import math
 import random
 import re
+import threading
 import weakref
 from pathlib import Path
 
@@ -828,6 +829,48 @@ def test_report_mc_validation():
     assert ok
     assert "Monte-Carlo validation" in text
     assert "within 3 se" in text
+
+
+def test_report_samples_h0_and_h1_as_two_serial_calls_would():
+    # H1 samples on a second thread; its generator is its own, so the lines are those of
+    # one call at seed (H0, the channel at eta = 0) and then one at seed + 1 (H1)
+    config = parse_config(POINT_CFG.replace("kappa_i = 1.0", "kappa_i = 0.6")
+                          + "\n[mc]\nvalidation = on\nsamples = 40000\nseed = 8\n")
+    text, ok = report_point(config)
+    coef = mwqi.coefficients(mwqi.Cooperativities(5181.95, 668.43))
+    baths = mwqi.bath_occupations(config.params)
+    m = mwqi.source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
+    ch = mwqi.TargetChannelParams.from_temperature(0.07, 293.0, config.params.omega_w)
+    rx = mwqi.ReceiverParams(coef, 0.6)
+    stats = mwqi.receiver_statistics(m, ch, rx, baths)
+    want = []
+    for hyp, channel, seed, mu_cf, var_cf in (
+            ("h0", mwqi.TargetChannelParams(0.0, ch.n_b), 8, stats.mu0, stats.var0),
+            ("h1", ch, 9, stats.mu1, stats.var1)):
+        mc = mwqi.mc_receiver_statistics(m, channel, rx, baths, samples=40000, seed=seed)
+        want.append(f"{hyp}: mean delta {abs(mc.mu - mu_cf) / mc.se_mu:.2f} se, "
+                    f"variance delta {abs(mc.var - var_cf) / mc.se_var:.2f} se")
+    assert [ln for ln in text.splitlines() if ln.startswith(("h0:", "h1:"))] == want
+
+
+@pytest.mark.parametrize("failing_seed", [4, 5], ids=["h0", "h1"])
+def test_report_sampler_error_leaves_report_point(monkeypatch, failing_seed):
+    # an error on either thread leaves report_point with its type and text, after the
+    # second thread has been joined
+    real = mwqi.detection.mc_receiver_statistics
+
+    def sampler(*args, seed, **kwargs):
+        if seed == failing_seed:
+            raise FloatingPointError(f"sampler failed at seed {seed}")
+        return real(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "mc_receiver_statistics", sampler)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError) as err:
+        report_point(parse_config(POINT_CFG + "\n[mc]\nvalidation = on\nsamples = 1000\n"
+                                  "seed = 4\n"))
+    assert str(err.value) == f"sampler failed at seed {failing_seed}"
+    assert threading.active_count() == threads
 
 
 def _operating_point_without_mc():
