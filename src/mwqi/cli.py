@@ -9,9 +9,9 @@ Subcommands::
 The config file is a run's whole input, the Monte-Carlo switch and seed
 included ([mc] validation, seed); ``--out`` only says where the output goes.
 
-Exit codes: 0 success, 1 config error, 2 physics error (instability, a
-non-physical state, a metric undefined at zero photons, or a quantity that
-overflows float64), 3 validation failure.
+Exit codes: 0 success, 1 config or output error, 2 physics error
+(instability, a non-physical state, a metric undefined at zero photons, or a
+quantity that overflows float64), 3 validation failure.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Iterable
 
 from .converter import InstabilityError, UndefinedMetricError
 from .states import PhysicalityError
-from .sweep import ConfigError, parse_config, report_point, run_figure3, run_sweep
+from .sweep import ConfigError, _sweep_chunks, parse_config, report_point, run_figure3
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -49,12 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -62,21 +63,26 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = parse_config(fh.read())
-        if args.command == "sweep":
-            _emit(run_sweep(config), args.out)
-            return EXIT_OK
-        if args.command == "fig3":
-            _emit(run_figure3(config), args.out)
-            return EXIT_OK
-        text, ok = report_point(config)
-        _emit(text, args.out)
-        return EXIT_OK if ok else EXIT_VALIDATION
+        code = EXIT_OK
+        if args.command == "sweep":  # the rows are made as they are written
+            chunks = _sweep_chunks(config)
+        elif args.command == "fig3":
+            chunks = [run_figure3(config)]
+        else:
+            text, ok = report_point(config)
+            chunks, code = [text], EXIT_OK if ok else EXIT_VALIDATION
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InstabilityError, PhysicalityError, UndefinedMetricError, OverflowError) as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
+    try:  # --out is opened only now: a config or physics error leaves it as it was
+        _emit(chunks, args.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return code
 
 
 if __name__ == "__main__":

@@ -126,6 +126,7 @@ _NEEDED = {key: f"[{section}] {key}" for section, key in _KEYS}  # as error mess
 _MC_FIELDS = {"validation": "mc_validation", "samples": "mc_samples"}  # [mc] key -> field
 _CORRELATION_OUTPUTS = ("log_neg_per_photon", "coh_info_per_photon", "discord_per_photon")
 _PLAIN_OUTPUTS = ("n_w", "n_o", "e_metric", *_CORRELATION_OUTPUTS, "fom")
+_CHUNK_ROWS = 1024  # sweep rows per chunk of CSV text: the CLI writes each as it is made
 
 
 class ConfigError(ValueError):
@@ -441,7 +442,18 @@ def run_sweep(config: SweepConfig) -> str:
     A stable row at a drive point the pass rejects goes through the scalar functions,
     which raise its error.  A build that raises is not kept: each row that needs it
     raises again, with the same text.
+
+    Besides the text it returns, a call holds one chunk of ``_CHUNK_ROWS`` rows at a
+    time, the per drive point arrays and cells, and the per key builds above.  ``mwqi
+    sweep`` writes each chunk as it is made, so its memory does not grow with the rows.
     """
+    return "".join(_sweep_chunks(config))
+
+
+def _sweep_chunks(config: SweepConfig):
+    """:func:`run_sweep`'s text as an iterator of chunks, each ending in a newline: the
+    meta lines and header, then the rows ``_CHUNK_ROWS`` at a time.  The checks, the plan
+    and the drive stage run before it returns, so a config error raises before any text."""
     if not config.outputs:
         raise ConfigError("no outputs selected", field_name="select")
     # each output as (name, mode count), split once: p_qi@M and p_coh@M carry M
@@ -472,44 +484,54 @@ def run_sweep(config: SweepConfig) -> str:
     coefs, moments = (np.stack(x, axis=1) if needs_link else None for x in (coefs, moments))
     del stage  # the rows read its cells as formatted, and a large grid need not keep both
     channel = functools.lru_cache(maxsize=None)(lambda eta, t_b: _channel(config, eta, t_b))
-
-    rows, last = [], None
-    for combo, cells, k in zip(itertools.product(*columns), itertools.product(*texts),
-                               map(sum, itertools.product(*steps))):
-        row = combo + base
-        stability_cells, metrics, error = ",", no_metrics, ""
-        try:
-            if k != last:  # a new run of rows at one drive point
-                coop, link, last, shown = Cooperativities(row[i_w], row[i_o]), None, k, None
-            stability = is_stable(coop, config.params)  # the same at every t_eom
-            if stability != shown:  # each run formats anew: equal reports may hold -0.0 and 0.0
-                shown, text = stability, "%d,%.16e" % (stability.stable, stability.margin)
-            stability_cells = text
-            if stability.stable and drive_cells[k] is None:  # the scalar path raises its error
-                baths = bath_occupations(dataclasses.replace(config.params, t_eom=row[i_t]))
-                coef = coefficients(coop)
-                m = source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
-                metrics = template % _point_values(
-                    plan, m, baths, correlation_report(m) if needs_report else None,
-                    (channel(row[i_eta], row[i_tb]), ReceiverParams(coef, row[i_k]))
-                    if needs_link else None)
-            elif stability.stable and needs_link:
-                if link is None:  # once per run: its source and first receiver, rx
-                    rx = ReceiverParams(EomCoefficients(*coefs[k].tolist()), row[i_k])
-                    link = SourceMoments(*moments[k].tolist()), baths_at[row[i_t]]
-                elif rx.idler_transmissivity != row[i_k]:  # then anew at each kappa_i change
-                    rx = ReceiverParams(rx.coef, row[i_k])
-                metrics = drive_cells[k] % _point_values(link_plan, *link, None, (
-                    channel(row[i_eta], row[i_tb]), rx))
-            elif stability.stable:
-                metrics = drive_cells[k]
-        except Exception as exc:  # recorded per point, sweep continues
-            error = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
-        rows.append(",".join([*cells, stability_cells, metrics, error]))
-
-    del drive_cells  # read into the rows: not kept while they are joined
     header = names + ["stable", "margin"] + list(config.outputs) + ["error"]
-    return "\n".join(_meta_lines(config) + [",".join(header)] + rows) + "\n"
+
+    def chunks():
+        yield "\n".join(_meta_lines(config) + [",".join(header), ""])
+        points = zip(itertools.product(*columns), itertools.product(*texts),
+                     map(sum, itertools.product(*steps)))
+        last = None
+        while True:
+            rows = []
+            for combo, cells, k in itertools.islice(points, _CHUNK_ROWS):
+                row = combo + base
+                stability_cells, metrics, error = ",", no_metrics, ""
+                try:
+                    if k != last:  # a new run of rows at one drive point
+                        coop = Cooperativities(row[i_w], row[i_o])
+                        link, last, shown = None, k, None
+                    stability = is_stable(coop, config.params)  # the same at every t_eom
+                    if stability != shown:  # anew per run: equal reports may hold -0.0 and 0.0
+                        shown, text = stability, "%d,%.16e" % (stability.stable, stability.margin)
+                    stability_cells = text
+                    if stability.stable and drive_cells[k] is None:  # scalar path: raises
+                        params = dataclasses.replace(config.params, t_eom=row[i_t])
+                        baths = bath_occupations(params)
+                        coef = coefficients(coop)
+                        m = source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
+                        metrics = template % _point_values(
+                            plan, m, baths, correlation_report(m) if needs_report else None,
+                            (channel(row[i_eta], row[i_tb]), ReceiverParams(coef, row[i_k]))
+                            if needs_link else None)
+                    elif stability.stable and needs_link:
+                        if link is None:  # once per run: its source and first receiver, rx
+                            rx = ReceiverParams(EomCoefficients(*coefs[k].tolist()), row[i_k])
+                            link = SourceMoments(*moments[k].tolist()), baths_at[row[i_t]]
+                        elif rx.idler_transmissivity != row[i_k]:  # anew at each kappa_i change
+                            rx = ReceiverParams(rx.coef, row[i_k])
+                        metrics = drive_cells[k] % _point_values(link_plan, *link, None, (
+                            channel(row[i_eta], row[i_tb]), rx))
+                    elif stability.stable:
+                        metrics = drive_cells[k]
+                except Exception as exc:  # recorded per point, sweep continues
+                    error = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
+                rows.append(",".join([*cells, stability_cells, metrics, error]))
+            if not rows:
+                return
+            rows.append("")  # the chunk's closing newline
+            yield "\n".join(rows)
+
+    return chunks()
 
 
 def run_figure3(config: SweepConfig) -> str:

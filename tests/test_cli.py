@@ -1,11 +1,14 @@
+import io
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import mwqi.cli as cli
+import mwqi.sweep as sweep
 
 SRC = pathlib.Path(cli.__file__).resolve().parents[1]  # the mwqi under test, installed or src/
 
@@ -41,6 +44,97 @@ def test_sweep_to_file(cfg_path, tmp_path):
     out = tmp_path / "grid.csv"
     assert cli.main(["sweep", cfg_path, "--out", str(out)]) == 0
     assert out.read_text().startswith("# mwqi")
+
+
+# a channel axis first, so the drive keys repeat out of order; 12 rows, of which the
+# 1e160 k converter's stable rows fill the error cell and gamma_w = 1e2 is unstable
+CHUNKED_CFG = POINT_CFG.replace("n_w, n_o, fom", "n_w, log_neg_per_photon, fom, p_qi@1e6") + """
+[grid]
+axis = eta lin 0.05 0.1 3
+axis = t_eom log 0.03 1e160 2
+axis = gamma_w log 1e2 1e4 2
+"""
+
+
+# 12 rows: a multiple of 1, 2, 3, 4, 6 and 12 rows, one over 5 and 11, one under 13
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 4, 5, 6, 11, 12, 13])
+def test_sweep_file_is_the_same_at_any_chunk_size(tmp_path, monkeypatch, chunk_rows):
+    config = cli.parse_config(CHUNKED_CFG)
+    expected = sweep.run_sweep(config)  # in one chunk
+    rows = expected.splitlines()[4:]
+    assert len(rows) == 12 and sum(row.endswith("float64") for row in rows) == 3
+    assert sum(row.split(",")[3] == "0" for row in rows) == 6
+    monkeypatch.setattr(sweep, "_CHUNK_ROWS", chunk_rows)
+    chunks = list(sweep._sweep_chunks(config))
+    assert len(chunks) == 1 + -(-12 // chunk_rows) and all(c.endswith("\n") for c in chunks)
+    assert sweep.run_sweep(config) == expected
+    path = tmp_path / "grid.cfg"
+    path.write_text(CHUNKED_CFG)
+    out = tmp_path / "grid.csv"
+    assert cli.main(["sweep", str(path), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
+
+
+def test_sweep_out_in_a_missing_directory_is_an_output_error(cfg_path, tmp_path, capsys):
+    assert cli.main(["sweep", cfg_path, "--out", str(tmp_path / "missing" / "grid.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("output error: [Errno 2] ")
+    assert len(err.splitlines()) == 1
+
+
+def test_sweep_to_a_closed_pipe_is_an_output_error(tmp_path, monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):  # the reader goes away after the first chunk
+            if self.tell():
+                raise BrokenPipeError(32, "Broken pipe")
+            return super().write(text)
+
+    stdout = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sweep, "_CHUNK_ROWS", 2)
+    path = tmp_path / "grid.cfg"
+    path.write_text(CHUNKED_CFG)
+    assert cli.main(["sweep", str(path)]) == 1
+    assert stdout.getvalue() == next(sweep._sweep_chunks(cli.parse_config(CHUNKED_CFG)))
+    assert capsys.readouterr().err == "output error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    (CHUNKED_CFG.replace("select = n_w, log_neg_per_photon, fom, p_qi@1e6", ""),
+     "field 'select': no outputs selected"),
+    (CHUNKED_CFG.replace("gamma_w = 5181.95", "").replace("axis = gamma_w", "axis = gamma_o"),
+     "field 'gamma_w': missing [drive] gamma_w (a value or a grid axis)"),
+], ids=["empty-select", "no-gamma_w"])
+def test_sweep_config_error_writes_nothing(tmp_path, capsys, text, error):
+    # the config is checked before --out is opened: an existing file keeps its bytes
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    out = tmp_path / "grid.csv"
+    out.write_bytes(b"an earlier run\n")
+    for argv in (["sweep", str(path), "--out", str(out)], ["sweep", str(path)]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"config error: {error}\n")
+    assert out.read_bytes() == b"an earlier run\n"
+
+
+@pytest.mark.parametrize("etas", [25, 100])
+def test_sweep_to_a_file_peak_memory(tmp_path, cfg_path, etas):
+    # the CSV is written a chunk of rows at a time: 6,400 or 25,600 rows over 256 drive
+    # points hold one chunk (~0.2 MB of text) and the drive stage, not every row
+    path = tmp_path / "grid.cfg"
+    path.write_text(POINT_CFG.replace("n_w, n_o, fom", "n_w, n_o, e_metric, p_coh@1e6")
+                    + "[grid]\naxis = gamma_w log 1e2 1e4 16\naxis = gamma_o log 1e1 1e3 16\n"
+                    + f"axis = eta log 1e-3 0.1 {etas}\n")
+    out = tmp_path / "grid.csv"
+    # a first call builds the parser and imports what the sweep reads
+    assert cli.main(["sweep", cfg_path, "--out", str(out)]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(["sweep", str(path), "--out", str(out)]) == 0
+        assert tracemalloc.get_traced_memory()[1] <= 1e6
+    finally:
+        tracemalloc.stop()
+    assert len(out.read_text().splitlines()) == 4 + 256 * etas
 
 
 def test_fig3_subcommand(cfg_path, tmp_path):
