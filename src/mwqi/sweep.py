@@ -355,27 +355,20 @@ def _base_point(config: SweepConfig, command: str):
         coef, baths, source_moments(coef, baths.n_w, baths.n_o, baths.n_b))
 
 
-def _point_values(plan, m, baths, report, link, stats=None) -> tuple[float, ...]:
-    """Metric values of one stable point, one per ``(name, mode count)`` in ``plan``; the
-    :class:`CorrelationReport` ``report`` and the (channel, receiver) ``link`` may be None
-    if unread, and the receiver ``stats`` of ``link`` are built at the first ``p_qi@M`` cell
-    if not given."""
+def _point_values(plan, m, baths, link, stats=None) -> tuple[float, ...]:
+    """Channel cell values of one stable point, one per ``(name, mode count)`` in ``plan``:
+    ``fom``, ``p_qi@M`` or ``p_coh@M`` over the (channel, receiver) ``link``.  The receiver
+    ``stats`` of ``link`` are built at the first ``p_qi@M`` cell if not given."""
     values = []
-    ch, rx = link or (None, None)
-    for token, modes in plan:  # mode counts first, then fom: a channel cell takes 1-2 tests
-        if modes is not None:  # p_qi@M or p_coh@M; p_coh reads no receiver statistics
+    ch, rx = link
+    for token, modes in plan:
+        if modes is None:  # fom
+            value = figure_of_merit(m, ch, rx, baths)
+        else:  # p_qi@M or p_coh@M; p_coh reads no receiver statistics
             if stats is None and token == "p_qi":
                 stats = receiver_statistics(m, ch, rx, baths)
             snr = stats.snr_per_m if token == "p_qi" else coherent_snr_per_mode(m.n_w, ch)
             value = error_probability(snr, modes)
-        elif token == "fom":
-            value = figure_of_merit(m, ch, rx, baths)
-        elif token in ("n_w", "n_o"):
-            value = getattr(m, token)
-        elif token == "e_metric":
-            value = entanglement_metric(m)
-        else:  # one of _CORRELATION_OUTPUTS
-            value = getattr(report, token)
         values.append(value)
     return tuple(values)
 
@@ -385,7 +378,7 @@ def _drive_stage(config: SweepConfig, drives, report: bool) -> tuple:
     and, if ``report``, _CORRELATION_OUTPUTS by name, the bath occupations by t_eom and a
     mask, in one array pass over the drive keys: the product of the (t_eom, gamma_w,
     gamma_o) values ``drives``, t_eom slowest.  Where the mask holds, each value is the
-    scalar functions' to the bit; elsewhere those raise."""
+    scalar functions' to the bit; elsewhere a scalar function a selected output reads raises."""
     baths_at = {}
     for t in drives[0]:
         try:
@@ -401,9 +394,10 @@ def _drive_stage(config: SweepConfig, drives, report: bool) -> tuple:
         n_w, n_o, cross, s = moments = _moment_terms(*coef, *occupations)
         cells = {"n_w": n_w, "n_o": n_o,
                  "e_metric": np.where(cross == 0.0, 0.0, cross / np.sqrt(n_w * n_o))}
-        # what coefficients, SourceMoments and entanglement_metric check (terms >= 0 at d > 0)
-        ok = ((d > 0) & (n_w < math.inf) & (n_o < math.inf) & (cross < math.inf) & (s >= 0)
-              & ((cross == 0.0) | ((n_w > 0.0) & (n_o > 0.0))))
+        # what coefficients and SourceMoments check (terms >= 0 at d > 0)
+        ok = (d > 0) & (n_w < math.inf) & (n_o < math.inf) & (cross < math.inf) & (s >= 0)
+        if report or "e_metric" in config.outputs:  # e_metric's rule, and correlation_report's
+            ok &= (cross == 0.0) | ((n_w > 0.0) & (n_o > 0.0))
         if report:
             columns, valid = correlation_columns(n_w, n_o, cross, s)
             cells.update(zip(_CORRELATION_OUTPUTS, columns))
@@ -439,9 +433,11 @@ def run_sweep(config: SweepConfig) -> str:
     - per key: the bath occupations once per t_eom value, and the channel once per
       (eta, t_b).
 
-    A stable row at a drive point the pass rejects goes through the scalar functions,
-    which raise its error.  A build that raises is not kept: each row that needs it
-    raises again, with the same text.
+    A stable row at a drive point the pass rejects calls that point's scalar functions only
+    to raise its error, so a drive point's error comes before a channel's.  A build that
+    raises is not kept: each row that needs it raises again, with the same text.  An
+    ``OverflowError`` names its input: t_eom at the drive point, t_b at the channel, both at
+    the receiver statistics.
 
     Besides the text it returns, a call holds one chunk of ``_CHUNK_ROWS`` rows at a
     time, the per drive point arrays and cells, and the per key builds above.  ``mwqi
@@ -464,7 +460,6 @@ def _sweep_chunks(config: SweepConfig):
     names = [axis.name for axis in config.axes]
     columns = [axis.values().tolist() for axis in config.axes]
     texts = [["%.16e" % value for value in column] for column in columns]
-    template = ",".join(["%.16e"] * len(config.outputs))
     no_metrics = "," * (len(config.outputs) - 1)
 
     # a row's inputs by position in combo + base: the axis value, else the base value
@@ -495,7 +490,7 @@ def _sweep_chunks(config: SweepConfig):
             rows = []
             for combo, cells, k in itertools.islice(points, _CHUNK_ROWS):
                 row = combo + base
-                stability_cells, metrics, error = ",", no_metrics, ""
+                stability_cells, metrics, error, inputs = ",", no_metrics, "", ""
                 try:
                     if k != last:  # a new run of rows at one drive point
                         coop = Cooperativities(row[i_w], row[i_o])
@@ -504,27 +499,30 @@ def _sweep_chunks(config: SweepConfig):
                     if stability != shown:  # anew per run: equal reports may hold -0.0 and 0.0
                         shown, text = stability, "%d,%.16e" % (stability.stable, stability.margin)
                     stability_cells = text
-                    if stability.stable and drive_cells[k] is None:  # scalar path: raises
-                        params = dataclasses.replace(config.params, t_eom=row[i_t])
-                        baths = bath_occupations(params)
-                        coef = coefficients(coop)
-                        m = source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
-                        metrics = template % _point_values(
-                            plan, m, baths, correlation_report(m) if needs_report else None,
-                            (channel(row[i_eta], row[i_tb]), ReceiverParams(coef, row[i_k]))
-                            if needs_link else None)
+                    if stability.stable and drive_cells[k] is None:  # only to raise its error
+                        inputs = " (input t_eom)"
+                        baths = bath_occupations(dataclasses.replace(config.params, t_eom=row[i_t]))
+                        m = source_moments(coefficients(coop), baths.n_w, baths.n_o, baths.n_b)
+                        if needs_report:
+                            correlation_report(m)
+                        if "e_metric" in config.outputs:
+                            entanglement_metric(m)
                     elif stability.stable and needs_link:
                         if link is None:  # once per run: its source and first receiver, rx
                             rx = ReceiverParams(EomCoefficients(*coefs[k].tolist()), row[i_k])
                             link = SourceMoments(*moments[k].tolist()), baths_at[row[i_t]]
                         elif rx.idler_transmissivity != row[i_k]:  # anew at each kappa_i change
                             rx = ReceiverParams(rx.coef, row[i_k])
-                        metrics = drive_cells[k] % _point_values(link_plan, *link, None, (
-                            channel(row[i_eta], row[i_tb]), rx))
+                        inputs = " (input t_b)"
+                        ch = channel(row[i_eta], row[i_tb])
+                        inputs = " (inputs t_eom and t_b)"
+                        metrics = drive_cells[k] % _point_values(link_plan, *link, (ch, rx))
                     elif stability.stable:
                         metrics = drive_cells[k]
                 except Exception as exc:  # recorded per point, sweep continues
                     error = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
+                    if isinstance(exc, OverflowError):  # name the input that passed float64
+                        error += inputs
                 rows.append(",".join([*cells, stability_cells, metrics, error]))
             if not rows:
                 return
@@ -545,7 +543,7 @@ def run_figure3(config: SweepConfig) -> str:
     m_grid = GridAxis("m", "log", config.m_min, config.m_max, config.m_points).values().tolist()
     fom, *p = _point_values([("fom", None)] + [(name, modes) for modes in m_grid
                                                for name in ("p_qi", "p_coh")],
-                            m, baths, None, link)
+                            m, baths, link)
     rows = ["%.16e,%.16e,%.16e,%.16e" % (modes, p_qi, p_coh, fom)
             for modes, p_qi, p_coh in zip(m_grid, p[::2], p[1::2])]
     return "\n".join(_meta_lines(config) + ["m,p_qi,p_coh,fom"] + rows) + "\n"
@@ -624,7 +622,7 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
         mode_counts = (1e4, 1e5, 1e6, 1e7, 1e8)
         fom, *p = _point_values([("fom", None)] + [(name, modes) for modes in mode_counts
                                                    for name in ("p_qi", "p_coh")],
-                                m, baths, None, link, stats)
+                                m, baths, link, stats)
         lines.append("")
         lines.append("== target channel ==")
         lines.append(f"eta = {ch.eta:.6g}   n_B = {ch.n_b:.6g}   kappa_I = {config.kappa_i:.6g}")

@@ -62,7 +62,7 @@ def test_sweep_file_is_the_same_at_any_chunk_size(tmp_path, monkeypatch, chunk_r
     config = cli.parse_config(CHUNKED_CFG)
     expected = sweep.run_sweep(config)  # in one chunk
     rows = expected.splitlines()[4:]
-    assert len(rows) == 12 and sum(row.endswith("float64") for row in rows) == 3
+    assert len(rows) == 12 and sum(row.endswith("float64 (input t_eom)") for row in rows) == 3
     assert sum(row.split(",")[3] == "0" for row in rows) == 6
     monkeypatch.setattr(sweep, "_CHUNK_ROWS", chunk_rows)
     chunks = list(sweep._sweep_chunks(config))
@@ -264,7 +264,7 @@ def test_overflowing_source_lands_in_error_column(tmp_path, capsys):
     assert cli.main(["sweep", str(path)]) == 0
     row = capsys.readouterr().out.splitlines()[-1].split(",")
     assert row[2:5] == ["", "", ""]
-    assert row[5] == "OverflowError: symplectic spectrum overflows float64"
+    assert row[5] == "OverflowError: symplectic spectrum overflows float64 (input t_eom)"
 
 
 def test_hot_weakly_driven_report_has_nonnegative_discord(tmp_path, capsys):

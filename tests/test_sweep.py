@@ -335,15 +335,13 @@ axis = eta lin 0.5 1.5 3
     assert bad["fom"] == "" and bad["n_w"] == ""
 
 
-@pytest.mark.parametrize("select", ["fom, log_neg_per_photon", "log_neg_per_photon, fom"])
-def test_row_names_the_report_error_before_the_channel_error(select):
-    # n_w = 0 fails the correlation report at every point, and eta = 1.5 the channel
-    rows = _parse_csv(run_sweep(parse_config(f"""
+# a base drive point at 0 K, whose eta = 1.5 row fails the channel
+_COLD_DRIVE_CFG = """
 [eom]
 t_eom = 0 mk
 [drive]
-gamma_w = 0
-gamma_o = 0
+gamma_w = {gamma}
+gamma_o = {gamma}
 [channel]
 eta = 0.07
 t_b = 293 k
@@ -351,9 +349,37 @@ t_b = 293 k
 axis = eta lin 0.5 1.5 3
 [outputs]
 select = {select}
-""")))
+"""
+_ZERO_N_W = "UndefinedMetricError: normalization undefined at n_w = 0"
+# at gamma = 1e-163 and 0 K, n_w underflows to 0 while the cross correlation does not
+_ZERO_PHOTONS = "UndefinedMetricError: entanglement metric undefined at zero photon number"
+
+
+@pytest.mark.parametrize("select, gamma, message", [
+    ("fom, log_neg_per_photon", "0", _ZERO_N_W),
+    ("log_neg_per_photon, fom", "0", _ZERO_N_W),
+    ("fom, e_metric", "1e-163", _ZERO_PHOTONS),
+    ("e_metric, fom", "1e-163", _ZERO_PHOTONS),
+], ids=["fom, log_neg_per_photon", "log_neg_per_photon, fom", "fom, e_metric", "e_metric, fom"])
+def test_row_names_the_report_error_before_the_channel_error(select, gamma, message):
+    # the drive point fails the correlation report or the E-metric at every point, and
+    # eta = 1.5 the channel: the drive point's error comes first, whatever the order
+    rows = _parse_csv(run_sweep(parse_config(_COLD_DRIVE_CFG.format(gamma=gamma, select=select))))
     errors = [dict(zip(rows[0], r))["error"] for r in rows[1:]]
-    assert errors == ["UndefinedMetricError: normalization undefined at n_w = 0"] * 3
+    assert errors == [message] * 3
+
+
+def test_unselected_rule_sends_no_drive_point_to_the_scalar_functions(monkeypatch):
+    # the drive point fails only the E-metric's rule, which neither n_w nor fom reads:
+    # its rows take the array path, and only eta = 1.5 fails, at the channel
+    calls = _counting(monkeypatch, "coefficients")
+    rows = _parse_csv(run_sweep(parse_config(_COLD_DRIVE_CFG.format(gamma="1e-163",
+                                                                     select="n_w, fom"))))
+    records = [dict(zip(rows[0], r)) for r in rows[1:]]
+    assert calls == []
+    for r in records[:2]:
+        assert r["n_w"] == r["fom"] == "0.0000000000000000e+00" and r["error"] == ""
+    assert records[2]["error"] == "ValueError: eta must lie in [0; 1]"
 
 
 def test_sweep_row_major_order_and_masking():
@@ -489,8 +515,8 @@ def test_source_is_evaluated_once_per_run_of_a_drive_point(monkeypatch, axes, sh
 
 def test_failing_drive_point_fails_each_of_its_rows(monkeypatch):
     # the hot source overflows the symplectic spectrum; the array pass rejects it, so
-    # each row at that drive point goes through the scalar report and records the same
-    # error, while the cool points need no report, and the next drive point is clean
+    # each row at that drive point calls the scalar report to raise the same error, which
+    # names t_eom, while the cool points need no report, and the next drive point is clean
     calls = []
     real = sweep_mod.correlation_report
     monkeypatch.setattr(sweep_mod, "correlation_report",
@@ -501,7 +527,7 @@ def test_failing_drive_point_fails_each_of_its_rows(monkeypatch):
     hot = [r for r in records if r["t_eom"] == "1.0000000000000000e+160"]
     assert len(hot) == 6 and len(calls) == len(hot)
     for r in hot:
-        assert r["error"] == "OverflowError: symplectic spectrum overflows float64"
+        assert r["error"] == "OverflowError: symplectic spectrum overflows float64 (input t_eom)"
         assert r["stable"] == "1"
         assert r["n_w"] == r["fom"] == r["log_neg_per_photon"] == ""
     assert records[3:6] == hot[:3]
@@ -571,7 +597,7 @@ def test_channel_and_receiver_are_built_once_per_key(monkeypatch):
         assert len(receivers) == builds
 
 
-_HOT_ERROR = "OverflowError: Planck occupation overflows float64 at 1e+308 K"
+_HOT_ERROR = "OverflowError: Planck occupation overflows float64 at 1e+308 K (input t_eom)"
 
 
 @pytest.mark.parametrize("axes, t_eom_calls, hot_rows", [
@@ -674,9 +700,20 @@ def test_overflowing_source_occupation_is_named(select):
     (header, row) = _parse_csv(run_sweep(cfg))
     record = dict(zip(header, row))
     assert record["stable"] == "1"
-    assert record["error"] == "OverflowError: Planck occupation overflows float64 at 1e+308 K"
+    assert record["error"] == _HOT_ERROR
     assert all(record[token] == "" for token in cfg.outputs)
     assert "inf" not in ",".join(row)
+
+
+def test_overflowing_background_occupation_is_named():
+    # the Planck occupation of a 1e308 K channel overflows: the error names t_b, and
+    # the row keeps its stability cells
+    cfg = parse_config(POINT_CFG.replace("t_b = 293 k", "t_b = 1e308 k"))
+    (header, row) = _parse_csv(run_sweep(cfg))
+    record = dict(zip(header, row))
+    assert record["stable"] == "1" and record["n_w"] == record["fom"] == ""
+    assert record["error"] == (
+        "OverflowError: Planck occupation overflows float64 at 1e+308 K (input t_b)")
 
 
 @pytest.mark.parametrize("eom, axes, named", [
@@ -697,6 +734,7 @@ def test_overflowing_receiver_statistics_are_named(eom, axes, named):
         if record["error"]:
             assert record["error"].startswith(
                 "OverflowError: receiver statistics overflow float64: mu0=0.0; mu1="), record
+            assert record["error"].endswith(" (inputs t_eom and t_b)"), record
             assert all(record[token] == "" for token in cfg.outputs)
             errors += 1
         elif record["stable"] == "1":
@@ -922,6 +960,7 @@ _ALL_OUTPUTS = ("n_w, n_o, e_metric, log_neg_per_photon, coh_info_per_photon, "
                 "discord_per_photon, fom, p_qi@1e6, p_coh@1e6")
 _PHYSICS_ERROR = re.compile(
     r"(InstabilityError|PhysicalityError|UndefinedMetricError|OverflowError): \S")
+_NAMED_OVERFLOW = re.compile(r"OverflowError: .* \((input t_eom|input t_b|inputs t_eom and t_b)\)$")
 
 
 def _random_grid(rng):
@@ -939,7 +978,9 @@ def _random_grid(rng):
 
 def test_random_grids_to_the_range_extremes_give_clean_physical_rows():
     # every metric cell finite, every error a physics error, and D >= 0 and
-    # I_C <= E_N without slack, on 200 seeded configs with all outputs selected
+    # I_C <= E_N without slack, on 200 seeded configs with all outputs selected.  A
+    # stable row holds every metric cell or else an error, an unstable row neither, and
+    # an overflow names its input
     rng = random.Random(2015)
     rows = 0
     for _ in range(200):
@@ -948,8 +989,15 @@ def test_random_grids_to_the_range_extremes_give_clean_physical_rows():
         for row in data:
             cells = dict(zip(header, row))
             rows += 1
-            assert all(math.isfinite(float(cell)) for cell in row[first:-1] if cell), row
+            metrics = row[first:-1]
+            assert all(math.isfinite(float(cell)) for cell in metrics if cell), row
             assert not cells["error"] or _PHYSICS_ERROR.match(cells["error"]), row
+            if cells["stable"] == "0":
+                assert not any(metrics) and not cells["error"], row
+            else:
+                assert not any(metrics) if cells["error"] else all(metrics), row
+            if cells["error"].startswith("OverflowError"):
+                assert _NAMED_OVERFLOW.match(cells["error"]), row
             if cells["discord_per_photon"]:
                 assert float(cells["discord_per_photon"]) >= 0.0, row
                 assert float(cells["coh_info_per_photon"]) <= float(
