@@ -71,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             text, ok = report_point(config)
             chunks, code = [text], EXIT_OK if ok else EXIT_VALIDATION
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InstabilityError, PhysicalityError, UndefinedMetricError, OverflowError) as exc:

@@ -411,10 +411,20 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     observable is normal ordered in each mode; for N = d_1* d_2 + d_2* d_1
     the orderings agree on the mean and differ by exactly 1/2 on the second
     moment, so the sampled variance is corrected by -1/2.
+
+    Counts whose variance passes ~1e150, where their fourth-power sums near
+    the float64 limit, are sampled times an exact 2**-k, and the moments are
+    scaled back.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
     sums = _mc_weights(source, ch, rx, baths)
+    # d_1's weights times 2**-k scale each count exactly; k > 0 only where the weights'
+    # binary exponents put the counts' fourth-power sums near 2**1024
+    k = max(0, max(sum(math.frexp(max(abs(w) for _, w in terms))[1] for terms in pair)
+                   for pair in (sums[:2], sums[2:])) - (1000 - samples.bit_length()) // 4)
+    sums = [[(col, math.ldexp(w, -k if i in (0, 2) else 0)) for col, w in terms]
+            for i, terms in enumerate(sums)]
 
     rng = np.random.default_rng(seed)
     block = np.empty((min(samples, _MC_BLOCK), 6))
@@ -447,7 +457,8 @@ def mc_receiver_statistics(source: SourceMoments, ch: TargetChannelParams,
     mean_d = s_1 / samples
     var_sym, md2 = (s_2 - s_1 * mean_d) / (samples - 1), mean_d * mean_d
     m4 = (s_4 - 4.0 * mean_d * s_3 + 6.0 * md2 * s_2 - 3.0 * samples * (md2 * md2)) / samples
-    return McReceiverStatistics(mu=shift + mean_d, var=var_sym - 0.5,
-                                se_mu=math.sqrt(var_sym / samples),
-                                se_var=math.sqrt(max(m4 - var_sym * var_sym, 0.0) / samples),
-                                samples=samples)
+    scale = math.ldexp(1.0, k)  # back to counts, before the ordering correction
+    return McReceiverStatistics(mu=(shift + mean_d) * scale, var=var_sym * scale * scale - 0.5,
+                                se_mu=math.sqrt(var_sym / samples) * scale, samples=samples,
+                                se_var=math.sqrt(max(m4 - var_sym * var_sym, 0.0) / samples)
+                                * scale * scale)

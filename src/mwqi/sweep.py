@@ -30,11 +30,11 @@ Example::
     select = e_metric, n_w, n_o, fom, p_qi@1e6, p_coh@1e6
 
 Omitted keys take their :class:`SweepConfig` defaults, and [eom] keys those of
-the nominal converter; a key given twice is an error.  A config without a
-[grid] section evaluates a single point at the base values.  The [mc] section
-(validation = on|off, samples, seed) sets the report's Monte-Carlo check; its
-seed is also echoed in each output's ``# seed=`` line.  The config text is a
-run's whole input.
+the nominal converter; a key given twice is an error, as is an output selected
+twice, though several select lines add up.  A config without a [grid] section
+evaluates a single point at the base values.  The [mc] section (validation =
+on|off, samples, seed) sets the report's Monte-Carlo check; its seed is also
+echoed in each output's ``# seed=`` line.  The config text is a run's whole input.
 """
 
 from __future__ import annotations
@@ -244,7 +244,9 @@ def _parse_axis(raw: str, line: int, taken: set[str]) -> GridAxis:
     return GridAxis(name, spacing, lo, hi, _parse_count(parts[4], line, "axis", 2))
 
 
-def _parse_output_token(token: str, line: int) -> str:
+def _parse_output_token(token: str, line: int, taken: list[str]) -> str:
+    if token in taken:
+        raise ConfigError(f"duplicate output {token!r}", line, "select")
     if token in _PLAIN_OUTPUTS:
         return token
     for prefix in ("p_qi@", "p_coh@"):
@@ -286,8 +288,8 @@ def parse_config(text: str) -> SweepConfig:
         elif section == "outputs":
             if key != "select":
                 raise ConfigError("outputs section accepts only 'select'", lineno, key)
-            outputs += [_parse_output_token(token, lineno)
-                        for token in (t.strip() for t in raw.split(",")) if token]
+            for token in filter(None, (t.strip() for t in raw.split(","))):
+                outputs.append(_parse_output_token(token, lineno, outputs))
         elif (section, key) in _KEYS:
             value = _parse_value(raw, *_KEYS[section, key], lineno, key)
             if (section, key) in values:
@@ -336,11 +338,6 @@ def _check_config(config: SweepConfig, command: str) -> bool:
     return needs_channel
 
 
-def _channel(config: SweepConfig, eta: float, t_b: float) -> TargetChannelParams:
-    """Channel at eta whose background is the Planck occupation at t_b."""
-    return TargetChannelParams.from_temperature(eta, t_b, config.params.omega_w)
-
-
 def _base_point(config: SweepConfig, command: str):
     """(needs channel, cooperativities, params, stability, (coefficients, bath occupations,
     moments)) at the checked config's base values; raises InstabilityError if unstable."""
@@ -355,12 +352,11 @@ def _base_point(config: SweepConfig, command: str):
         coef, baths, source_moments(coef, baths.n_w, baths.n_o, baths.n_b))
 
 
-def _point_values(plan, m, baths, link, stats=None) -> tuple[float, ...]:
-    """Channel cell values of one stable point, one per ``(name, mode count)`` in ``plan``:
-    ``fom``, ``p_qi@M`` or ``p_coh@M`` over the (channel, receiver) ``link``.  The receiver
-    ``stats`` of ``link`` are built at the first ``p_qi@M`` cell if not given."""
-    values = []
-    ch, rx = link
+def _point_values(plan, m, baths, ch, rx) -> tuple[float, ...]:
+    """Channel cell values of one stable sweep row, one per ``(name, mode count)`` in
+    ``plan``: ``fom``, ``p_qi@M`` or ``p_coh@M`` over channel ``ch`` and receiver ``rx``.
+    The receiver statistics are built at the first ``p_qi@M`` cell."""
+    values, stats = [], None
     for token, modes in plan:
         if modes is None:  # fom
             value = figure_of_merit(m, ch, rx, baths)
@@ -478,7 +474,8 @@ def _sweep_chunks(config: SweepConfig):
         ok.tolist(), *(stage[name].tolist() for name, _ in plan if name in stage))]
     coefs, moments = (np.stack(x, axis=1) if needs_link else None for x in (coefs, moments))
     del stage  # the rows read its cells as formatted, and a large grid need not keep both
-    channel = functools.lru_cache(maxsize=None)(lambda eta, t_b: _channel(config, eta, t_b))
+    channel = functools.lru_cache(maxsize=None)(functools.partial(
+        TargetChannelParams.from_temperature, omega_w=config.params.omega_w))
     header = names + ["stable", "margin"] + list(config.outputs) + ["error"]
 
     def chunks():
@@ -494,10 +491,10 @@ def _sweep_chunks(config: SweepConfig):
                 try:
                     if k != last:  # a new run of rows at one drive point
                         coop = Cooperativities(row[i_w], row[i_o])
-                        link, last, shown = None, k, None
+                        link, last, text = None, k, None
                     stability = is_stable(coop, config.params)  # the same at every t_eom
-                    if stability != shown:  # anew per run: equal reports may hold -0.0 and 0.0
-                        shown, text = stability, "%d,%.16e" % (stability.stable, stability.margin)
+                    if text is None:  # once per run: is_stable is pure
+                        text = "%d,%.16e" % (stability.stable, stability.margin)
                     stability_cells = text
                     if stability.stable and drive_cells[k] is None:  # only to raise its error
                         inputs = " (input t_eom)"
@@ -516,7 +513,7 @@ def _sweep_chunks(config: SweepConfig):
                         inputs = " (input t_b)"
                         ch = channel(row[i_eta], row[i_tb])
                         inputs = " (inputs t_eom and t_b)"
-                        metrics = drive_cells[k] % _point_values(link_plan, *link, (ch, rx))
+                        metrics = drive_cells[k] % _point_values(link_plan, *link, ch, rx)
                     elif stability.stable:
                         metrics = drive_cells[k]
                 except Exception as exc:  # recorded per point, sweep continues
@@ -539,13 +536,15 @@ def run_figure3(config: SweepConfig) -> str:
     a channel; probabilities come straight from the stdlib erfc.
     """
     *_, (coef, baths, m) = _base_point(config, "fig3")
-    link = _channel(config, config.eta, config.t_b), ReceiverParams(coef, config.kappa_i)
+    ch = TargetChannelParams.from_temperature(config.eta, config.t_b, config.params.omega_w)
+    rx = ReceiverParams(coef, config.kappa_i)
     m_grid = GridAxis("m", "log", config.m_min, config.m_max, config.m_points).values().tolist()
-    fom, *p = _point_values([("fom", None)] + [(name, modes) for modes in m_grid
-                                               for name in ("p_qi", "p_coh")],
-                            m, baths, link)
-    rows = ["%.16e,%.16e,%.16e,%.16e" % (modes, p_qi, p_coh, fom)
-            for modes, p_qi, p_coh in zip(m_grid, p[::2], p[1::2])]
+    fom = figure_of_merit(m, ch, rx, baths)
+    snr_qi = receiver_statistics(m, ch, rx, baths).snr_per_m
+    snr_coh = coherent_snr_per_mode(m.n_w, ch)
+    rows = ["%.16e,%.16e,%.16e,%.16e" % (modes, error_probability(snr_qi, modes),
+                                         error_probability(snr_coh, modes), fom)
+            for modes in m_grid]
     return "\n".join(_meta_lines(config) + ["m,p_qi,p_coh,fom"] + rows) + "\n"
 
 
@@ -615,14 +614,11 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
               (report.e_metric > 1.0) == (report.log_neg > 0.0))
 
     if needs_channel:
-        ch, rx = link = (_channel(config, config.eta, config.t_b),
-                         ReceiverParams(coef, config.kappa_i))
+        ch = TargetChannelParams.from_temperature(config.eta, config.t_b, params.omega_w)
+        rx = ReceiverParams(coef, config.kappa_i)
         stats = receiver_statistics(m, ch, rx, baths)
         thresh = entanglement_threshold(m, ch.eta)
-        mode_counts = (1e4, 1e5, 1e6, 1e7, 1e8)
-        fom, *p = _point_values([("fom", None)] + [(name, modes) for modes in mode_counts
-                                                   for name in ("p_qi", "p_coh")],
-                                m, baths, link, stats)
+        fom, snr_coh = figure_of_merit(m, ch, rx, baths), coherent_snr_per_mode(m.n_w, ch)
         lines.append("")
         lines.append("== target channel ==")
         lines.append(f"eta = {ch.eta:.6g}   n_B = {ch.n_b:.6g}   kappa_I = {config.kappa_i:.6g}")
@@ -633,8 +629,9 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
         lines.append(f"var0 = {stats.var0:.9g}   var1 = {stats.var1:.9g}")
         lines.append(f"snr per mode pair = {stats.snr_per_m:.9g}")
         lines.append(f"figure of merit F = {fom:.9g}")
-        for modes, p_qi, p_coh in zip(mode_counts, p[::2], p[1::2]):
-            lines.append(f"M = {modes:.0e}:  P_QI = {p_qi:.6e}   P_coh = {p_coh:.6e}")
+        for modes in (1e4, 1e5, 1e6, 1e7, 1e8):
+            lines.append(f"M = {modes:.0e}:  P_QI = {error_probability(stats.snr_per_m, modes):.6e}"
+                         f"   P_coh = {error_probability(snr_coh, modes):.6e}")
         blind = stats.mu0 == stats.mu1 == 0.0 and stats.snr_per_m == 0.0
         check("variances positive", (stats.var0 > 0 and stats.var1 > 0) or blind)
         check("mu1 >= mu0", stats.mu1 >= stats.mu0)

@@ -181,6 +181,17 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "fig3", "report"])
+def test_config_not_in_utf8_exits_1(tmp_path, capsys, command):
+    # the decode error used to escape main() as a traceback
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(POINT_CFG.encode() + b"# \xff\n")
+    assert cli.main([command, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: 'utf-8' codec can't decode byte 0xff")
+    assert len(err.splitlines()) == 1
+
+
 def test_unstable_point_exits_2(tmp_path, capsys):
     path = tmp_path / "unstable.cfg"
     path.write_text(POINT_CFG.replace("gamma_o = 668.43", "gamma_o = 7000"))

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import io
 import math
 import random
@@ -120,12 +121,17 @@ def test_parse_error_diagnostics():
      "line 3, field 'axis': duplicate axis 'gamma_w'"),
     ("[channel]\nt_b = 293 k\nt_b = 4 k",
      "line 3, field 't_b': duplicate channel parameter 't_b'"),
+    # a repeated output would be a second column of one name; select lines add up
+    ("[outputs]\nselect = n_w, n_o, n_w", "line 2, field 'select': duplicate output 'n_w'"),
+    ("[outputs]\nselect = n_w, p_qi@1e6\nselect = fom, p_qi@1e6",
+     "line 3, field 'select': duplicate output 'p_qi@1e6'"),
     ("[fig3]\nm_min = 1e6\nm_max = 1e4", "field 'm_min': need m_min <= m_max"),
     # in range as written, but omega_o = 2*pi*c / lambda_o overflows
     ("[eom]\nlambda_o = 1e-320 m", "field 'lambda_o': omega_o must be finite and > 0"),
 ], ids=["unit-on-plain", "not-a-number", "switch", "axis-fields", "axis-name",
         "axis-spacing", "mode-count", "section", "no-equals", "grid-key", "outputs-key",
-        "duplicate-axis", "duplicate-key", "m-range", "optical-frequency-overflow"])
+        "duplicate-axis", "duplicate-key", "duplicate-output", "duplicate-output-lines",
+        "m-range", "optical-frequency-overflow"])
 def test_parse_error_messages(text, message):
     with pytest.raises(ConfigError) as err:
         parse_config(text + "\n")
@@ -572,10 +578,12 @@ def test_nothing_is_kept_between_sweeps(monkeypatch):
 
 
 def _counting(monkeypatch, name):
-    """Count the calls of ``mwqi.sweep.<name>``."""
-    calls = []
-    real = getattr(sweep_mod, name)
-    monkeypatch.setattr(sweep_mod, name, lambda *args, **kwargs: calls.append(args)
+    """Count the calls of ``mwqi.sweep.<name>``; a dotted name, such as a classmethod's, is
+    looked up one attribute at a time."""
+    *path, attr = name.split(".")
+    owner, calls = functools.reduce(getattr, path, sweep_mod), []
+    real = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda *args, **kwargs: calls.append(args)
                         or real(*args, **kwargs))
     return calls
 
@@ -587,7 +595,7 @@ def test_channel_and_receiver_are_built_once_per_key(monkeypatch):
     drive, link = ["gamma_w log 4e3 6e3 2"], [
         "kappa_i lin 0.5 1 2", "eta log 1e-3 1e-1 3", "t_b lin 10 300 2"]
     for axes, builds in ((drive + link, 4), (link + drive, 24)):
-        channels = _counting(monkeypatch, "_channel")
+        channels = _counting(monkeypatch, "TargetChannelParams.from_temperature")
         receivers = _counting(monkeypatch, "ReceiverParams")
         header, *data = _parse_csv(run_sweep(_grid(*axes, select="fom, p_qi@1e6")))
         records = [dict(zip(header, r)) for r in data]
@@ -666,7 +674,7 @@ def test_sweep_memo_stays_bounded(monkeypatch):
 
 
 @pytest.mark.parametrize("axes, builder, bad_key, message", [
-    (("gamma_w log 4e3 6e3 2", "eta lin 0.5 1.5 3"), "_channel",
+    (("gamma_w log 4e3 6e3 2", "eta lin 0.5 1.5 3"), "TargetChannelParams.from_temperature",
      ("eta", "1.5000000000000000e+00"), "ValueError: eta must lie in [0; 1]"),
     (("eta lin 0.05 0.1 2", "kappa_i lin 0.5 1.5 3"), "ReceiverParams",
      ("kappa_i", "1.5000000000000000e+00"), "ValueError: idler_transmissivity must lie in (0; 1]"),
@@ -836,6 +844,36 @@ def test_figure3_unstable_point_raises():
 # report
 # ---------------------------------------------------------------------------
 
+def test_point_commands_print_the_public_closed_forms():
+    # a lossy idler at a point no golden holds: each fig3 cell and each report line of
+    # the figure of merit and the error probabilities is its closed form, formatted
+    config = parse_config(
+        POINT_CFG.replace("eta = 0.07", "eta = 0.3").replace("t_b = 293 k", "t_b = 10 k")
+        .replace("kappa_i = 1.0", "kappa_i = 0.6")
+        + "\n[fig3]\nm_min = 1\nm_max = 1e9\nm_points = 10\n")
+    coef = mwqi.coefficients(mwqi.Cooperativities(5181.95, 668.43))
+    baths = mwqi.bath_occupations(config.params)
+    m = mwqi.source_moments(coef, baths.n_w, baths.n_o, baths.n_b)
+    ch = mwqi.TargetChannelParams.from_temperature(0.3, 10.0, config.params.omega_w)
+    rx = mwqi.ReceiverParams(coef, 0.6)
+    snr_qi = mwqi.receiver_statistics(m, ch, rx, baths).snr_per_m
+    snr_coh = mwqi.coherent_snr_per_mode(m.n_w, ch)
+    fom = mwqi.figure_of_merit(m, ch, rx, baths)
+    header, *rows = _parse_csv(run_figure3(config))
+    assert header == ["m", "p_qi", "p_coh", "fom"] and len(rows) == 10
+    for modes, *cells in rows:
+        assert cells == ["%.16e" % value for value in (
+            mwqi.error_probability(snr_qi, float(modes)),
+            mwqi.error_probability(snr_coh, float(modes)), fom)]
+    text, ok = report_point(config)
+    assert ok
+    lines = text.splitlines()
+    assert f"figure of merit F = {fom:.9g}" in lines
+    for modes in (1e4, 1e5, 1e6, 1e7, 1e8):
+        assert (f"M = {modes:.0e}:  P_QI = {mwqi.error_probability(snr_qi, modes):.6e}"
+                f"   P_coh = {mwqi.error_probability(snr_coh, modes):.6e}") in lines
+
+
 def test_report_reference_point():
     text, ok = report_point(parse_config(POINT_CFG))
     assert ok
@@ -889,6 +927,22 @@ def test_report_samples_h0_and_h1_as_two_serial_calls_would():
         want.append(f"{hyp}: mean delta {abs(mc.mu - mu_cf) / mc.se_mu:.2f} se, "
                     f"variance delta {abs(mc.var - var_cf) / mc.se_var:.2f} se")
     assert [ln for ln in text.splitlines() if ln.startswith(("h0:", "h1:"))] == want
+
+
+def test_report_mc_lines_hold_past_the_fourth_power_overflow():
+    # at t_b = 1e200 K the counts' variance passes 1e154: their fourth-power sums overflowed
+    # float64, and the lines read "variance delta inf se".  The draws are the same and each
+    # statistic scales with n_B, so the lines are those at 1e60 K
+    def mc_lines(t_b):
+        text, ok = report_point(parse_config(
+            POINT_CFG.replace("t_b = 293 k", f"t_b = {t_b}")
+            + "\n[mc]\nvalidation = on\nsamples = 40000\nseed = 8\n"))
+        assert ok, text
+        return [ln for ln in text.splitlines() if ln.startswith(("h0:", "h1:"))]
+
+    lines = mc_lines("1e60 k")
+    assert len(lines) == 2 and "inf" not in "".join(lines)
+    assert mc_lines("1e200 k") == lines
 
 
 @pytest.mark.parametrize("failing_seed", [4, 5], ids=["h0", "h1"])
