@@ -31,10 +31,11 @@ Example::
 
 Omitted keys take their :class:`SweepConfig` defaults, and [eom] keys those of
 the nominal converter; a key given twice is an error, as is an output selected
-twice, though several select lines add up.  A config without a [grid] section
-evaluates a single point at the base values.  The [mc] section (validation =
-on|off, samples, seed) sets the report's Monte-Carlo check; its seed is also
-echoed in each output's ``# seed=`` line.  The config text is a run's whole input.
+twice (by value: p_qi@1e6 and p_qi@1000000 are one), though several select lines
+add up.  A config without a [grid] section evaluates a single point at the base
+values.  The [mc] section (validation = on|off, samples, seed) sets the report's
+Monte-Carlo check; its seed is also echoed in each output's ``# seed=`` line.
+The config text, UTF-8 with or without a byte-order mark, is a run's whole input.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ class SweepConfig:
     sha256: str = field(default="", compare=False)
 
 
-def _parse_quantity(raw: str, kind: str, line: int, key: str) -> float:
+def _parse_quantity(raw: str, kind: str, line: int | None, key: str) -> float:
     """A finite number; values with a unit come back in SI (frequencies angular)."""
     parts = raw.split()
     if kind == "plain":
@@ -244,16 +245,16 @@ def _parse_axis(raw: str, line: int, taken: set[str]) -> GridAxis:
     return GridAxis(name, spacing, lo, hi, _parse_count(parts[4], line, "axis", 2))
 
 
-def _parse_output_token(token: str, line: int, taken: list[str]) -> str:
-    if token in taken:
-        raise ConfigError(f"duplicate output {token!r}", line, "select")
+def _parse_output_token(token: str, line: int | None = None) -> tuple[str, float | None]:
+    """(name, mode count M) of a select token: M of ``p_qi@M`` or ``p_coh@M``, else None."""
     if token in _PLAIN_OUTPUTS:
-        return token
-    for prefix in ("p_qi@", "p_coh@"):
-        if token.startswith(prefix):
-            if _parse_quantity(token[len(prefix):], "plain", line, "select") < 1:
-                raise ConfigError(f"mode count must be >= 1 in {token!r}", line, "select")
-            return token
+        return token, None
+    name, at, modes = token.partition("@")
+    if at and name in ("p_qi", "p_coh"):
+        value = _parse_quantity(modes, "plain", line, "select")
+        if value < 1:
+            raise ConfigError(f"mode count must be >= 1 in {token!r}", line, "select")
+        return name, value
     raise ConfigError(f"unknown output {token!r} (known: {', '.join(_PLAIN_OUTPUTS)}, "
                       "p_qi@<M>, p_coh@<M>)", line, "select")
 
@@ -289,7 +290,10 @@ def parse_config(text: str) -> SweepConfig:
             if key != "select":
                 raise ConfigError("outputs section accepts only 'select'", lineno, key)
             for token in filter(None, (t.strip() for t in raw.split(","))):
-                outputs.append(_parse_output_token(token, lineno, outputs))
+                # one output however spelt: p_qi@1e6 and p_qi@1000000 are a repeat
+                if _parse_output_token(token, lineno) in map(_parse_output_token, outputs):
+                    raise ConfigError(f"duplicate output {token!r}", lineno, "select")
+                outputs.append(token)
         elif (section, key) in _KEYS:
             value = _parse_value(raw, *_KEYS[section, key], lineno, key)
             if (section, key) in values:
@@ -319,36 +323,29 @@ def parse_config(text: str) -> SweepConfig:
 # point evaluation
 # ---------------------------------------------------------------------------
 
-def _check_config(config: SweepConfig, command: str) -> bool:
-    """Raise :class:`ConfigError` naming the first missing needed value; return whether
-    the run needs a channel: a sweep for ``fom`` or ``p_*@M`` (axes count as values),
-    ``fig3`` always, ``report`` once ``eta`` or ``t_b`` is given or MC is on."""
-    sweep = command == "sweep"
-    if sweep:
-        needs_channel = any(token == "fom" or token.startswith("p_") for token in config.outputs)
-    else:
-        needs_channel = command == "fig3" or config.mc_validation or any(
-            getattr(config, key) is not None for key in ("eta", "t_b"))
-    given = {axis.name for axis in config.axes if sweep} | {
-        key for key in ("gamma_w", "gamma_o", "eta", "t_b") if getattr(config, key) is not None}
+def _check_config(config: SweepConfig, needs_channel: bool, axes=None) -> None:
+    """Raise :class:`ConfigError` naming the first missing needed value: gamma_w, gamma_o
+    and, if ``needs_channel``, eta and t_b.  A sweep passes its axis names as ``axes``,
+    which count as values."""
+    given = {*(axes or ()), *(key for key in ("gamma_w", "gamma_o", "eta", "t_b")
+                              if getattr(config, key) is not None)}
     for key in ("gamma_w", "gamma_o") + (("eta", "t_b") if needs_channel else ()):
         if key not in given:
-            where = " (a value or a grid axis)" if sweep else ""
+            where = " (a value or a grid axis)" if axes is not None else ""
             raise ConfigError(f"missing {_NEEDED[key]}{where}", field_name=key)
-    return needs_channel
 
 
-def _base_point(config: SweepConfig, command: str):
-    """(needs channel, cooperativities, params, stability, (coefficients, bath occupations,
-    moments)) at the checked config's base values; raises InstabilityError if unstable."""
-    needs_channel = _check_config(config, command)
+def _base_point(config: SweepConfig, needs_channel: bool):
+    """(cooperativities, params, stability, (coefficients, bath occupations, moments)) at
+    the checked config's base values; raises InstabilityError if unstable."""
+    _check_config(config, needs_channel)
     coop, params = Cooperativities(config.gamma_w, config.gamma_o), config.params
     stability = is_stable(coop, params)
     if not stability.stable:
         raise InstabilityError(
             f"operating point unstable, margin {stability.margin!r} rad/s")
     baths, coef = bath_occupations(params), coefficients(coop)
-    return needs_channel, coop, params, stability, (
+    return coop, params, stability, (
         coef, baths, source_moments(coef, baths.n_w, baths.n_o, baths.n_b))
 
 
@@ -448,12 +445,12 @@ def _sweep_chunks(config: SweepConfig):
     and the drive stage run before it returns, so a config error raises before any text."""
     if not config.outputs:
         raise ConfigError("no outputs selected", field_name="select")
-    # each output as (name, mode count), split once: p_qi@M and p_coh@M carry M
-    plan = [(name, float(modes) if modes else None)
-            for name, _, modes in (token.partition("@") for token in config.outputs)]
-    needs_link = _check_config(config, "sweep")
-    needs_report = any(name in _CORRELATION_OUTPUTS for name, _ in plan)
+    plan = [_parse_output_token(token) for token in config.outputs]
+    link_plan = [(name, modes) for name, modes in plan if name == "fom" or modes is not None]
+    needs_link = bool(link_plan)
     names = [axis.name for axis in config.axes]
+    _check_config(config, needs_link, names)
+    needs_report = any(name in _CORRELATION_OUTPUTS for name, _ in plan)
     columns = [axis.values().tolist() for axis in config.axes]
     texts = [["%.16e" % value for value in column] for column in columns]
     no_metrics = "," * (len(config.outputs) - 1)
@@ -468,7 +465,6 @@ def _sweep_chunks(config: SweepConfig):
     strides = {i_t: len(drives[1]) * len(drives[2]), i_w: len(drives[2]), i_o: 1}
     steps = [[j * strides.get(i, 0) for j in range(len(col))] for i, col in enumerate(columns)]
     # the drive cells of each key the pass kept, formatted once; "%%" leaves the link cells
-    link_plan = [(name, modes) for name, modes in plan if name not in stage]
     form = ",".join("%.16e" if name in stage else "%%.16e" for name, _ in plan)
     drive_cells = [form % tuple(values) if good else None for good, *values in zip(
         ok.tolist(), *(stage[name].tolist() for name, _ in plan if name in stage))]
@@ -535,7 +531,7 @@ def run_figure3(config: SweepConfig) -> str:
     Columns: m, p_qi, p_coh, fom.  Requires a stable base operating point and
     a channel; probabilities come straight from the stdlib erfc.
     """
-    *_, (coef, baths, m) = _base_point(config, "fig3")
+    *_, (coef, baths, m) = _base_point(config, True)
     ch = TargetChannelParams.from_temperature(config.eta, config.t_b, config.params.omega_w)
     rx = ReceiverParams(coef, config.kappa_i)
     m_grid = GridAxis("m", "log", config.m_min, config.m_max, config.m_points).values().tolist()
@@ -562,7 +558,8 @@ def report_point(config: SweepConfig) -> tuple[str, bool]:
     :class:`InstabilityError` for an unstable point and
     :class:`PhysicalityError` for an unphysical source state.
     """
-    needs_channel, coop, params, stability, (coef, baths, m) = _base_point(config, "report")
+    needs_channel = config.mc_validation or config.eta is not None or config.t_b is not None
+    coop, params, stability, (coef, baths, m) = _base_point(config, needs_channel)
     lines: list[str] = []
     checks: list[tuple[str, bool]] = []
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import pathlib
@@ -190,6 +191,22 @@ def test_config_not_in_utf8_exits_1(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error: 'utf-8' codec can't decode byte 0xff")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "fig3", "report"])
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path, command):
+    # the mark was read as a line of its own, "expected 'key = value', got '\ufeff'"
+    text = POINT_CFG + "\n[fig3]\nm_points = 3\n"
+    outputs = []
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        path, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.out"
+        path.write_bytes(mark + text.encode())
+        assert cli.main([command, str(path), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    # the sweep and fig3 hash the decoded text, which the mark is not part of
+    sha_line = f"# config-sha256={hashlib.sha256(text.encode()).hexdigest()}\n".encode()
+    assert (sha_line in outputs[1]) == (command != "report")
 
 
 def test_unstable_point_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -285,25 +286,26 @@ def test_stability_adiabatic_violation(params):
     assert not rep.adiabatic_stable
 
 
-def drift_matrix(coop, params):
+def drift_matrix(coop, params, num=float, sqrt=math.sqrt):
     """Drift matrix of the linearized quadrature dynamics, the oracle of is_stable.
 
     Ordering (x_b, p_b, x_w, p_w, x_o, p_o) for the mechanical, microwave,
     and optical fluctuation modes, with damping rates gamma_m/2, kappa_w,
     kappa_o and multi-photon couplings G_j = sqrt(Gamma_j*kappa_j*gamma_m).
+    ``num`` and ``sqrt`` set the arithmetic: float64, or Decimal and Decimal.sqrt
+    at the context's precision, in an array of objects.
     """
-    gm = params.gamma_m
-    g_w = math.sqrt(coop.gamma_w * params.kappa_w * gm)
-    g_o = math.sqrt(coop.gamma_o * params.kappa_o * gm)
-    g2 = gm / 2.0
-    kw, ko = params.kappa_w, params.kappa_o
+    gm, kw, ko = (num(v) for v in (params.gamma_m, params.kappa_w, params.kappa_o))
+    g_w = sqrt(num(coop.gamma_w) * kw * gm)
+    g_o = sqrt(num(coop.gamma_o) * ko * gm)
+    g2, z = gm / 2, num(0)
     return np.array([
-        [-g2, 0.0, 0.0, g_w, 0.0, -g_o],
-        [0.0, -g2, -g_w, 0.0, -g_o, 0.0],
-        [0.0, g_w, -kw, 0.0, 0.0, 0.0],
-        [-g_w, 0.0, 0.0, -kw, 0.0, 0.0],
-        [0.0, -g_o, 0.0, 0.0, -ko, 0.0],
-        [-g_o, 0.0, 0.0, 0.0, 0.0, -ko],
+        [-g2, z, z, g_w, z, -g_o],
+        [z, -g2, -g_w, z, -g_o, z],
+        [z, g_w, -kw, z, z, z],
+        [-g_w, z, z, -kw, z, z],
+        [z, -g_o, z, z, -ko, z],
+        [-g_o, z, z, z, z, -ko],
     ])
 
 
@@ -312,6 +314,97 @@ def test_drift_matrix_shape(params):
     assert m.shape == (6, 6)
     # damped diagonal
     assert np.all(np.diag(m) < 0)
+
+
+def _solve(m, rhs):
+    """x with m x = rhs, by Gauss-Jordan elimination with partial pivoting on lists."""
+    n = len(m)
+    rows = [list(a) + list(b) for a, b in zip(m, rhs)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        head = rows[col][col]
+        rows[col] = [v / head for v in rows[col]]
+        for r in range(n):
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def _langevin_outputs(coop, params, n_w, n_o, n_b):
+    """(T, V) of the Langevin equations at omega = 0, in Decimal at the context's precision.
+
+    The steady state of dc/dt = A c + B d_in is c = (-A)^-1 B d_in, and the outputs are
+    d_out = sqrt(2K) c - d_in.  So T = sqrt(2K) (-A)^-1 B - [0 | I] maps the inputs
+    (x_b, p_b, x_w, p_w, x_o, p_o) to the outputs (x_w, p_w, x_o, p_o), with B =
+    diag(sqrt(gamma_m), sqrt(gamma_m), sqrt(2 kappa_w), sqrt(2 kappa_w), sqrt(2 kappa_o),
+    sqrt(2 kappa_o)) and K its cavity block.  V = T diag(2n + 1) T^T is the outputs'
+    covariance matrix over thermal inputs.
+    """
+    drift = drift_matrix(coop, params, Decimal, Decimal.sqrt)
+    beta = [Decimal(rate).sqrt() for rate in (params.gamma_m, 2 * params.kappa_w, 2 * params.kappa_o)
+            for _ in "xp"]
+    x = _solve((-drift).tolist(), np.diag(beta).tolist())
+    t = [[beta[i] * x[i][j] - (i == j) for j in range(6)] for i in range(2, 6)]
+    dv = [2 * Decimal(n) + 1 for n in (n_b, n_b, n_w, n_w, n_o, n_o)]
+    return t, [[sum(ti[k] * dv[k] * tj[k] for k in range(6)) for tj in t] for ti in t]
+
+
+def _log_uniform(rng, lo, hi):
+    """Log-uniform in [2**lo, 2**hi), made without libm, so alike on every platform."""
+    return math.ldexp(rng.uniform(1.0, 2.0), rng.randint(lo, hi - 1))
+
+
+def _langevin_points(rng, count, params):
+    """count stable (cooperativities, (n_w^T, n_o^T, n_b^T)): a quarter near the edge
+    d = 0, a quarter where a_w changes sign, the rest over about [1e-3, 1.6e4]^2;
+    occupations 0 or up to 1.3e5, a bath at up to ~6e4 K at 10 GHz."""
+    out = []
+    while len(out) < count:
+        kind = rng.randrange(4)
+        if kind == 0:  # d = 1 + 2 gw - 2 go from ~0.1 down to an ulp
+            gw = _log_uniform(rng, -10, 4)
+            go = (gw + 0.5) * (1.0 - _log_uniform(rng, -53, -3))
+        elif kind == 1:  # 2 gw + 2 go near 1
+            gw = rng.uniform(0.0, 0.5)
+            go = (0.5 - gw) * (1.0 + rng.uniform(-1e-6, 1e-6))
+        else:
+            gw, go = _log_uniform(rng, -10, 14), _log_uniform(rng, -10, 14)
+        coop = Cooperativities(gw, go)
+        if is_stable(coop, params).stable:
+            out.append((coop, tuple(0.0 if rng.random() < 0.2 else _log_uniform(rng, -10, 17)
+                                    for _ in range(3))))
+    return out
+
+
+def test_closed_forms_match_the_langevin_equations(params):
+    """coefficients and source_moments against T and V of :func:`_langevin_outputs` at
+    60 digits, whose entries a 120-digit run matches to 1e-43.  The bounds are the closed
+    forms' float64 rounding, measured: n_w and cross lose digits to 1 - 2 gw - 2 go near
+    the edge d = 0."""
+    worst = dict.fromkeys(("coefficients", "n_w", "n_o", "cross", "s"), Decimal(0))
+    edge = 0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for coop, occupations in _langevin_points(random.Random(24), 600, params):
+            t, v = _langevin_outputs(coop, params, *occupations)
+            c = coefficients(coop)
+            exact = (t[0][2], t[2][4], abs(t[0][4]),  # a_w signed, a_o, b
+                     (t[0][0] ** 2 + t[0][1] ** 2).sqrt(), (t[2][0] ** 2 + t[2][1] ** 2).sqrt())
+            assert (c.a_w < 0) == (exact[0] < 0), coop
+            # relative to a_o, the largest coefficient, as a_w may cross 0
+            worst["coefficients"] = max(worst["coefficients"], *(
+                abs(Decimal(value) - e) / exact[1] for value, e in zip(dataclasses.astuple(c), exact)))
+            m = source_moments(c, *occupations)
+            for name, e in (("n_w", (v[0][0] - 1) / 2), ("n_o", (v[2][2] - 1) / 2),
+                            ("cross", abs(v[0][2]) / 2), ("s", v[0][0] * v[2][2] - v[0][2] ** 2)):
+                error = abs(Decimal(getattr(m, name)) - e)
+                worst[name] = max(worst[name], error / e if e else error)
+            edge += 1 + 2 * Decimal(coop.gamma_w) - 2 * Decimal(coop.gamma_o) < Decimal("1e-12")
+    assert edge >= 20
+    bounds = {"coefficients": 4e-16, "n_w": 2e-14, "n_o": 1e-15, "cross": 1e-14, "s": 1e-15}
+    assert all(worst[name] < bound for name, bound in bounds.items()), worst
 
 
 def test_stability_agrees_with_adiabatic_criterion(params):

@@ -125,13 +125,19 @@ def test_parse_error_diagnostics():
     ("[outputs]\nselect = n_w, n_o, n_w", "line 2, field 'select': duplicate output 'n_w'"),
     ("[outputs]\nselect = n_w, p_qi@1e6\nselect = fom, p_qi@1e6",
      "line 3, field 'select': duplicate output 'p_qi@1e6'"),
+    # a repeat is judged by value: two spellings of one mode count are one output
+    ("[outputs]\nselect = p_qi@1e6, p_qi@1000000",
+     "line 2, field 'select': duplicate output 'p_qi@1000000'"),
+    ("[outputs]\nselect = p_coh@1e6\nselect = p_coh@1e+06",
+     "line 3, field 'select': duplicate output 'p_coh@1e+06'"),
     ("[fig3]\nm_min = 1e6\nm_max = 1e4", "field 'm_min': need m_min <= m_max"),
     # in range as written, but omega_o = 2*pi*c / lambda_o overflows
     ("[eom]\nlambda_o = 1e-320 m", "field 'lambda_o': omega_o must be finite and > 0"),
 ], ids=["unit-on-plain", "not-a-number", "switch", "axis-fields", "axis-name",
         "axis-spacing", "mode-count", "section", "no-equals", "grid-key", "outputs-key",
         "duplicate-axis", "duplicate-key", "duplicate-output", "duplicate-output-lines",
-        "m-range", "optical-frequency-overflow"])
+        "duplicate-output-value", "duplicate-output-value-lines", "m-range",
+        "optical-frequency-overflow"])
 def test_parse_error_messages(text, message):
     with pytest.raises(ConfigError) as err:
         parse_config(text + "\n")
@@ -175,6 +181,22 @@ def test_empty_output_selection_rejected():
     cfg = parse_config("[drive]\ngamma_w = 10\ngamma_o = 1\n")
     with pytest.raises(ConfigError):
         run_sweep(cfg)
+
+
+# outputs set past the parser meet its checks, with no line to name, before any row
+@pytest.mark.parametrize("outputs, message", [
+    (("n_w", "bogus"), "unknown output 'bogus'"),
+    (("n_w", "fom@3"), "unknown output 'fom@3'"),
+    (("p_qi@0.5",), "mode count must be >= 1 in 'p_qi@0.5'"),
+    (("p_qi@abc",), "not a number: 'abc'"),
+], ids=["unknown", "unknown-with-count", "mode-count", "not-a-number"])
+def test_outputs_set_past_the_parser_fail_before_the_first_row(outputs, message):
+    cfg = dataclasses.replace(parse_config(GRID_CFG), outputs=outputs)
+    with pytest.raises(ConfigError) as err:
+        run_sweep(cfg)
+    assert str(err.value).startswith(f"field 'select': {message}")
+    with pytest.raises(ConfigError):
+        sweep_mod._sweep_chunks(cfg)  # at the call, before the first chunk is asked for
 
 
 # every point is unstable, so no row would ever build a channel
