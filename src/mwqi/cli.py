@@ -61,7 +61,7 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.config, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is no text
+        with open(args.config, "r", encoding="utf-8") as fh:
             config = parse_config(fh.read())
         code = EXIT_OK
         if args.command == "sweep":  # the rows are made as they are written

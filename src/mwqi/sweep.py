@@ -245,22 +245,30 @@ def _parse_axis(raw: str, line: int, taken: set[str]) -> GridAxis:
     return GridAxis(name, spacing, lo, hi, _parse_count(parts[4], line, "axis", 2))
 
 
-def _parse_output_token(token: str, line: int | None = None) -> tuple[str, float | None]:
-    """(name, mode count M) of a select token: M of ``p_qi@M`` or ``p_coh@M``, else None."""
-    if token in _PLAIN_OUTPUTS:
-        return token, None
-    name, at, modes = token.partition("@")
-    if at and name in ("p_qi", "p_coh"):
-        value = _parse_quantity(modes, "plain", line, "select")
-        if value < 1:
-            raise ConfigError(f"mode count must be >= 1 in {token!r}", line, "select")
-        return name, value
-    raise ConfigError(f"unknown output {token!r} (known: {', '.join(_PLAIN_OUTPUTS)}, "
-                      "p_qi@<M>, p_coh@<M>)", line, "select")
+def _output_plan(tokens, line: int | None = None) -> list[tuple[str, float | None]]:
+    """(name, mode count M) of each select token, M of ``p_qi@M`` or ``p_coh@M`` and else
+    None.  Raises :class:`ConfigError` at an unknown token or a repeat, judged by value."""
+    plan = []
+    for token in tokens:
+        name, at, modes = token.partition("@")
+        if token in _PLAIN_OUTPUTS:
+            pair = token, None
+        elif at and name in ("p_qi", "p_coh"):
+            pair = name, _parse_quantity(modes, "plain", line, "select")
+            if pair[1] < 1:
+                raise ConfigError(f"mode count must be >= 1 in {token!r}", line, "select")
+        else:
+            raise ConfigError(f"unknown output {token!r} (known: {', '.join(_PLAIN_OUTPUTS)}, "
+                              "p_qi@<M>, p_coh@<M>)", line, "select")
+        if pair in plan:  # one output however spelt: p_qi@1e6 and p_qi@1000000 are a repeat
+            raise ConfigError(f"duplicate output {token!r}", line, "select")
+        plan.append(pair)
+    return plan
 
 
 def parse_config(text: str) -> SweepConfig:
     """Parse a sweep config; raises :class:`ConfigError` with diagnostics."""
+    text = text.removeprefix("\ufeff")  # a byte-order mark is no text, nor hashed
     section = None
     values: dict[tuple[str, str], float | int | bool] = {}
     axes: list[GridAxis] = []
@@ -289,11 +297,8 @@ def parse_config(text: str) -> SweepConfig:
         elif section == "outputs":
             if key != "select":
                 raise ConfigError("outputs section accepts only 'select'", lineno, key)
-            for token in filter(None, (t.strip() for t in raw.split(","))):
-                # one output however spelt: p_qi@1e6 and p_qi@1000000 are a repeat
-                if _parse_output_token(token, lineno) in map(_parse_output_token, outputs):
-                    raise ConfigError(f"duplicate output {token!r}", lineno, "select")
-                outputs.append(token)
+            outputs.extend(filter(None, (t.strip() for t in raw.split(","))))
+            _output_plan(outputs, lineno)
         elif (section, key) in _KEYS:
             value = _parse_value(raw, *_KEYS[section, key], lineno, key)
             if (section, key) in values:
@@ -351,8 +356,8 @@ def _base_point(config: SweepConfig, needs_channel: bool):
 
 def _point_values(plan, m, baths, ch, rx) -> tuple[float, ...]:
     """Channel cell values of one stable sweep row, one per ``(name, mode count)`` in
-    ``plan``: ``fom``, ``p_qi@M`` or ``p_coh@M`` over channel ``ch`` and receiver ``rx``.
-    The receiver statistics are built at the first ``p_qi@M`` cell."""
+    ``plan``: ``fom``, ``p_qi@M`` or ``p_coh@M`` over channel ``ch`` and receiver ``rx``
+    (None for ``p_coh@M`` only), whose statistics are built at the first ``p_qi@M`` cell."""
     values, stats = [], None
     for token, modes in plan:
         if modes is None:  # fom
@@ -366,7 +371,7 @@ def _point_values(plan, m, baths, ch, rx) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _drive_stage(config: SweepConfig, drives, report: bool) -> tuple:
+def _drive_stage(config: SweepConfig, drives, report: bool, e_rule: bool) -> tuple:
     """The fields of EomCoefficients and of SourceMoments, the cells of n_w, n_o, e_metric
     and, if ``report``, _CORRELATION_OUTPUTS by name, the bath occupations by t_eom and a
     mask, in one array pass over the drive keys: the product of the (t_eom, gamma_w,
@@ -389,7 +394,7 @@ def _drive_stage(config: SweepConfig, drives, report: bool) -> tuple:
                  "e_metric": np.where(cross == 0.0, 0.0, cross / np.sqrt(n_w * n_o))}
         # what coefficients and SourceMoments check (terms >= 0 at d > 0)
         ok = (d > 0) & (n_w < math.inf) & (n_o < math.inf) & (cross < math.inf) & (s >= 0)
-        if report or "e_metric" in config.outputs:  # e_metric's rule, and correlation_report's
+        if e_rule:  # e_metric's rule, which correlation_report holds too
             ok &= (cross == 0.0) | ((n_w > 0.0) & (n_o > 0.0))
         if report:
             columns, valid = correlation_columns(n_w, n_o, cross, s)
@@ -418,8 +423,8 @@ def run_sweep(config: SweepConfig) -> str:
       coefficients, moments, E-metric and any correlation column read, with the
       cells of these outputs formatted once;
     - per run of consecutive rows at one drive point: the cooperativities, the text
-      of the stable and margin cells and, for a channel output, moments and
-      coefficients as objects and one receiver, rebuilt where kappa_i changes;
+      of the stable and margin cells, the moments for a channel output and, only for
+      ``fom`` or a ``p_qi@M``, coefficients and one receiver, rebuilt where kappa_i changes;
     - per row: its six inputs, each an axis value or else the base value; the
       stability test; at a stable row the receiver statistics (once for ``fom``,
       once for any ``p_qi@M``; ``p_coh@M`` reads none) and the channel cells;
@@ -427,10 +432,10 @@ def run_sweep(config: SweepConfig) -> str:
       (eta, t_b).
 
     A stable row at a drive point the pass rejects calls that point's scalar functions only
-    to raise its error, so a drive point's error comes before a channel's.  A build that
-    raises is not kept: each row that needs it raises again, with the same text.  An
-    ``OverflowError`` names its input: t_eom at the drive point, t_b at the channel, both at
-    the receiver statistics.
+    to raise its error, so it comes before a receiver's or a channel's error; a kappa_i out
+    of range fails only rows that build a receiver.  A build that raises is not kept: each
+    row that needs it raises again, with the same text.  An ``OverflowError`` names its
+    input: t_eom at the drive point, t_b at the channel, both at the receiver statistics.
 
     Besides the text it returns, a call holds one chunk of ``_CHUNK_ROWS`` rows at a
     time, the per drive point arrays and cells, and the per key builds above.  ``mwqi
@@ -445,22 +450,23 @@ def _sweep_chunks(config: SweepConfig):
     and the drive stage run before it returns, so a config error raises before any text."""
     if not config.outputs:
         raise ConfigError("no outputs selected", field_name="select")
-    plan = [_parse_output_token(token) for token in config.outputs]
-    link_plan = [(name, modes) for name, modes in plan if name == "fom" or modes is not None]
-    needs_link = bool(link_plan)
-    names = [axis.name for axis in config.axes]
-    _check_config(config, needs_link, names)
+    plan = _output_plan(config.outputs)
     needs_report = any(name in _CORRELATION_OUTPUTS for name, _ in plan)
+    needs_e = needs_report or ("e_metric", None) in plan  # correlation_report holds its rule
+    needs_rx = any(name in ("fom", "p_qi") for name, _ in plan)  # p_coh@M reads no receiver
+    link_plan = [(name, modes) for name, modes in plan if name == "fom" or modes is not None]
+    names = [axis.name for axis in config.axes]
+    _check_config(config, bool(link_plan), names)
     columns = [axis.values().tolist() for axis in config.axes]
     texts = [["%.16e" % value for value in column] for column in columns]
-    no_metrics = "," * (len(config.outputs) - 1)
+    no_metrics = "," * (len(plan) - 1)
 
     # a row's inputs by position in combo + base: the axis value, else the base value
     base = tuple(config.params.t_eom if name == "t_eom" else getattr(config, name)
                  for name in _AXIS_NAMES)
     i_w, i_o, i_eta, i_tb, i_t, i_k = map([*names, *_AXIS_NAMES].index, _AXIS_NAMES)
     drives = [columns[i] if i < len(names) else [base[i - len(names)]] for i in (i_t, i_w, i_o)]
-    coefs, moments, stage, baths_at, ok = _drive_stage(config, drives, needs_report)
+    coefs, moments, stage, baths_at, ok = _drive_stage(config, drives, needs_report, needs_e)
     # each row's drive key index: the keys are the product of the drives, t_eom slowest
     strides = {i_t: len(drives[1]) * len(drives[2]), i_w: len(drives[2]), i_o: 1}
     steps = [[j * strides.get(i, 0) for j in range(len(col))] for i, col in enumerate(columns)]
@@ -468,7 +474,7 @@ def _sweep_chunks(config: SweepConfig):
     form = ",".join("%.16e" if name in stage else "%%.16e" for name, _ in plan)
     drive_cells = [form % tuple(values) if good else None for good, *values in zip(
         ok.tolist(), *(stage[name].tolist() for name, _ in plan if name in stage))]
-    coefs, moments = (np.stack(x, axis=1) if needs_link else None for x in (coefs, moments))
+    coefs, moments = (np.stack(x, axis=1) if link_plan else None for x in (coefs, moments))
     del stage  # the rows read its cells as formatted, and a large grid need not keep both
     channel = functools.lru_cache(maxsize=None)(functools.partial(
         TargetChannelParams.from_temperature, omega_w=config.params.omega_w))
@@ -487,7 +493,7 @@ def _sweep_chunks(config: SweepConfig):
                 try:
                     if k != last:  # a new run of rows at one drive point
                         coop = Cooperativities(row[i_w], row[i_o])
-                        link, last, text = None, k, None
+                        link, rx, last, text = None, None, k, None
                     stability = is_stable(coop, config.params)  # the same at every t_eom
                     if text is None:  # once per run: is_stable is pure
                         text = "%d,%.16e" % (stability.stable, stability.margin)
@@ -498,14 +504,14 @@ def _sweep_chunks(config: SweepConfig):
                         m = source_moments(coefficients(coop), baths.n_w, baths.n_o, baths.n_b)
                         if needs_report:
                             correlation_report(m)
-                        if "e_metric" in config.outputs:
+                        if needs_e:
                             entanglement_metric(m)
-                    elif stability.stable and needs_link:
-                        if link is None:  # once per run: its source and first receiver, rx
-                            rx = ReceiverParams(EomCoefficients(*coefs[k].tolist()), row[i_k])
+                    elif stability.stable and link_plan:
+                        if link is None:  # once per run: its source
                             link = SourceMoments(*moments[k].tolist()), baths_at[row[i_t]]
-                        elif rx.idler_transmissivity != row[i_k]:  # anew at each kappa_i change
-                            rx = ReceiverParams(rx.coef, row[i_k])
+                        if needs_rx and (rx is None or rx.idler_transmissivity != row[i_k]):
+                            coef = rx.coef if rx else EomCoefficients(*coefs[k].tolist())
+                            rx = ReceiverParams(coef, row[i_k])  # anew at each kappa_i change
                         inputs = " (input t_b)"
                         ch = channel(row[i_eta], row[i_tb])
                         inputs = " (inputs t_eom and t_b)"

@@ -202,7 +202,7 @@ def test_correlation_columns_survive_numpy_without_avx512(tmp_path):
     # numpy picks its log2 and log1p kernels per CPU at run time, and the AVX-512 ones
     # round otherwise than the ones below them: the sweep must hold the declared rtol
     # with that dispatch off.  np.geomspace also rounds 3 of the 50 axis values
-    # otherwise there (ROADMAP item 14), so the child sweeps the golden's own values.
+    # otherwise there (ROADMAP item 22), so the child sweeps the golden's own values.
     features = _avx512_features()
     if not features:
         pytest.skip("numpy dispatches no AVX-512 kernel on this CPU")
@@ -243,7 +243,7 @@ def test_sources_form_no_matrix_product():
 
 
 # the float powers left in src/mwqi, by (file, function): each reaches a byte-compared
-# report line, so each waits for the product form (ROADMAP item 9)
+# report line, so each waits for the product form (ROADMAP item 22)
 _POW_SITES = {
     ("converter.py", "is_stable"): 1,  # the cube root of the stability cubic
 }

@@ -189,7 +189,10 @@ def test_empty_output_selection_rejected():
     (("n_w", "fom@3"), "unknown output 'fom@3'"),
     (("p_qi@0.5",), "mode count must be >= 1 in 'p_qi@0.5'"),
     (("p_qi@abc",), "not a number: 'abc'"),
-], ids=["unknown", "unknown-with-count", "mode-count", "not-a-number"])
+    (("n_w", "n_w"), "duplicate output 'n_w'"),
+    (("p_qi@1e6", "p_qi@1000000"), "duplicate output 'p_qi@1000000'"),
+], ids=["unknown", "unknown-with-count", "mode-count", "not-a-number", "duplicate",
+        "duplicate-value"])
 def test_outputs_set_past_the_parser_fail_before_the_first_row(outputs, message):
     cfg = dataclasses.replace(parse_config(GRID_CFG), outputs=outputs)
     with pytest.raises(ConfigError) as err:
@@ -772,15 +775,21 @@ def test_overflowing_receiver_statistics_are_named(eom, axes, named):
     assert errors == named
 
 
-def test_p_coh_cells_build_no_receiver_statistics(monkeypatch):
-    # a p_coh@M cell reads only the coherent snr: past t_eom ~ 1e154 K, where the
-    # receiver statistics overflow float64, its rows used to end in their error
+# a p_coh@M cell reads only the coherent snr, so no receiver: past t_eom ~ 1e154 K, where
+# the receiver statistics overflow float64, its rows used to end in their error, and so
+# did the row at kappa_i = 1.5, out of the receiver's range (0, 1]
+@pytest.mark.parametrize("select, axis, rows", [
+    ("n_o, p_coh@1e6", "t_eom log 1e100 1e200 5", 5),
+    ("n_w, p_coh@1e6", "kappa_i lin 0.5 1.5 3", 3),
+], ids=["t_eom", "kappa_i"])
+def test_p_coh_cells_build_no_receiver_statistics(monkeypatch, select, axis, rows):
     calls = []
     monkeypatch.setattr(sweep_mod, "receiver_statistics", lambda *args: calls.append(args))
-    cfg = parse_config(POINT_CFG.replace("n_w, n_o, e_metric, fom", "n_o, p_coh@1e6")
-                       + "[grid]\naxis = t_eom log 1e100 1e200 5\n")
+    monkeypatch.setattr(sweep_mod, "ReceiverParams", lambda *args: calls.append(args))
+    cfg = parse_config(POINT_CFG.replace("n_w, n_o, e_metric, fom", select)
+                       + f"[grid]\naxis = {axis}\n")
     header, *data = _parse_csv(run_sweep(cfg))
-    assert len(data) == 5 and calls == []
+    assert len(data) == rows and calls == []
     for row in data:
         record = dict(zip(header, row))
         assert record["stable"] == "1" and record["error"] == "", record
@@ -987,9 +996,18 @@ def test_report_sampler_error_leaves_report_point(monkeypatch, failing_seed):
     assert threading.active_count() == threads
 
 
+OPERATING_POINT = Path(__file__).resolve().parents[1] / "demos" / "configs" / "operating_point.cfg"
+
+
 def _operating_point_without_mc():
-    path = Path(__file__).resolve().parents[1] / "demos" / "configs" / "operating_point.cfg"
-    return dataclasses.replace(parse_config(path.read_text()), mc_validation=False)
+    return dataclasses.replace(parse_config(OPERATING_POINT.read_text()), mc_validation=False)
+
+
+def test_parse_config_drops_a_byte_order_mark():
+    # the library reads the text as the CLI does: the mark is neither a line nor hashed
+    text = OPERATING_POINT.read_text(encoding="utf-8")
+    plain, marked = parse_config(text), parse_config("\ufeff" + text)
+    assert marked == plain and marked.sha256 == plain.sha256
 
 
 def test_report_builds_the_receiver_statistics_twice(monkeypatch):
