@@ -41,6 +41,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .states import TwoModeGaussianState
 
 # exact SI values (2019 redefinition)
@@ -203,10 +205,15 @@ class SourceMoments:
     s: float
 
     def __post_init__(self):
-        # negated comparisons, so that NaN fails them
-        if not (0.0 <= self.n_w < math.inf and 0.0 <= self.n_o < math.inf
-                and 0.0 <= self.cross < math.inf and 0.0 <= self.s):
+        if not _moments_valid(self.n_w, self.n_o, self.cross, self.s):
             raise ValueError("moments must be finite and >= 0")
+
+
+def _moments_valid(n_w, n_o, cross, s):
+    """Whether moments pass :class:`SourceMoments`' check, over floats or arrays alike;
+    comparisons, not their negations, so that NaN fails it."""
+    return ((0.0 <= n_w) & (n_w < math.inf) & (0.0 <= n_o) & (n_o < math.inf)
+            & (0.0 <= cross) & (cross < math.inf) & (0.0 <= s))
 
 
 class StabilityReport(NamedTuple):
@@ -308,11 +315,16 @@ def source_moments(coef: EomCoefficients, n_w_thermal: float,
     s = ab - c^2, which cancels from the rounded moments near a pure state,
     is the Cauchy-Binet sum of positive terms of the x-block M diag(D) M^T:
     s = minor^2 D_w D_o + c_o^2 D_w D_b + c_w^2 D_o D_b with D = 2 n^T + 1.
+    Finite occupations whose moments pass float64 raise OverflowError.
     """
-    if min(n_w_thermal, n_o_thermal, n_b_thermal) < 0:
+    occupations = n_w_thermal, n_o_thermal, n_b_thermal
+    if min(occupations) < 0:
         raise ValueError("occupations must be >= 0")
-    return SourceMoments(*_moment_terms(coef.a_w, coef.a_o, coef.b, coef.c_w, coef.c_o,
-                                        coef.minor, n_w_thermal, n_o_thermal, n_b_thermal))
+    moments = _moment_terms(coef.a_w, coef.a_o, coef.b, coef.c_w, coef.c_o, coef.minor,
+                            *occupations)
+    if not _moments_valid(*moments) and all(map(math.isfinite, occupations)):
+        raise OverflowError("source moments overflow float64")
+    return SourceMoments(*moments)
 
 
 def _moment_terms(a_w, a_o, b, c_w, c_o, minor, n_w_t, n_o_t, n_b_t):
@@ -336,15 +348,27 @@ def source_state(m: SourceMoments) -> TwoModeGaussianState:
 def entanglement_metric(m: SourceMoments) -> float:
     """Correlation metric |<d_w d_o>| / sqrt(n_w * n_o).
 
-    Exceeds 1 exactly when the two output modes are entangled.  An uncorrelated
-    source (cross = 0) gives 0 even when a mode is empty; otherwise an empty mode
-    raises UndefinedMetricError.
+    Exceeds 1 exactly when the two output modes are entangled.  It holds for all
+    finite moments, where n_w * n_o would under- or overflow float64 too.  An
+    uncorrelated source (cross = 0) gives 0 even when a mode is empty; otherwise an
+    empty mode raises UndefinedMetricError.
     """
-    if m.cross == 0.0:
-        return 0.0
-    if m.n_w <= 0 or m.n_o <= 0:
+    e_metric, defined = _entanglement_terms(m.n_w, m.n_o, m.cross)
+    if not defined:
         raise UndefinedMetricError("entanglement metric undefined at zero photon number")
-    return m.cross / math.sqrt(m.n_w * m.n_o)
+    return e_metric.item()
+
+
+def _entanglement_terms(n_w, n_o, cross) -> tuple[np.ndarray, np.ndarray]:
+    """(E-metric, where it is defined) of :func:`entanglement_metric`, elementwise over
+    arrays of moments; the metric means nothing where it is not defined."""
+    with np.errstate(all="ignore"):
+        # n_w n_o passes float64 where the metric does not: with n = m 4^h, m in [1/2, 2),
+        # E = cross 2^-(h_w + h_o) / sqrt(m_w m_o), scaled exactly, so it keeps its bits
+        h_w, h_o = np.frexp(n_w)[1] // 2, np.frexp(n_o)[1] // 2
+        root = np.sqrt(np.ldexp(n_w, -2 * h_w) * np.ldexp(n_o, -2 * h_o))
+        return (np.where(cross == 0.0, 0.0, np.ldexp(cross, -(h_w + h_o)) / root),
+                (cross == 0.0) | ((n_w > 0.0) & (n_o > 0.0)))
 
 
 def _two_diff(x: float, y: float) -> tuple[float, float]:

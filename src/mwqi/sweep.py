@@ -59,7 +59,9 @@ from .converter import (
     SourceMoments,
     _coefficient_terms,
     _denominator,
+    _entanglement_terms,
     _moment_terms,
+    _moments_valid,
     bath_occupations,
     coefficients,
     entanglement_metric,
@@ -390,12 +392,10 @@ def _drive_stage(config: SweepConfig, drives, report: bool, e_rule: bool) -> tup
         d = _denominator(gamma_w, gamma_o)
         coef = _coefficient_terms(gamma_w, gamma_o, d, np.sqrt)
         n_w, n_o, cross, s = moments = _moment_terms(*coef, *occupations)
-        cells = {"n_w": n_w, "n_o": n_o,
-                 "e_metric": np.where(cross == 0.0, 0.0, cross / np.sqrt(n_w * n_o))}
-        # what coefficients and SourceMoments check (terms >= 0 at d > 0)
-        ok = (d > 0) & (n_w < math.inf) & (n_o < math.inf) & (cross < math.inf) & (s >= 0)
-        if e_rule:  # e_metric's rule, which correlation_report holds too
-            ok &= (cross == 0.0) | ((n_w > 0.0) & (n_o > 0.0))
+        e_metric, e_defined = _entanglement_terms(n_w, n_o, cross)
+        cells = {"n_w": n_w, "n_o": n_o, "e_metric": e_metric}
+        # what coefficients and SourceMoments check; if e_rule, e_metric's (correlation_report's) rule
+        ok = (d > 0) & _moments_valid(*moments) & (e_defined if e_rule else True)
         if report:
             columns, valid = correlation_columns(n_w, n_o, cross, s)
             cells.update(zip(_CORRELATION_OUTPUTS, columns))

@@ -2,6 +2,7 @@ import hashlib
 import io
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 
 import mwqi.cli as cli
 import mwqi.sweep as sweep
+from mwqi import InstabilityError, PhysicalityError, UndefinedMetricError
 
 SRC = pathlib.Path(cli.__file__).resolve().parents[1]  # the mwqi under test, installed or src/
 
@@ -228,6 +230,9 @@ DARK_CFG = (POINT_CFG.replace("5181.95", "0").replace("668.43", "0")
 
 # a converter so hot that the source state's ab - c^2 overflows float64 (from ~1e153 k)
 HOT_CFG = POINT_CFG + "\n[eom]\nt_eom = 1e160 k\n"
+# a drive of 1e12 at 1e300 k: the moments themselves overflow float64
+HOT_HUGE_DRIVE_CFG = (POINT_CFG.replace("5181.95", "1e12").replace("668.43", "1e12") + FIG3_CFG
+                      + "\n[eom]\nt_eom = 1e300 k\n")
 
 
 @pytest.mark.filterwarnings("error")
@@ -236,7 +241,10 @@ HOT_CFG = POINT_CFG + "\n[eom]\nt_eom = 1e160 k\n"
     ("fig3", HUGE_DRIVE_CFG, "overflows"),
     ("report", DARK_CFG, "n_w = 0"),
     ("report", HOT_CFG, "overflows"),
-], ids=["overflow-report", "overflow-fig3", "zero-photons-report", "hot-source-report"])
+    ("report", HOT_HUGE_DRIVE_CFG, "source moments overflow"),
+    ("fig3", HOT_HUGE_DRIVE_CFG, "source moments overflow"),
+], ids=["overflow-report", "overflow-fig3", "zero-photons-report", "hot-source-report",
+        "hot-moments-report", "hot-moments-fig3"])
 def test_physics_error_exits_2(tmp_path, capsys, command, text, message):
     path = tmp_path / "physics.cfg"
     path.write_text(text)
@@ -311,6 +319,49 @@ def test_report_at_an_underflowing_temperature_exits_0(tmp_path, capsys):
     path.write_text(POINT_CFG + "\n[eom]\nt_eom = 1e-320 k\n")
     assert cli.main(["report", str(path)]) == 0
     assert "result: all checks passed" in capsys.readouterr().out
+
+
+def test_report_where_the_photon_product_underflows_prints_its_e_metric(tmp_path, capsys):
+    # at a drive of 1e-155 and 0 K, n_w n_o ~ 1.3e-463 underflows float64: the E-metric
+    # divided by zero there, and the report ended in a ZeroDivisionError traceback, exit 1
+    path = tmp_path / "cold.cfg"
+    path.write_text("[eom]\nt_eom = 0 k\n[drive]\ngamma_w = 1e-155\ngamma_o = 1e-155\n")
+    code = cli.main(["report", str(path)])
+    out, err = capsys.readouterr()
+    assert err == "" and "E-metric = 1.11803399e+77" in out
+    # nu~_- rounds to 1 at every drive below ~1e-18 at 0 K, so E_N prints 0 and the
+    # E-metric/negativity agreement is the one check that may fail, with exit 3
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert (code, failed) in ((0, []), (3, ["[FAIL] E-metric/negativity agreement"]))
+
+
+def test_extreme_base_points_raise_only_what_main_maps_to_an_exit_code():
+    # 300 seeded base points to the ends of every key's range, through report (Monte-Carlo
+    # off) and fig3: each returns or raises one of the types main maps to exit 1 or 2
+    mapped = (sweep.ConfigError, InstabilityError, PhysicalityError, UndefinedMetricError,
+              OverflowError)
+    rng = random.Random(38)
+
+    def pick(edges, lo, hi):  # a range edge at times, else log-uniform in 10^[lo, hi]
+        return rng.choice(edges) if rng.random() < 0.3 else 10 ** rng.uniform(lo, hi)
+
+    outcomes = []
+    for _ in range(300):
+        config = sweep.parse_config(
+            f"[eom]\nt_eom = {pick([0.0, 1e300], -6, 300)!r} k\n"
+            f"[drive]\ngamma_w = {pick([0.0, 5e-324, 1e12], -323.3, 12)!r}\n"
+            f"gamma_o = {pick([0.0, 5e-324, 1e12], -323.3, 12)!r}\n"
+            f"[channel]\neta = {rng.choice([0.0, 1.0, rng.random()])!r}\n"
+            f"t_b = {pick([0.0, 1e300], -6, 300)!r} k\n"
+            f"kappa_i = {rng.choice([5e-324, 1.0, 1.0 - rng.random()])!r}\n")
+        for run in (sweep.report_point, sweep.run_figure3):
+            try:
+                run(config)
+                outcomes.append("ok")
+            except mapped as exc:
+                outcomes.append(type(exc).__name__)
+    assert {"ok", "InstabilityError", "OverflowError", "UndefinedMetricError"} <= set(outcomes)
+    assert outcomes.count("ok") > 150
 
 
 def test_report_at_the_stable_edge_exits_0(tmp_path, capsys):

@@ -183,6 +183,13 @@ def test_moments_s_overflows_alone():
     assert m.s == pytest.approx((2 * m.n_w + 1) * (2 * m.n_o + 1), rel=1e-15)
 
 
+def test_moments_past_float64_are_an_overflow():
+    # finite occupations whose moments pass float64, as a drive of 1e12 at 1e300 K gives:
+    # an OverflowError, which the CLI maps to exit 2, not SourceMoments' ValueError
+    with pytest.raises(OverflowError, match="source moments overflow float64"):
+        source_moments(coefficients(Cooperativities(1e12, 1e12)), 1e300, 1e300, 1e300)
+
+
 def test_reference_moments(ref_moments):
     assert abs(ref_moments.n_w - 0.739) / 0.739 < 0.05
     assert abs(ref_moments.n_o - 0.681) / 0.681 < 0.05
@@ -227,11 +234,17 @@ def test_metric_reference(ref_moments):
 
 
 def test_metric_undefined():
-    # a correlated source with an empty mode has no metric
-    with pytest.raises(UndefinedMetricError):
-        entanglement_metric(mwqi.SourceMoments(n_w=0.0, n_o=1.0, cross=0.5, s=2.0))
-    with pytest.raises(UndefinedMetricError):
-        entanglement_metric(mwqi.SourceMoments(n_w=1.0, n_o=0.0, cross=0.5, s=2.0))
+    # a correlated source with an empty mode has no metric.  A drive of 5e-324 at 0 K
+    # empties one exactly: gamma_w gamma_o underflows, so b = 0 and n_w = 0, while cross =
+    # c_w c_o does not.  Each raises UndefinedMetricError, never a bare ZeroDivisionError
+    cold = source_moments(coefficients(Cooperativities(5e-324, 5e-324)), 0.0, 0.0, 0.0)
+    assert cold.n_w == 0.0 and cold.n_o > 0.0 and cold.cross > 0.0
+    for m in (mwqi.SourceMoments(n_w=0.0, n_o=1.0, cross=0.5, s=2.0),
+              mwqi.SourceMoments(n_w=1.0, n_o=0.0, cross=0.5, s=2.0),
+              mwqi.SourceMoments(n_w=5e-324, n_o=0.0, cross=5e-324, s=1.0), cold):
+        with pytest.raises(ZeroDivisionError) as err:
+            entanglement_metric(m)
+        assert err.type is UndefinedMetricError
 
 
 def test_metric_zero_for_uncorrelated_source():
@@ -251,6 +264,51 @@ def test_metric_monotone_in_cooperativities(params):
     assert all(a > b for a, b in zip(go_scan, go_scan[1:]))
     gw_scan = [metric_at(gw, 1.0) for gw in np.geomspace(2.0, 1e3, 12)]
     assert all(a < b for a, b in zip(gw_scan, gw_scan[1:]))
+
+
+def _exact_metric(m):
+    """cross / sqrt(n_w n_o) of the moments' float values, to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(m.cross) / (Decimal(m.n_w) * Decimal(m.n_o)).sqrt()
+
+
+def test_metric_over_all_of_float64():
+    # 10,000 seeded moments with n_w and n_o from subnormal to 1e308 and E in 2^+-60, within
+    # 4e-16 of a 60-digit quotient.  n_w n_o leaves float64's normal range on about a quarter
+    # of them, where the plain cross / sqrt(n_w n_o) raises ZeroDivisionError or is wrong
+    rng = random.Random(38)
+    worst, count = Decimal(0), 0
+    while count < 10_000:
+        n_w, n_o = (math.ldexp(1.0 + rng.random(), rng.randint(-1074, 1023)) for _ in "wo")
+        with localcontext() as ctx:
+            ctx.prec = 60
+            root = (Decimal(n_w) * Decimal(n_o)).sqrt()
+            cross = float(Decimal(2.0 ** rng.uniform(-60, 60)) * root)
+        if not 0.0 < cross < math.inf:  # cross itself passes float64
+            continue
+        m = mwqi.SourceMoments(n_w, n_o, cross, 1.0)
+        exact = _exact_metric(m)
+        worst = max(worst, abs(Decimal(entanglement_metric(m)) - exact) / exact)
+        count += 1
+    assert worst < Decimal("4e-16")
+
+
+@pytest.mark.parametrize("t_eom, gamma_w, gamma_o", [
+    (1e155, 5181.95, 668.43), (1e200, 5181.95, 668.43), (0.0, 1e-160, 1e-160)],
+    ids=["hot-1e155", "hot-1e200", "cold-1e-160"])
+def test_metric_where_the_photon_product_passes_float64(params, t_eom, gamma_w, gamma_o):
+    # at the demo drive and a converter at 1e155 or 1e200 K, n_w n_o overflows (the plain
+    # quotient reads 0.0 for 0.97967...); at a drive of 1e-160 and 0 K it underflows (the
+    # plain quotient raises ZeroDivisionError)
+    baths = mwqi.bath_occupations(dataclasses.replace(params, t_eom=t_eom))
+    m = source_moments(coefficients(Cooperativities(gamma_w, gamma_o)),
+                       baths.n_w, baths.n_o, baths.n_b)
+    assert not 2.2e-308 < m.n_w * m.n_o < math.inf
+    e = entanglement_metric(m)
+    assert abs(Decimal(e) - _exact_metric(m)) < Decimal("4e-16") * _exact_metric(m)
+    if t_eom:
+        assert e == pytest.approx(0.97967022230648, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -1097,3 +1097,80 @@ def test_random_grids_to_the_range_extremes_give_clean_physical_rows():
                 assert float(cells["coh_info_per_photon"]) <= float(
                     cells["log_neg_per_photon"]), row
     assert rows > 2000
+
+
+# drive points where n_w n_o over- or underflows float64: the demo drive at a hot
+# converter, and drives of 1e-160 at 0 K and of 5e-324 at 30 mK
+_PRODUCT_EDGES = {
+    "hot": ("[drive]\ngamma_w = 5181.95\ngamma_o = 668.43\n"
+            "[grid]\naxis = t_eom log 1e150 1e200 3\n"),
+    "cold-1e-160": "[eom]\nt_eom = 0 k\n[drive]\ngamma_w = 1e-160\ngamma_o = 1e-160\n",
+    "30mk-5e-324": "[eom]\nt_eom = 30 mk\n[drive]\ngamma_w = 5e-324\ngamma_o = 5e-324\n",
+}
+
+
+def _scalar_moments(config, cells):
+    """The moments of a sweep row's drive point, by the scalar functions."""
+    def value(name, base):  # the axis value, else the base value
+        return float(cells[name]) if name in cells else base
+
+    baths = mwqi.bath_occupations(dataclasses.replace(
+        config.params, t_eom=value("t_eom", config.params.t_eom)))
+    coop = mwqi.Cooperativities(value("gamma_w", config.gamma_w), value("gamma_o", config.gamma_o))
+    return mwqi.source_moments(mwqi.coefficients(coop), baths.n_w, baths.n_o, baths.n_b)
+
+
+@pytest.mark.parametrize("select", ["n_w, e_metric", "e_metric"])
+@pytest.mark.parametrize("edge", sorted(_PRODUCT_EDGES))
+def test_e_metric_cells_where_the_photon_product_passes_float64(edge, select):
+    # a plain cross / sqrt(n_w n_o) writes 0.0000000000000000e+00 for 0.97967... at the hot
+    # points and inf at the others; each cell is the scalar E-metric's, with an empty error
+    config = parse_config(_PRODUCT_EDGES[edge] + f"[outputs]\nselect = {select}\n")
+    header, *data = _parse_csv(run_sweep(config))
+    assert len(data) == (3 if edge == "hot" else 1)
+    for row in data:
+        cells = dict(zip(header, row))
+        m = _scalar_moments(config, cells)
+        assert cells["stable"] == "1" and cells["error"] == "", row
+        assert cells["e_metric"] == "%.16e" % mwqi.entanglement_metric(m), row
+        assert 0.0 < float(cells["e_metric"]) < math.inf, row
+        assert cells.get("n_w", "%.16e" % m.n_w) == "%.16e" % m.n_w, row
+
+
+def test_random_extreme_drive_grids_give_the_scalar_e_metric():
+    # 150 seeded grids over the drive keys, from subnormal cooperativities to 1e12 and
+    # converter temperatures to 1e300 K, with no correlation output, whose spectrum
+    # overflow would hide the hot rows: a stable row holds the scalar functions' cells, or
+    # else the error they raise
+    rng = random.Random(38)
+    ranges = {"gamma_w": (-323.3, 12.0), "gamma_o": (-323.3, 12.0), "t_eom": (-6.0, 300.0)}
+    rows = errors = 0
+    for _ in range(150):
+        axes = []
+        for name in rng.sample(sorted(ranges), rng.randint(1, 3)):
+            lo, hi = sorted(rng.uniform(*ranges[name]) for _ in range(2))
+            axes.append(f"axis = {name} log {10 ** lo!r} {10 ** hi!r} {rng.randint(2, 4)}\n")
+        drive = "".join(f"{key} = {10 ** rng.uniform(*ranges[key])!r}\n"
+                        for key in ("gamma_w", "gamma_o"))
+        select = rng.choice(["e_metric", "n_w, e_metric", "e_metric, n_o", "n_w, n_o, e_metric"])
+        config = parse_config(f"[eom]\nt_eom = {rng.choice(['0 k', '30 mk', '1e200 k'])}\n"
+                              f"[drive]\n{drive}[grid]\n{''.join(axes)}"
+                              f"[outputs]\nselect = {select}\n")
+        header, *data = _parse_csv(run_sweep(config))
+        for row in data:
+            cells = dict(zip(header, row))
+            rows += 1
+            if cells["stable"] == "0":
+                assert not any(row[header.index("margin") + 1:]), row
+                continue
+            try:
+                m = _scalar_moments(config, cells)
+                values = {"n_w": m.n_w, "n_o": m.n_o, "e_metric": mwqi.entanglement_metric(m)}
+            except (OverflowError, mwqi.UndefinedMetricError) as exc:
+                errors += 1
+                assert cells["error"].startswith(f"{type(exc).__name__}: "), row
+                assert not any(cells.get(name) for name in ("n_w", "n_o", "e_metric")), row
+                continue
+            assert cells["error"] == "", row
+            assert all(cells[name] == "%.16e" % values[name] for name in select.split(", ")), row
+    assert rows > 1500 and 0 < errors < rows
